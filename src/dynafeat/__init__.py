@@ -1,6 +1,6 @@
 """dynafeat: real-time feature matching for video via local feature groups.
 
-Features are clustered into local groups with a 2-D union-find structure;
+Features are clustered into local groups by seeded region growing;
 group pairs between consecutive frames are accepted when their mutual
 nearest-neighbor support count beats a binomial-statistics threshold, and
 accepted group motion narrows the search space of the next frame.
@@ -13,8 +13,7 @@ from .frontend import (Feature, FrameFeatures, GrayImage, describe,
                        save_features)
 from .geometry import (CameraIntrinsics, PoseEstimate, estimate_essential_ransac,
                        pose_error, pose_success_ratio, reprojection_repeatability)
-from .grouping import (FeatureGroup, GroupingConfig, GroupingResult, UnionFind,
-                       group_features)
+from .grouping import FeatureGroup, GroupingConfig, GroupingResult, group_features
 from .matching import (GroupMatch, InlierMatch, MatchCandidate, match_frame_pair,
                        mutual_nn_match, score_group_pair)
 from .stats import (BinomialMoments, MatchProbabilityParams, binomial_moments,
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Feature", "FrameFeatures", "GrayImage", "detect_corners", "describe",
     "extract_frame", "load_features", "save_features",
-    "UnionFind", "GroupingConfig", "FeatureGroup", "GroupingResult", "group_features",
+    "GroupingConfig", "FeatureGroup", "GroupingResult", "group_features",
     "MatchProbabilityParams", "BinomialMoments", "p_true", "p_false",
     "p_true_crosscheck", "p_false_crosscheck", "binomial_moments",
     "support_threshold", "separation_gap",

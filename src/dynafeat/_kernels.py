@@ -18,7 +18,7 @@ try:
     from numba import njit, prange
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # pragma: no cover - numba is the optional [numba] extra
     _HAVE_NUMBA = False
 
 _env = os.environ.get("DYNAFEAT_NUMBA", "1").strip().lower()
@@ -215,84 +215,8 @@ def brief_descriptors(sums: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Mutual nearest neighbors under Hamming distance
-# ---------------------------------------------------------------------------
-
-def _mutual_nn_np(a_bytes, b_bytes):
-    d = np.bitwise_count(a_bytes[:, None, :] ^ b_bytes[None, :, :]).sum(axis=2, dtype=np.int64)
-    best_j = d.argmin(axis=1)
-    dist_a = d[np.arange(d.shape[0]), best_j]
-    ties_a = (d == dist_a[:, None]).sum(axis=1)
-    best_i = d.argmin(axis=0)
-    dist_b = d[best_i, np.arange(d.shape[1])]
-    ties_b = (d == dist_b[None, :]).sum(axis=0)
-    return best_j, dist_a, ties_a, best_i, dist_b, ties_b
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _mutual_nn_nb(a, b):  # pragma: no cover - jitted
-        na = a.shape[0]
-        nb = b.shape[0]
-        w = a.shape[1]
-        inf = np.int64(1) << 40
-        best_j = np.zeros(na, np.int64)
-        dist_a = np.full(na, inf, np.int64)
-        ties_a = np.zeros(na, np.int64)
-        best_i = np.zeros(nb, np.int64)
-        dist_b = np.full(nb, inf, np.int64)
-        ties_b = np.zeros(nb, np.int64)
-        for i in range(na):
-            m = inf
-            arg = -1
-            cnt = 0
-            for j in range(nb):
-                d = np.int64(0)
-                for t in range(w):
-                    x = a[i, t] ^ b[j, t]
-                    x = x - ((x >> 1) & _M1)
-                    x = (x & _M2) + ((x >> 2) & _M2)
-                    x = (x + (x >> 4)) & _M4
-                    d += (x * _H01) >> 56
-                if d < m:
-                    m = d
-                    arg = j
-                    cnt = 1
-                elif d == m:
-                    cnt += 1
-                if d < dist_b[j]:
-                    dist_b[j] = d
-                    best_i[j] = i
-                    ties_b[j] = 1
-                elif d == dist_b[j]:
-                    ties_b[j] += 1
-            best_j[i] = arg
-            dist_a[i] = m
-            ties_a[i] = cnt
-        return best_j, dist_a, ties_a, best_i, dist_b, ties_b
-
-
-def mutual_nn_hamming(a_packed: np.ndarray, b_packed: np.ndarray):
-    """Nearest-neighbor tables in both directions for packed descriptors.
-
-    Inputs are uint8 (n, nbytes) with nbytes a multiple of 8. Returns
-    (best_j, dist_a, ties_a, best_i, dist_b, ties_b) where the tie counts
-    give the multiplicity of the minimum (1 means a unique neighbor).
-    """
-    a = np.ascontiguousarray(a_packed, np.uint8)
-    b = np.ascontiguousarray(b_packed, np.uint8)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError("descriptor arrays must be 2-D with matching widths")
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("descriptor arrays must be non-empty")
-    if _active == "numba" and a.shape[1] % 8 == 0:
-        return _mutual_nn_nb(a.view(np.int64), b.view(np.int64))
-    return _mutual_nn_np(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Batched mutual NN over many group pairs (the per-frame matching hot loop)
+# Mutual nearest neighbors under Hamming distance, batched over group pairs
+# (the per-frame matching hot loop, and the only copy of the mutual-NN rule)
 # ---------------------------------------------------------------------------
 
 # Cells (padded member pairs) per chunk of the numpy kernel: bounds its
@@ -458,13 +382,18 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
                     pair_a: np.ndarray, pair_b: np.ndarray):
     """Mutual-NN supports for many group pairs in one call.
 
-    ``desc_*`` are the full frame descriptor tables (uint8, width a multiple
-    of 8); groups are given as flattened member-id arrays with offset/count
-    tables, and each pair indexes a group slot per side. Returns
-    (scores, out_off, ia, ib, dist): supports of pair p occupy
+    A support of a pair is a member i of its first group and a member j of
+    its second whose Hamming distance is the unique minimum of both i's row
+    and j's column; a tied minimum disqualifies the row or column.
+    ``desc_*`` are the full frame descriptor tables (uint8, equal widths,
+    best a multiple of 8); groups are given as flattened member-id arrays
+    with offset/count tables, and each pair indexes a group slot per side.
+    Returns (scores, out_off, ia, ib, dist): supports of pair p occupy
     ``[out_off[p], out_off[p] + scores[p])`` in the flat arrays, ordered by
     ascending member position on the first side.
     """
+    if desc_a.ndim != 2 or desc_b.ndim != 2 or desc_a.shape[1] != desc_b.shape[1]:
+        raise ValueError("descriptor arrays must be 2-D with matching widths")
     n_pairs = pair_a.shape[0]
     bound = np.minimum(cnt_a[pair_a], cnt_b[pair_b]) if n_pairs else np.zeros(0, np.int64)
     out_off = np.zeros(n_pairs, np.int64)
@@ -556,7 +485,6 @@ def warmup() -> None:
     pattern = np.zeros((8, 4), np.int64)
     brief_descriptors(sums, np.array([4]), np.array([4]), pattern)
     a = np.arange(16, dtype=np.uint8).reshape(2, 8)
-    mutual_nn_hamming(a, a)
     ids = np.array([0, 1], np.int64)
     off = np.zeros(1, np.int64)
     cnt = np.full(1, 2, np.int64)

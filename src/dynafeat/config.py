@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .grouping import GroupingConfig
 
-_METRICS = ("hamming", "euclidean")
 _INPUT_MODES = ("features", "images")
 
 
@@ -25,7 +24,6 @@ class PipelineConfig:
     max_bbox_side: float = 90.0
     k: float = 2.0
     search_margin: float = 30.0
-    metric: str = "hamming"
     max_features: int = 7000
     fast_threshold: int = 5
     input_mode: str = "features"
@@ -45,8 +43,6 @@ class PipelineConfig:
             raise ConfigError("k must be positive")
         if self.search_margin <= 0:
             raise ConfigError("search_margin must be positive")
-        if self.metric not in _METRICS:
-            raise ConfigError(f"metric must be one of {_METRICS}")
         if self.max_features < 1:
             raise ConfigError("max_features must be >= 1")
         if self.fast_threshold < 1:

@@ -1,11 +1,14 @@
-"""Clustering features into local groups with a 2-D union-find structure.
+"""Clustering features into local groups by seeded region growing.
 
 Groups are grown region by region: a random unassigned feature seeds a
 group, then a FIFO queue expands it by absorbing every still-unassigned
 feature within the square window around each popped member. Growth is
 capped by a member-count ceiling and a bounding-box side limit; undersized
-groups are discarded after growth. Membership is recorded in a union-find
-forest so the group of a feature resolves in near-constant time.
+groups are discarded after growth. Membership is recorded in a label array
+(feature id -> group id, -1 when ungrouped). Every absorption joins a
+fresh singleton to the group's seed, so a union-find forest would only
+ever hold one-level trees rooted at the seed; the label array answers the
+same questions with one lookup.
 
 Absorption semantics (kept identical in the test oracle): candidates of a
 popped member are taken in ascending feature-id order; a candidate that
@@ -16,7 +19,7 @@ unassigned, while reaching the member ceiling closes the group outright.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,51 +29,6 @@ DEFAULT_WINDOW = 30.0
 DEFAULT_MIN_GROUP = 5
 DEFAULT_MAX_GROUP = 35
 DEFAULT_MAX_BBOX_SIDE = 90.0
-
-
-class UnionFind:
-    """Disjoint sets over item ids 0..count-1.
-
-    ``parent[i] == i`` marks a root; ``set_size`` is valid at roots only.
-    ``find`` applies full path compression, ``union`` merges by rank.
-    """
-
-    def __init__(self, count: int):
-        self.parent = list(range(count))
-        self.rank = [0] * count
-        self.set_size = [1] * count
-
-    def __len__(self) -> int:
-        return len(self.parent)
-
-    def _check(self, i: int) -> None:
-        if not 0 <= i < len(self.parent):
-            raise ValueError(f"item id {i} out of range [0, {len(self.parent)})")
-
-    def find(self, i: int) -> int:
-        self._check(i)
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra = self.find(a)
-        rb = self.find(b)
-        if ra == rb:
-            return ra
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.set_size[ra] += self.set_size[rb]
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return ra
-
-    def size(self, i: int) -> int:
-        return self.set_size[self.find(i)]
 
 
 @dataclass
@@ -93,8 +51,7 @@ class GroupingConfig:
 @dataclass
 class FeatureGroup:
     group_id: int
-    root: int                      # union-find representative feature id
-    members: np.ndarray            # feature ids, absorption order
+    members: np.ndarray            # feature ids, absorption order; members[0] is the seed
     n: int
     centroid: np.ndarray           # (2,) mean member position
     bbox_min: np.ndarray           # (2,)
@@ -104,17 +61,15 @@ class FeatureGroup:
 @dataclass
 class GroupingResult:
     groups: list[FeatureGroup]
-    uf: UnionFind
-    _group_by_root: dict[int, int] = field(default_factory=dict)
-
-    def group_of(self, feature_id: int) -> int | None:
-        """Union-find root of the feature's group, or None if discarded."""
-        root = self.uf.find(feature_id)
-        return root if root in self._group_by_root else None
+    labels: np.ndarray             # (n,) group id per feature, -1 when ungrouped
 
     def group_id_of(self, feature_id: int) -> int | None:
-        root = self.uf.find(feature_id)
-        return self._group_by_root.get(root)
+        """Group id of the feature, or None if it belongs to no group."""
+        if not 0 <= feature_id < self.labels.shape[0]:
+            raise ValueError(f"feature id {feature_id} out of range "
+                             f"[0, {self.labels.shape[0]})")
+        gid = int(self.labels[feature_id])
+        return gid if gid >= 0 else None
 
 
 def group_features(frame: FrameFeatures, config: GroupingConfig) -> GroupingResult:
@@ -126,7 +81,7 @@ def group_features(frame: FrameFeatures, config: GroupingConfig) -> GroupingResu
     """
     n = frame.count
     if n == 0:
-        return GroupingResult([], UnionFind(0))
+        return GroupingResult([], np.full(0, -1, np.int64))
     pos = frame.positions
     radius = config.window / 2.0
     cell = config.window
@@ -139,9 +94,8 @@ def group_features(frame: FrameFeatures, config: GroupingConfig) -> GroupingResu
 
     order = np.random.default_rng(config.rng_seed).permutation(n)
     assigned = np.zeros(n, bool)
-    uf = UnionFind(n)
+    labels = np.full(n, -1, np.int64)
     groups: list[FeatureGroup] = []
-    by_root: dict[int, int] = {}
 
     for seed in order:
         seed = int(seed)
@@ -183,19 +137,17 @@ def group_features(frame: FrameFeatures, config: GroupingConfig) -> GroupingResu
                         or nmax_y - nmin_y > config.max_bbox_side:
                     continue  # stays unassigned, may seed a later group
                 assigned[j] = True
-                uf.union(seed, j)
                 members.append(j)
                 queue.append(j)
                 min_x, max_x, min_y, max_y = nmin_x, nmax_x, nmin_y, nmax_y
         if len(members) < config.min_group:
             continue  # discarded: members stay consumed but belong to no group
-        root = uf.find(seed)
         gid = len(groups)
         member_arr = np.array(members, np.int64)
+        labels[member_arr] = gid
         groups.append(FeatureGroup(
-            group_id=gid, root=root, members=member_arr, n=len(members),
+            group_id=gid, members=member_arr, n=len(members),
             centroid=pos[member_arr].mean(axis=0),
             bbox_min=np.array([min_x, min_y]), bbox_max=np.array([max_x, max_y])))
-        by_root[root] = gid
 
-    return GroupingResult(groups, uf, by_root)
+    return GroupingResult(groups, labels)

@@ -75,8 +75,8 @@ def save_pgm(image: GrayImage, path) -> None:
 def load_png(path) -> GrayImage:
     try:
         from PIL import Image
-    except ImportError:  # pragma: no cover - pillow is a declared dependency
-        raise InputDataError("PNG input requires pillow") from None
+    except ImportError:  # pillow is the optional [png] extra
+        raise InputDataError("PNG input requires pillow (pip install dynafeat[png])") from None
     with Image.open(path) as im:
         if im.mode == "L":
             arr = np.asarray(im, np.uint8)

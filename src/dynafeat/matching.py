@@ -8,8 +8,9 @@ emit feature matches. A feature caught by several overlapping accepted
 pairs keeps the match from the highest-scoring one.
 
 All candidate pairs of a frame transition are scored in one batched
-kernel call; support lists on GroupMatch are materialized lazily from the
-shared flat arrays.
+kernel call, and single pairs or whole feature sets go through the same
+kernel as a batch of one; support lists on GroupMatch are materialized
+lazily from the shared flat arrays.
 """
 
 from __future__ import annotations
@@ -75,40 +76,7 @@ def _descriptor_matrix(features) -> np.ndarray:
     return np.stack([np.asarray(f.descriptor, np.uint8) for f in features])
 
 
-def _select_mutual(best_j, dist_a, ties_a, best_i, dist_b, ties_b):
-    rows = np.arange(best_j.shape[0])
-    ok = (ties_a == 1) & (ties_b[best_j] == 1) & (best_i[best_j] == rows)
-    idx = np.nonzero(ok)[0]
-    return idx, best_j[idx], dist_a[idx]
-
-
-def _mutual_pairs_euclidean(desc_a: np.ndarray, desc_b: np.ndarray):
-    d = np.sqrt(((desc_a[:, None, :] - desc_b[None, :, :]) ** 2).sum(axis=2))
-    best_j = d.argmin(axis=1)
-    dist_a = d[np.arange(d.shape[0]), best_j]
-    ties_a = (d == dist_a[:, None]).sum(axis=1)
-    best_i = d.argmin(axis=0)
-    dist_b = d[best_i, np.arange(d.shape[1])]
-    ties_b = (d == dist_b[None, :]).sum(axis=0)
-    return _select_mutual(best_j, dist_a, ties_a, best_i, dist_b, ties_b)
-
-
-def _mutual_pairs(desc_a: np.ndarray, desc_b: np.ndarray, metric: str):
-    if desc_a.shape[0] == 0 or desc_b.shape[0] == 0:
-        raise ValueError("descriptor sets must be non-empty")
-    if metric == "hamming":
-        if desc_a.dtype != np.uint8 or desc_b.dtype != np.uint8:
-            raise ValueError("hamming metric needs packed uint8 descriptors")
-        return _select_mutual(*_kernels.mutual_nn_hamming(desc_a, desc_b))
-    if metric == "euclidean":
-        if not np.issubdtype(desc_a.dtype, np.floating) \
-                or not np.issubdtype(desc_b.dtype, np.floating):
-            raise ValueError("euclidean metric needs floating-point descriptors")
-        return _mutual_pairs_euclidean(desc_a, desc_b)
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def mutual_nn_match(features_prev, features_curr, metric: str = "hamming") -> list[MatchCandidate]:
+def mutual_nn_match(features_prev, features_curr) -> list[MatchCandidate]:
     """Mutual unique-nearest-neighbor pairs between two feature sets.
 
     Accepts FrameFeatures, a descriptor matrix, or a sequence of Feature;
@@ -116,30 +84,77 @@ def mutual_nn_match(features_prev, features_curr, metric: str = "hamming") -> li
     """
     desc_a = _descriptor_matrix(features_prev)
     desc_b = _descriptor_matrix(features_curr)
-    ia, ib, dist = _mutual_pairs(desc_a, desc_b, metric)
-    return [MatchCandidate(int(a), int(b), float(d)) for a, b, d in zip(ia, ib, dist)]
+    if desc_a.shape[0] == 0 or desc_b.shape[0] == 0:
+        raise ValueError("descriptor sets must be non-empty")
+    if desc_a.dtype != np.uint8 or desc_b.dtype != np.uint8:
+        raise ValueError("Hamming matching needs packed uint8 descriptors")
+    # one pair of groups, each holding its whole set
+    one = np.zeros(1, np.int64)
+    n_a, n_b = desc_a.shape[0], desc_b.shape[0]
+    scores, _, ia, ib, dist = _kernels.batch_mutual_nn(
+        np.ascontiguousarray(desc_a), np.ascontiguousarray(desc_b),
+        np.arange(n_a, dtype=np.int64), one, np.array([n_a], np.int64),
+        np.arange(n_b, dtype=np.int64), one, np.array([n_b], np.int64), one, one)
+    n = int(scores[0])
+    return [MatchCandidate(a, b, float(d))
+            for a, b, d in zip(ia[:n].tolist(), ib[:n].tolist(), dist[:n].tolist())]
+
+
+def _group_tables(groups: list[FeatureGroup]):
+    """Flattened member ids with per-group offsets and counts, in list order."""
+    cnt = np.array([g.n for g in groups], np.int64)
+    off = np.zeros(len(groups), np.int64)
+    np.cumsum(cnt[:-1], out=off[1:])
+    mem = np.concatenate([g.members for g in groups]) if groups else np.zeros(0, np.int64)
+    return mem, off, cnt
+
+
+def _score_pairs(groups_prev, features_prev, groups_curr, features_curr,
+                 pairs, k: float, accepted_only: bool) -> list[GroupMatch]:
+    """Score (prev_id, curr_id) pairs in one batched kernel call; the one
+    place the acceptance rule score > tau is applied."""
+    slot_prev = {g.group_id: s for s, g in enumerate(groups_prev)}
+    slot_curr = {g.group_id: s for s, g in enumerate(groups_curr)}
+    for gp_id, gc_id in pairs:
+        if gp_id not in slot_prev or gc_id not in slot_curr:
+            raise ValueError(f"candidate pair ({gp_id}, {gc_id}) references unknown groups")
+    mem_a, off_a, cnt_a = _group_tables(groups_prev)
+    mem_b, off_b, cnt_b = _group_tables(groups_curr)
+    pair_a = np.array([slot_prev[p] for p, _ in pairs], np.int64)
+    pair_b = np.array([slot_curr[c] for _, c in pairs], np.int64)
+
+    scores, out_off, ia, ib, dist = _kernels.batch_mutual_nn(
+        features_prev.descriptors, features_curr.descriptors,
+        mem_a, off_a, cnt_a, mem_b, off_b, cnt_b, pair_a, pair_b)
+
+    taus = support_threshold(np.minimum(cnt_a[pair_a], cnt_b[pair_b]), k)
+    accepted = scores > taus
+    emit = np.nonzero(accepted)[0] if accepted_only else np.arange(len(pairs))
+    starts = out_off[emit]
+    stops = starts + scores[emit]
+    dist_cum = np.zeros(dist.shape[0] + 1, np.int64)
+    np.cumsum(dist, out=dist_cum[1:])
+    dist_sums = dist_cum[stops] - dist_cum[starts]
+    return [GroupMatch(*pairs[p], stop - start, tau, ok,
+                       sup_a=ia[start:stop], sup_b=ib[start:stop],
+                       sup_dist=dist[start:stop], dist_sum=dist_sum)
+            for p, start, stop, dist_sum, tau, ok
+            in zip(emit.tolist(), starts.tolist(), stops.tolist(), dist_sums.tolist(),
+                   taus[emit].tolist(), accepted[emit].tolist())]
 
 
 def score_group_pair(group_prev: FeatureGroup, features_prev: FrameFeatures,
                      group_curr: FeatureGroup, features_curr: FrameFeatures,
-                     k: float = 2.0, metric: str = "hamming") -> GroupMatch:
+                     k: float = 2.0) -> GroupMatch:
     """Score one candidate pair; ids in the supports are frame feature ids."""
-    ia, ib, dist = _mutual_pairs(features_prev.descriptors[group_prev.members],
-                                 features_curr.descriptors[group_curr.members],
-                                 metric)
-    n_eff = min(group_prev.n, group_curr.n)
-    tau = support_threshold(n_eff, k)
-    score = int(ia.size)
-    return GroupMatch(group_prev.group_id, group_curr.group_id, score, tau,
-                      score > tau, sup_a=group_prev.members[ia],
-                      sup_b=group_curr.members[ib],
-                      sup_dist=np.asarray(dist))
+    return _score_pairs([group_prev], features_prev, [group_curr], features_curr,
+                        [(group_prev.group_id, group_curr.group_id)], k,
+                        accepted_only=False)[0]
 
 
 def score_candidate_pairs(groups_prev: list[FeatureGroup], features_prev: FrameFeatures,
                           groups_curr: list[FeatureGroup], features_curr: FrameFeatures,
-                          candidate_pairs, k: float = 2.0,
-                          metric: str = "hamming") -> list[GroupMatch]:
+                          candidate_pairs, k: float = 2.0) -> list[GroupMatch]:
     """Score every candidate (prev_id, curr_id) pair; keep accepted ones.
 
     Pairs are scored independently; rejected pairs are dropped here since
@@ -148,57 +163,8 @@ def score_candidate_pairs(groups_prev: list[FeatureGroup], features_prev: FrameF
     candidate_pairs = list(candidate_pairs)
     if not candidate_pairs:
         return []
-    prev_by_id = {g.group_id: g for g in groups_prev}
-    curr_by_id = {g.group_id: g for g in groups_curr}
-    for gp_id, gc_id in candidate_pairs:
-        if gp_id not in prev_by_id or gc_id not in curr_by_id:
-            raise ValueError(f"candidate pair ({gp_id}, {gc_id}) references unknown groups")
-
-    if metric != "hamming":
-        accepted = []
-        for gp_id, gc_id in candidate_pairs:
-            gm = score_group_pair(prev_by_id[gp_id], features_prev,
-                                  curr_by_id[gc_id], features_curr, k, metric)
-            if gm.accepted:
-                accepted.append(gm)
-        return accepted
-
-    # one batched kernel call over all pairs
-    slot_prev = {g.group_id: s for s, g in enumerate(groups_prev)}
-    slot_curr = {g.group_id: s for s, g in enumerate(groups_curr)}
-    cnt_a = np.array([g.n for g in groups_prev], np.int64)
-    cnt_b = np.array([g.n for g in groups_curr], np.int64)
-    off_a = np.zeros(len(groups_prev), np.int64)
-    np.cumsum(cnt_a[:-1], out=off_a[1:])
-    off_b = np.zeros(len(groups_curr), np.int64)
-    np.cumsum(cnt_b[:-1], out=off_b[1:])
-    mem_a = (np.concatenate([g.members for g in groups_prev])
-             if groups_prev else np.zeros(0, np.int64))
-    mem_b = (np.concatenate([g.members for g in groups_curr])
-             if groups_curr else np.zeros(0, np.int64))
-    pair_a = np.array([slot_prev[p] for p, _ in candidate_pairs], np.int64)
-    pair_b = np.array([slot_curr[c] for _, c in candidate_pairs], np.int64)
-
-    scores, out_off, ia, ib, dist = _kernels.batch_mutual_nn(
-        features_prev.descriptors, features_curr.descriptors,
-        mem_a, off_a, cnt_a, mem_b, off_b, cnt_b, pair_a, pair_b)
-
-    n_eff = np.minimum(cnt_a[pair_a], cnt_b[pair_b])
-    taus = k * np.sqrt(n_eff)
-    accepted_idx = np.nonzero(scores > taus)[0]
-    starts = out_off[accepted_idx]
-    stops = starts + scores[accepted_idx]
-    dist_cum = np.zeros(dist.shape[0] + 1, np.int64)
-    np.cumsum(dist, out=dist_cum[1:])
-    dist_sums = dist_cum[stops] - dist_cum[starts]
-    accepted: list[GroupMatch] = []
-    for p, start, stop, dist_sum in zip(accepted_idx.tolist(), starts.tolist(),
-                                        stops.tolist(), dist_sums.tolist()):
-        gp_id, gc_id = candidate_pairs[p]
-        accepted.append(GroupMatch(gp_id, gc_id, stop - start, float(taus[p]), True,
-                                   sup_a=ia[start:stop], sup_b=ib[start:stop],
-                                   sup_dist=dist[start:stop], dist_sum=dist_sum))
-    return accepted
+    return _score_pairs(groups_prev, features_prev, groups_curr, features_curr,
+                        candidate_pairs, k, accepted_only=True)
 
 
 @dataclass(eq=False)
@@ -262,10 +228,8 @@ def dedup_inliers(accepted: list[GroupMatch], features_prev: FrameFeatures,
 
 def match_frame_pair(groups_prev: list[FeatureGroup], features_prev: FrameFeatures,
                      groups_curr: list[FeatureGroup], features_curr: FrameFeatures,
-                     candidate_pairs, k: float = 2.0,
-                     metric: str = "hamming") -> tuple[list[GroupMatch], list[InlierMatch]]:
+                     candidate_pairs, k: float = 2.0) -> tuple[list[GroupMatch], list[InlierMatch]]:
     """Score candidate pairs and emit deduplicated inlier matches."""
     accepted = score_candidate_pairs(groups_prev, features_prev,
-                                     groups_curr, features_curr,
-                                     candidate_pairs, k, metric)
+                                     groups_curr, features_curr, candidate_pairs, k)
     return accepted, dedup_inliers(accepted, features_prev, features_curr)

@@ -9,7 +9,9 @@ taken with a monotonic clock.
 
 Frames that yield zero features are skipped with a warning; the previous
 state is kept and its regions re-dilated with a doubled margin so the
-next usable frame can still be matched.
+next usable frame can still be matched. Every frame must carry descriptors
+of the first frame's bit width; a frame that differs stops the run with
+InputDataError before any matching.
 """
 
 from __future__ import annotations
@@ -187,6 +189,11 @@ def run_sequence(config: PipelineConfig, sources,
         else:
             feats = load_frame(config, sources[idx], idx)
         t1 = time.perf_counter()
+        if idx == 0:
+            desc_bits = feats.desc_bits
+        elif feats.desc_bits != desc_bits:
+            raise InputDataError(f"frame {idx} has {feats.desc_bits}-bit descriptors, "
+                                 f"frame 0 has {desc_bits}-bit ones")
 
         if feats.count == 0:
             warn(f"frame {idx}: no features, skipping (state preserved)")
@@ -219,7 +226,7 @@ def run_sequence(config: PipelineConfig, sources,
             candidates = tracking.intersect_candidates(groups, state)
             accepted = matching.score_candidate_pairs(
                 state.groups, state.features, groups, feats, candidates,
-                k=config.k, metric=config.metric)
+                k=config.k)
             t3 = time.perf_counter()
             columns = matching.dedup_inlier_columns(accepted, state.features, feats)
             inlier_count = len(columns)

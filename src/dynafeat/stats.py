@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass
 class MatchProbabilityParams:
@@ -108,21 +110,26 @@ def binomial_moments(trials: float, p: float) -> BinomialMoments:
     return BinomialMoments(mean=trials * p, stddev=math.sqrt(trials * p * (1.0 - p)))
 
 
-def support_threshold(n: float, k: float = 2.0, mode: str = "approximate",
-                      p_false_cc: float | None = None) -> float:
+def support_threshold(n, k: float = 2.0, mode: str = "approximate",
+                      p_false_cc: float | None = None):
     """Minimum support count for trusting a group pair.
 
     The deployed criterion is the approximation k * sqrt(n) (the
     uncorrelated mean is tiny and its variance is dominated by n). The
-    exact mode evaluates mu + k * sigma of the binomial with the given
-    uncorrelated cross-check probability; it exists for analysis only.
+    approximate mode also takes an integer array of n and returns the
+    thresholds elementwise, equal to the scalar results. The exact mode
+    evaluates mu + k * sigma of the binomial with the given uncorrelated
+    cross-check probability; it exists for analysis only.
     """
-    if n < 1:
+    is_array = isinstance(n, np.ndarray)
+    if np.any(np.asarray(n) < 1):
         raise ValueError("n must be >= 1")
     if k <= 0:
         raise ValueError("k must be positive")
     if mode == "approximate":
-        return k * math.sqrt(n)
+        return k * np.sqrt(n) if is_array else k * math.sqrt(n)
+    if is_array:
+        raise ValueError(f"mode {mode!r} takes a scalar n")
     if mode == "exact":
         if p_false_cc is None or not 0.0 <= p_false_cc <= 1.0:
             raise ValueError("exact mode needs p_false_cc in [0, 1]")

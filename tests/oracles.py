@@ -93,7 +93,7 @@ def region_grow_reference(positions: np.ndarray, window: float, min_group: int,
     Same stated contract as the package (one seeded shuffle for the seed
     order, FIFO queue, ascending-id absorption, per-candidate bounding-box
     veto, hard stop at the member ceiling) but implemented with plain
-    sets and full scans instead of a grid hash and union-find.
+    sets and full scans instead of a grid hash and a label array.
     """
     pos = np.asarray(positions, float).reshape(-1, 2)
     n = pos.shape[0]

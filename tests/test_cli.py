@@ -8,7 +8,7 @@ import pytest
 from dynafeat.cli import main
 from dynafeat.config import PipelineConfig
 from dynafeat.errors import ConfigError
-from dynafeat.frontend import FrameFeatures
+from dynafeat.frontend import FrameFeatures, save_features
 from dynafeat.pipeline import bench, run_sequence
 from dynafeat.synthetic import (frame_filename, generate_sequence,
                                 make_cluster_scene, save_sequence)
@@ -56,7 +56,7 @@ def test_config_rejects_bad_value():
     with pytest.raises(ConfigError):
         PipelineConfig.from_text("min_group=10\nmax_group=5\n")
     with pytest.raises(ConfigError):
-        PipelineConfig.from_text("metric=manhattan\n")
+        PipelineConfig.from_text("input_mode=video\n")
 
 
 def test_config_comments_and_blanks_ignored():
@@ -138,6 +138,34 @@ def test_bad_config_exits_3(tmp_path, synth_dir):
     bad = tmp_path / "bad.cfg"
     bad.write_text("windows=95\n")
     assert main(["match", str(bad), str(synth_dir)]) == 3
+
+
+@pytest.mark.parametrize("bits", [(256, 512), (512, 256)],
+                         ids=["256-then-512", "512-then-256"])
+def test_mismatched_descriptor_widths_exit_2(tmp_path, capsys, bits):
+    # same scene, two descriptor widths: frame 0 from one, frame 1 from the other
+    frames = []
+    for which, desc_bits in enumerate(bits):
+        scene = make_cluster_scene(seed=4, frames=2, n_clusters=25,
+                                   points_per_cluster=9, desc_bits=desc_bits)
+        frames.append(generate_sequence(scene, seed=4).frames[which])
+    src = tmp_path / "mixed"
+    src.mkdir()
+    for i, frame in enumerate(frames):
+        save_features(frame, src / frame_filename(i))
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, output_dir=str(out))
+    assert main(["match", str(cfg_path), str(src)]) == 2
+    err = capsys.readouterr().err
+    assert f"frame 1 has {bits[1]}-bit descriptors" in err
+    assert not (out / "matches_000000_000001.txt").exists()
+
+
+def test_removed_metric_key_exits_3(tmp_path, synth_dir):
+    # Hamming is the only matching rule; a config naming the old key is stale
+    old = tmp_path / "old.cfg"
+    old.write_text("metric=hamming\n")
+    assert main(["match", str(old), str(synth_dir)]) == 3
 
 
 def test_missing_config_exits_3(tmp_path, synth_dir):

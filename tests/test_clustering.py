@@ -1,12 +1,10 @@
-"""Union-find behavior and grouping oracle equivalence."""
-
-import math
+"""Grouping: membership labels, caps and oracle equivalence."""
 
 import numpy as np
 import pytest
 
 from dynafeat.frontend import FrameFeatures
-from dynafeat.grouping import GroupingConfig, UnionFind, group_features
+from dynafeat.grouping import GroupingConfig, group_features
 
 from oracles import region_grow_reference
 
@@ -27,101 +25,6 @@ def _random_frame(seed, max_count=500, width=640, height=480):
 
 
 # ---------------------------------------------------------------------------
-# UnionFind
-# ---------------------------------------------------------------------------
-
-def test_fresh_item_is_its_own_root():
-    uf = UnionFind(5)
-    assert uf.find(3) == 3
-
-
-def test_union_makes_finds_equal():
-    uf = UnionFind(5)
-    uf.union(1, 2)
-    assert uf.find(1) == uf.find(2)
-
-
-def test_path_compression_reparents_to_root():
-    uf = UnionFind(4)
-    # force a chain 0 <- 1 <- 2 <- 3 regardless of rank heuristics
-    uf.parent[1] = 0
-    uf.parent[2] = 1
-    uf.parent[3] = 2
-    root = uf.find(3)
-    assert root == 0
-    assert uf.parent[3] == root
-    assert uf.parent[2] == root
-
-
-def test_self_union_is_idempotent():
-    uf = UnionFind(3)
-    before = list(uf.set_size)
-    root = uf.union(2, 2)
-    assert root == uf.find(2)
-    assert uf.set_size == before
-
-
-def test_union_of_singletons_has_size_two():
-    uf = UnionFind(4)
-    root = uf.union(0, 3)
-    assert uf.set_size[root] == 2
-    assert uf.size(0) == uf.size(3) == 2
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_union_by_rank_depth_bound_on_eight_items(seed):
-    rng = np.random.default_rng(seed)
-    uf = UnionFind(8)
-    pairs = [(int(a), int(b)) for a in range(8) for b in range(a + 1, 8)]
-    rng.shuffle(pairs)
-    for a, b in pairs:
-        uf.union(a, b)
-    root = uf.find(0)
-    assert all(uf.find(i) == root for i in range(8))
-    assert uf.set_size[root] == 8
-    # rank bounds tree depth by log2(n) + 1; measure raw parent chains
-    fresh = UnionFind(8)
-    for a, b in pairs:
-        fresh.union(a, b)
-    for i in range(8):
-        depth = 0
-        j = i
-        while fresh.parent[j] != j:
-            j = fresh.parent[j]
-            depth += 1
-        assert depth <= math.log2(8) + 1
-
-
-def test_out_of_range_ids_rejected():
-    uf = UnionFind(3)
-    with pytest.raises(ValueError):
-        uf.find(3)
-    with pytest.raises(ValueError):
-        uf.union(0, -1)
-
-
-def test_amortized_find_cost_small():
-    rng = np.random.default_rng(0)
-    n = 20000
-    uf = UnionFind(n)
-    ops = 100000
-    hops = 0
-    finds = 0
-    for _ in range(ops // 2):
-        a, b = rng.integers(0, n, 2)
-        uf.union(int(a), int(b))
-        i = int(rng.integers(0, n))
-        # count the pointer chases the next find will take
-        j = i
-        while uf.parent[j] != j:
-            j = uf.parent[j]
-            hops += 1
-        finds += 1
-        uf.find(i)
-    assert hops / finds <= 3.0
-
-
-# ---------------------------------------------------------------------------
 # group_features
 # ---------------------------------------------------------------------------
 
@@ -138,7 +41,8 @@ def test_below_min_group_discarded():
     frame = _frame([(50.0, 50.0), (51.0, 50.0), (52.0, 53.0), (54.0, 54.0)])
     result = group_features(frame, GroupingConfig())
     assert result.groups == []
-    assert all(result.group_of(i) is None for i in range(4))
+    assert result.labels.tolist() == [-1] * 4
+    assert all(result.group_id_of(i) is None for i in range(4))
 
 
 def test_empty_frame_gives_empty_output():
@@ -205,16 +109,31 @@ def test_group_of_retained_and_discarded():
     result = group_features(frame, GroupingConfig())
     assert len(result.groups) == 1
     g = result.groups[0]
-    roots = {result.group_of(int(i)) for i in g.members}
-    assert roots == {g.root}
-    assert result.group_of(len(cluster)) is None
-    assert result.group_id_of(int(g.members[0])) == g.group_id
-    with pytest.raises(ValueError):
-        result.group_of(999)
+    assert (result.labels[g.members] == g.group_id).all()
+    assert {result.group_id_of(int(i)) for i in g.members} == {g.group_id}
+    # the discarded pair is consumed but labelled ungrouped
+    assert result.labels[len(cluster):].tolist() == [-1, -1]
+    assert result.group_id_of(len(cluster)) is None
+
+
+def test_out_of_range_ids_rejected():
+    result = group_features(_frame([(50.0, 50.0), (51.0, 50.0), (52.0, 53.0)]),
+                            GroupingConfig(min_group=1))
+    assert result.group_id_of(2) is not None
+    for bad in (3, 999, -1):
+        with pytest.raises(ValueError):
+            result.group_id_of(bad)
 
 
 def test_set_size_matches_membership():
-    frame = _random_frame(77, max_count=300)
-    result = group_features(frame, GroupingConfig())
-    for g in result.groups:
-        assert result.uf.set_size[g.root] == g.n
+    seen = 0
+    for seed in range(77, 87):
+        result = group_features(_random_frame(seed, max_count=300), GroupingConfig())
+        for g in result.groups:
+            assert (result.labels[g.members] == g.group_id).all()
+        # each group id labels exactly its members; everything else is -1
+        sizes = np.bincount(result.labels[result.labels >= 0],
+                            minlength=len(result.groups))
+        assert sizes.tolist() == [g.n for g in result.groups]
+        seen += len(result.groups)
+    assert seen > 0

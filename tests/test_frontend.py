@@ -1,11 +1,14 @@
 """Detector, descriptor and feature-file tests."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from dynafeat.errors import FeatureFileError
+from dynafeat.errors import FeatureFileError, InputDataError
 from dynafeat.frontend import (FrameFeatures, GrayImage, describe, detect_corners,
                                extract_frame, load_features, save_features)
+from dynafeat.image_io import load_image
 
 from oracles import fast_corners_reference, fast_response_reference, hamming_reference
 
@@ -245,3 +248,10 @@ def test_extract_respects_feature_cap():
     img = _noise_image(32, 96, 96)
     frame = extract_frame(img, 0, max_features=25)
     assert frame.count <= 25
+
+
+def test_png_without_pillow_names_the_dependency(monkeypatch):
+    # a None entry makes "from PIL import Image" raise ImportError
+    monkeypatch.setitem(sys.modules, "PIL", None)
+    with pytest.raises(InputDataError, match="pillow"):
+        load_image("x.png")

@@ -49,23 +49,6 @@ def test_brief_backends_agree(both_backends):
 
 
 @needs_numba
-def test_mutual_nn_backends_agree(both_backends):
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        na = int(rng.integers(1, 40))
-        nb = int(rng.integers(1, 40))
-        a_desc = rng.integers(0, 256, (na, 32), dtype=np.uint8)
-        b_desc = rng.integers(0, 256, (nb, 32), dtype=np.uint8)
-        # inject duplicates to exercise the tie paths
-        if na > 2:
-            a_desc[na // 2] = a_desc[0]
-        out_a = _run_on("numba", _kernels.mutual_nn_hamming, a_desc, b_desc)
-        out_b = _run_on("numpy", _kernels.mutual_nn_hamming, a_desc, b_desc)
-        for x, y in zip(out_a, out_b):
-            assert np.array_equal(x, y)
-
-
-@needs_numba
 def test_batch_mutual_nn_backends_agree(both_backends):
     rng = np.random.default_rng(10)
     for trial in range(30):
@@ -193,12 +176,28 @@ def test_claim_first_numpy_matches_greedy(both_backends):
     assert keep.sum() == m
 
 
+def _one_pair(n_a, n_b):
+    one = np.zeros(1, np.int64)
+    return (np.arange(n_a, dtype=np.int64), one, np.array([n_a], np.int64),
+            np.arange(n_b, dtype=np.int64), one, np.array([n_b], np.int64), one, one)
+
+
 def test_mutual_nn_distances_are_popcounts():
     a = np.array([[0x00, 0xFF, 0x0F, 0x00, 0, 0, 0, 0]], np.uint8)
     b = np.array([[0x00, 0x00, 0x0F, 0x00, 0, 0, 0, 0]], np.uint8)
-    best_j, dist_a, ties_a, best_i, dist_b, ties_b = _kernels.mutual_nn_hamming(a, b)
-    assert dist_a[0] == 8
-    assert ties_a[0] == 1 and ties_b[0] == 1
+    scores, out_off, ia, ib, dist = _kernels.batch_mutual_nn(a, b, *_one_pair(1, 1))
+    assert scores.tolist() == [1]
+    assert (ia[0], ib[0], dist[0]) == (0, 0, 8)
+
+
+def test_batch_mutual_nn_rejects_unequal_widths():
+    # 256-bit rows against 512-bit rows: comparing a prefix would report
+    # distances of the first 4 words only
+    a = np.zeros((3, 32), np.uint8)
+    b = np.zeros((3, 64), np.uint8)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="matching widths"):
+            _kernels.batch_mutual_nn(x, y, *_one_pair(3, 3))
 
 
 def test_set_backend_rejects_unknown():

@@ -124,6 +124,18 @@ def test_crosscheck_factorization_identity():
                    - p_false(t, n, n_pool) * p_false(t, m, m_pool)) < 1e-12
 
 
+def test_support_threshold_array_equals_scalar():
+    n = np.arange(1, 36)
+    for k in (1.0, 2.0, 2.5):
+        taus = support_threshold(n, k)
+        assert taus.tolist() == [support_threshold(i, k) for i in range(1, 36)]
+    for bad in (np.array([3, 0, 5]), np.array([-1])):
+        with pytest.raises(ValueError):
+            support_threshold(bad, 2.0)
+    with pytest.raises(ValueError):
+        support_threshold(n, 2.0, mode="exact", p_false_cc=0.1)
+
+
 def test_threshold_monotone_in_n_and_k():
     taus = [support_threshold(n, 2.0) for n in range(5, 36)]
     assert all(b > a for a, b in zip(taus, taus[1:]))

@@ -14,7 +14,7 @@ from oracles import overlap_pairs_reference
 
 
 def _group(gid, cx, cy, half_w, half_h, n=10):
-    return FeatureGroup(group_id=gid, root=0, members=np.arange(n), n=n,
+    return FeatureGroup(group_id=gid, members=np.arange(n), n=n,
                         centroid=np.array([cx, cy], float),
                         bbox_min=np.array([cx - half_w, cy - half_h]),
                         bbox_max=np.array([cx + half_w, cy + half_h]))
