@@ -8,14 +8,13 @@ accepted group motion narrows the search space of the next frame.
 
 from ._kernels import active_backend, available_backends, set_backend
 from .config import PipelineConfig
-from .frontend import (Feature, FrameFeatures, GrayImage, describe,
-                       detect_corners, extract_frame, load_features,
-                       save_features)
+from .frontend import (FrameFeatures, GrayImage, describe, detect_corners,
+                       extract_frame, load_features, save_features)
 from .geometry import (CameraIntrinsics, PoseEstimate, estimate_essential_ransac,
                        pose_error, pose_success_ratio, reprojection_repeatability)
 from .grouping import FeatureGroup, GroupingConfig, GroupingResult, group_features
-from .matching import (GroupMatch, InlierMatch, MatchCandidate, match_frame_pair,
-                       mutual_nn_match, score_group_pair)
+from .matching import (GroupMatch, MatchCandidate, match_frame_pair, mutual_nn_match,
+                       score_group_pair)
 from .stats import (BinomialMoments, MatchProbabilityParams, binomial_moments,
                     p_false, p_false_crosscheck, p_true, p_true_crosscheck,
                     separation_gap, support_threshold)
@@ -26,13 +25,13 @@ from .tracking import (MotionProxy, SearchRegion, TrackState, advance, bootstrap
 __version__ = "0.1.0"
 
 __all__ = [
-    "Feature", "FrameFeatures", "GrayImage", "detect_corners", "describe",
+    "FrameFeatures", "GrayImage", "detect_corners", "describe",
     "extract_frame", "load_features", "save_features",
     "GroupingConfig", "FeatureGroup", "GroupingResult", "group_features",
     "MatchProbabilityParams", "BinomialMoments", "p_true", "p_false",
     "p_true_crosscheck", "p_false_crosscheck", "binomial_moments",
     "support_threshold", "separation_gap",
-    "MatchCandidate", "GroupMatch", "InlierMatch", "mutual_nn_match",
+    "MatchCandidate", "GroupMatch", "mutual_nn_match",
     "score_group_pair", "match_frame_pair",
     "MotionProxy", "SearchRegion", "TrackState", "predict_search_region",
     "intersect_candidates", "advance", "bootstrap",

@@ -19,7 +19,7 @@ import dataclasses
 import os
 import sys
 
-from .config import PipelineConfig
+from .config import PipelineConfig, parse_bool
 from .errors import ConfigError, FeatureFileError, InputDataError
 from .pipeline import (bench, run_eval, run_sequence, write_match_files,
                        write_stats, write_track_dump)
@@ -96,10 +96,7 @@ def _parse_scene_config(path) -> dict:
             raise ConfigError(f"line {lineno}: unknown scene key {key!r}")
         typ = _SCENE_KEYS[key]
         try:
-            if typ is bool:
-                values[key] = raw.lower() in ("true", "1", "yes")
-            else:
-                values[key] = typ(raw)
+            values[key] = parse_bool(raw) if typ is bool else typ(raw)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value {raw!r} for {key}") from None
     return values
@@ -153,7 +150,10 @@ def _cmd_synth(args) -> int:
     if args.seed is not None:
         values["seed"] = args.seed
     values.setdefault("seed", 0)
-    scene = make_cluster_scene(**values)
+    try:
+        scene = make_cluster_scene(**values)
+    except ValueError as exc:
+        raise ConfigError(f"scene config {args.scene_config}: {exc}") from None
     seq = generate_sequence(scene, seed=values["seed"])
     save_sequence(seq, args.out)
     counts = [f.count for f in seq.frames]

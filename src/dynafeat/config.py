@@ -16,6 +16,15 @@ from .grouping import GroupingConfig
 _INPUT_MODES = ("features", "images")
 
 
+def parse_bool(raw: str) -> bool:
+    """true/1/yes or false/0/no, any case; ValueError otherwise."""
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
 @dataclass
 class PipelineConfig:
     window: float = 30.0
@@ -90,12 +99,7 @@ class PipelineConfig:
             ftype = fields[key].type
             try:
                 if ftype == "bool":
-                    if raw.lower() in ("true", "1", "yes"):
-                        values[key] = True
-                    elif raw.lower() in ("false", "0", "no"):
-                        values[key] = False
-                    else:
-                        raise ValueError(raw)
+                    values[key] = parse_bool(raw)
                 elif ftype == "int":
                     values[key] = int(raw)
                 elif ftype == "float":

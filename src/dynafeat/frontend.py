@@ -5,6 +5,10 @@ non-maximum suppression; descriptors are 256-bit intensity-comparison
 signatures sampled from a seeded test pattern inside a 31x31 patch after
 5x5 box smoothing. Any binary descriptor with a Hamming metric works with
 the rest of the pipeline; feature files allow ingesting external ones.
+
+A frame is one FrameFeatures record of column arrays whether it was
+detected and described or parsed from a file; no per-feature objects are
+built on either path.
 """
 
 from __future__ import annotations
@@ -62,21 +66,6 @@ class GrayImage:
 
 
 @dataclass
-class Feature:
-    """One keypoint: position, detector response, packed binary descriptor."""
-
-    id: int
-    x: float
-    y: float
-    response: float
-    descriptor: np.ndarray  # uint8, ceil(desc_bits / 8) bytes, MSB first
-
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-
-@dataclass
 class FrameFeatures:
     """All features of one frame, stored as column arrays.
 
@@ -115,33 +104,6 @@ class FrameFeatures:
 
     def __len__(self) -> int:
         return self.count
-
-    def feature(self, i: int) -> Feature:
-        if not 0 <= i < self.count:
-            raise ValueError(f"feature id {i} out of range")
-        raw = _desc_bytes(self.desc_bits)
-        return Feature(id=i, x=float(self.positions[i, 0]), y=float(self.positions[i, 1]),
-                       response=float(self.responses[i]),
-                       descriptor=self.descriptors[i, :raw].copy())
-
-    @property
-    def features(self) -> list[Feature]:
-        return [self.feature(i) for i in range(self.count)]
-
-    @classmethod
-    def from_features(cls, frame_index: int, width: int, height: int,
-                      feats: list[Feature], desc_bits: int = DEFAULT_DESC_BITS,
-                      descriptor_seed: int = DEFAULT_DESCRIPTOR_SEED) -> "FrameFeatures":
-        n = len(feats)
-        pos = np.zeros((n, 2), np.float64)
-        resp = np.zeros(n, np.float64)
-        desc = np.zeros((n, _desc_bytes(desc_bits)), np.uint8)
-        for i, f in enumerate(feats):
-            pos[i] = (f.x, f.y)
-            resp[i] = f.response
-            desc[i] = f.descriptor
-        return cls(frame_index, width, height, pos, resp, desc,
-                   desc_bits=desc_bits, descriptor_seed=descriptor_seed)
 
     def validate(self, max_features: int | None = DEFAULT_MAX_FEATURES) -> None:
         if self.frame_index < 0:
@@ -224,13 +186,14 @@ def descriptor_pattern(rng_seed: int, desc_bits: int = DEFAULT_DESC_BITS) -> np.
 def describe(image: GrayImage, corners: np.ndarray,
              rng_seed: int = DEFAULT_DESCRIPTOR_SEED,
              responses: np.ndarray | None = None,
-             desc_bits: int = DEFAULT_DESC_BITS) -> list[Feature]:
+             desc_bits: int = DEFAULT_DESC_BITS, frame_index: int = 0) -> FrameFeatures:
     """Binary descriptors for corners; border corners are dropped silently.
 
     The test pattern is drawn once from the seeded generator, so equal
     seeds give comparable descriptors across frames and runs. Corners whose
     rounded position is closer than PATCH_MARGIN to any border are filtered
-    out (the caller can diff lengths for the filtered count).
+    out (the caller can diff lengths for the filtered count). Row i of the
+    result is the i-th surviving corner.
     """
     corners = np.asarray(corners, np.float64).reshape(-1, 2)
     if responses is None:
@@ -240,18 +203,12 @@ def describe(image: GrayImage, corners: np.ndarray,
     yi = np.rint(corners[:, 1]).astype(np.int64)
     ok = ((xi >= PATCH_MARGIN) & (xi <= image.width - 1 - PATCH_MARGIN)
           & (yi >= PATCH_MARGIN) & (yi <= image.height - 1 - PATCH_MARGIN))
-    corners = corners[ok]
-    responses = responses[ok]
-    xi = xi[ok]
-    yi = yi[ok]
     sums = _box_sums_5x5(image.pixels)
     pattern = descriptor_pattern(rng_seed, desc_bits)
-    packed = _kernels.brief_descriptors(sums, xi, yi, pattern)
-    feats = []
-    for i in range(corners.shape[0]):
-        feats.append(Feature(id=i, x=float(corners[i, 0]), y=float(corners[i, 1]),
-                             response=float(responses[i]), descriptor=packed[i]))
-    return feats
+    packed = _kernels.brief_descriptors(sums, xi[ok], yi[ok], pattern)
+    return FrameFeatures(frame_index, image.width, image.height, corners[ok],
+                         responses[ok], packed, desc_bits=desc_bits,
+                         descriptor_seed=rng_seed)
 
 
 def extract_frame(image: GrayImage, frame_index: int,
@@ -260,9 +217,7 @@ def extract_frame(image: GrayImage, frame_index: int,
                   rng_seed: int = DEFAULT_DESCRIPTOR_SEED) -> FrameFeatures:
     """Detect + describe one image into a FrameFeatures record."""
     positions, responses = detect_corners(image, fast_threshold, max_features)
-    feats = describe(image, positions, rng_seed, responses)
-    return FrameFeatures.from_features(frame_index, image.width, image.height, feats,
-                                       descriptor_seed=rng_seed)
+    return describe(image, positions, rng_seed, responses, frame_index=frame_index)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +260,8 @@ def load_features(path, frame_index: int = 0,
     if width < PATCH_MARGIN or height < PATCH_MARGIN or desc_bits < 8 or desc_bits % 8:
         raise FeatureFileError("header dimensions out of range", line=1)
     raw = _desc_bytes(desc_bits)
-    rows = []
+    rows = []     # (x, y, response) per feature
+    descs = []    # raw descriptor bytes per feature
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -327,7 +283,7 @@ def load_features(path, frame_index: int = 0,
                 f"descriptor length {len(hexdesc) * 4} bits does not match header "
                 f"{desc_bits}", line=lineno)
         try:
-            desc = np.frombuffer(bytes.fromhex(hexdesc), np.uint8)
+            descs.append(bytes.fromhex(hexdesc))
         except ValueError:
             raise FeatureFileError("descriptor is not valid hex", line=lineno) from None
         if response < 0:
@@ -336,18 +292,12 @@ def load_features(path, frame_index: int = 0,
                 and PATCH_MARGIN <= y <= height - 1 - PATCH_MARGIN):
             raise FeatureFileError("position violates the descriptor patch margin",
                                    line=lineno)
-        rows.append((x, y, response, desc))
+        rows.append((x, y, response))
     if max_features is not None and len(rows) > max_features:
         raise FeatureFileError(f"{len(rows)} features exceed the cap of {max_features}")
-    n = len(rows)
-    pos = np.zeros((n, 2), np.float64)
-    resp = np.zeros(n, np.float64)
-    desc = np.zeros((n, raw), np.uint8)
-    for i, (x, y, r, d) in enumerate(rows):
-        pos[i] = (x, y)
-        resp[i] = r
-        desc[i] = d
-    frame = FrameFeatures(frame_index, width, height, pos, resp, desc,
+    cols = np.array(rows, np.float64).reshape(-1, 3)
+    desc = np.frombuffer(bytearray().join(descs), np.uint8).reshape(-1, raw)
+    frame = FrameFeatures(frame_index, width, height, cols[:, :2], cols[:, 2], desc,
                           desc_bits=desc_bits, descriptor_seed=seed)
     frame.validate(max_features)
     return frame

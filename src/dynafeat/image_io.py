@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from .errors import InputDataError
-from .frontend import GrayImage
+from .frontend import PATCH_MARGIN, GrayImage
 
 
 def rgb_to_luma(rgb: np.ndarray) -> np.ndarray:
@@ -56,6 +56,9 @@ def load_pgm(path) -> GrayImage:
         maxval = int(token())
     except ValueError:
         raise InputDataError(f"{path}: non-integer PGM header field") from None
+    if width < PATCH_MARGIN or height < PATCH_MARGIN:
+        raise InputDataError(f"{path}: PGM size {width}x{height} is below the "
+                             f"{PATCH_MARGIN}x{PATCH_MARGIN} minimum")
     if maxval <= 0 or maxval > 255:
         raise InputDataError(f"{path}: PGM maxval {maxval} unsupported (need <= 255)")
     pos += 1  # single whitespace byte after maxval

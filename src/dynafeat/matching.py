@@ -10,7 +10,9 @@ pairs keeps the match from the highest-scoring one.
 All candidate pairs of a frame transition are scored in one batched
 kernel call, and single pairs or whole feature sets go through the same
 kernel as a batch of one; support lists on GroupMatch are materialized
-lazily from the shared flat arrays.
+lazily from the shared flat arrays. The surviving matches of a transition
+are one InlierColumns record of column arrays, which the match-file
+writer and the evaluator read directly.
 """
 
 from __future__ import annotations
@@ -54,33 +56,17 @@ class GroupMatch:
                 for a, b, d in zip(self.sup_a, self.sup_b, self.sup_dist)]
 
 
-@dataclass(slots=True)
-class InlierMatch:
-    feature_prev: int
-    feature_curr: int
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    distance: float
-    group_prev: int
-    group_curr: int
-
-
 def _descriptor_matrix(features) -> np.ndarray:
     if isinstance(features, FrameFeatures):
         return features.descriptors
-    if isinstance(features, np.ndarray):
-        return features
-    # sequence of Feature objects
-    return np.stack([np.asarray(f.descriptor, np.uint8) for f in features])
+    return np.asarray(features)
 
 
 def mutual_nn_match(features_prev, features_curr) -> list[MatchCandidate]:
     """Mutual unique-nearest-neighbor pairs between two feature sets.
 
-    Accepts FrameFeatures, a descriptor matrix, or a sequence of Feature;
-    returned ids index into the given sequences.
+    Accepts FrameFeatures or a packed uint8 descriptor matrix; returned ids
+    are row indices.
     """
     desc_a = _descriptor_matrix(features_prev)
     desc_b = _descriptor_matrix(features_curr)
@@ -182,15 +168,6 @@ class InlierColumns:
     def __len__(self) -> int:
         return self.feature_prev.shape[0]
 
-    def to_matches(self) -> list[InlierMatch]:
-        return [InlierMatch(int(a), int(b), float(p[0]), float(p[1]),
-                            float(q[0]), float(q[1]), float(d), int(gp), int(gc))
-                for a, b, p, q, d, gp, gc
-                in zip(self.feature_prev.tolist(), self.feature_curr.tolist(),
-                       self.pos_prev.tolist(), self.pos_curr.tolist(),
-                       self.distance.tolist(), self.group_prev.tolist(),
-                       self.group_curr.tolist())]
-
 
 def dedup_inlier_columns(accepted: list[GroupMatch], features_prev: FrameFeatures,
                          features_curr: FrameFeatures) -> InlierColumns:
@@ -221,15 +198,10 @@ def dedup_inlier_columns(accepted: list[GroupMatch], features_prev: FrameFeature
                          dist[keep].astype(np.float64), gp_ids[keep], gc_ids[keep])
 
 
-def dedup_inliers(accepted: list[GroupMatch], features_prev: FrameFeatures,
-                  features_curr: FrameFeatures) -> list[InlierMatch]:
-    return dedup_inlier_columns(accepted, features_prev, features_curr).to_matches()
-
-
 def match_frame_pair(groups_prev: list[FeatureGroup], features_prev: FrameFeatures,
                      groups_curr: list[FeatureGroup], features_curr: FrameFeatures,
-                     candidate_pairs, k: float = 2.0) -> tuple[list[GroupMatch], list[InlierMatch]]:
+                     candidate_pairs, k: float = 2.0) -> tuple[list[GroupMatch], InlierColumns]:
     """Score candidate pairs and emit deduplicated inlier matches."""
     accepted = score_candidate_pairs(groups_prev, features_prev,
                                      groups_curr, features_curr, candidate_pairs, k)
-    return accepted, dedup_inliers(accepted, features_prev, features_curr)
+    return accepted, dedup_inlier_columns(accepted, features_prev, features_curr)

@@ -16,6 +16,7 @@ InputDataError before any matching.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import statistics
@@ -33,7 +34,6 @@ from .geometry import (estimate_essential_ransac, pose_error, pose_success_ratio
                        reprojection_repeatability, rotation_angle_deg)
 from .grouping import group_features
 from .image_io import load_image
-from .matching import InlierMatch
 from .synthetic import default_intrinsics, load_gt_pairs, load_gt_poses, relative_pose
 
 DEFAULT_POSE_THRESHOLDS = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 20.0, 30.0)
@@ -68,6 +68,22 @@ class RunStats:
     def fps(self) -> float:
         total = sum(self.total_ms)
         return self.frame_count * 1000.0 / total if total > 0 else 0.0
+
+    def record(self, detection_ms: float, total_ms: float, grouping_ms: float = 0.0,
+               matching_ms: float = 0.0, filtering_ms: float = 0.0, features: int = 0,
+               groups: int = 0, candidate_pairs: int = 0, accepted_pairs: int = 0,
+               inliers: int = 0) -> None:
+        """Append one frame's row; a skipped frame leaves the zero defaults."""
+        self.detection_ms.append(detection_ms)
+        self.grouping_ms.append(grouping_ms)
+        self.matching_ms.append(matching_ms)
+        self.filtering_ms.append(filtering_ms)
+        self.total_ms.append(total_ms)
+        self.features.append(features)
+        self.groups.append(groups)
+        self.candidate_pairs.append(candidate_pairs)
+        self.accepted_pairs.append(accepted_pairs)
+        self.inliers.append(inliers)
 
     def stage_lists(self) -> dict[str, list[float]]:
         return {"detection": self.detection_ms, "grouping": self.grouping_ms,
@@ -112,13 +128,6 @@ class PairMatches:
     frame_prev: int
     frame_curr: int
     columns: matching.InlierColumns
-    _materialized: list[InlierMatch] | None = None
-
-    @property
-    def inliers(self) -> list[InlierMatch]:
-        if self._materialized is None:
-            self._materialized = self.columns.to_matches()
-        return self._materialized
 
 
 @dataclass
@@ -142,7 +151,7 @@ class SequenceResult:
 
     @property
     def total_inliers(self) -> int:
-        return sum(len(p.inliers) for p in self.pairs)
+        return sum(len(p.columns) for p in self.pairs)
 
 
 def load_frame(config: PipelineConfig, path, index: int) -> FrameFeatures:
@@ -197,16 +206,7 @@ def run_sequence(config: PipelineConfig, sources,
 
         if feats.count == 0:
             warn(f"frame {idx}: no features, skipping (state preserved)")
-            stats.detection_ms.append((t1 - t0) * 1000.0)
-            stats.grouping_ms.append(0.0)
-            stats.matching_ms.append(0.0)
-            stats.filtering_ms.append(0.0)
-            stats.total_ms.append((time.perf_counter() - t0) * 1000.0)
-            stats.features.append(0)
-            stats.groups.append(0)
-            stats.candidate_pairs.append(0)
-            stats.accepted_pairs.append(0)
-            stats.inliers.append(0)
+            stats.record((t1 - t0) * 1000.0, (time.perf_counter() - t0) * 1000.0)
             if state is not None:
                 skip_margin *= 2.0
                 state = tracking.recompute_regions(state, skip_margin)
@@ -243,16 +243,11 @@ def run_sequence(config: PipelineConfig, sources,
                                        float(g.centroid[0]), float(g.centroid[1]),
                                        float(dx), float(dy), age, g.n))
 
-        stats.detection_ms.append((t1 - t0) * 1000.0)
-        stats.grouping_ms.append((t2 - t1) * 1000.0)
-        stats.matching_ms.append((t3 - t2) * 1000.0)
-        stats.filtering_ms.append((t4 - t3) * 1000.0)
-        stats.total_ms.append((time.perf_counter() - t0) * 1000.0)
-        stats.features.append(feats.count)
-        stats.groups.append(len(groups))
-        stats.candidate_pairs.append(len(candidates))
-        stats.accepted_pairs.append(len(accepted))
-        stats.inliers.append(inlier_count)
+        stats.record((t1 - t0) * 1000.0, (time.perf_counter() - t0) * 1000.0,
+                     grouping_ms=(t2 - t1) * 1000.0, matching_ms=(t3 - t2) * 1000.0,
+                     filtering_ms=(t4 - t3) * 1000.0, features=feats.count,
+                     groups=len(groups), candidate_pairs=len(candidates),
+                     accepted_pairs=len(accepted), inliers=inlier_count)
         frame_indices.append(feats.frame_index)
 
     return SequenceResult(result_pairs, stats, track_rows, frame_indices)
@@ -271,11 +266,15 @@ def write_match_files(result: SequenceResult, out_dir) -> list[str]:
     written = []
     for pair in result.pairs:
         path = os.path.join(out_dir, match_filename(pair.frame_prev, pair.frame_curr))
+        c = pair.columns
+        head = f"{pair.frame_prev} {pair.frame_curr}"
+        # repr of a Python float is _fmt; the columns are float64 and int64
         with open(path, "w", encoding="ascii") as fh:
-            for m in pair.inliers:
-                fh.write(f"{pair.frame_prev} {pair.frame_curr} "
-                         f"{_fmt(m.x1)} {_fmt(m.y1)} {_fmt(m.x2)} {_fmt(m.y2)} "
-                         f"{_fmt(m.distance)} {m.group_prev} {m.group_curr}\n")
+            fh.writelines(f"{head} {x1!r} {y1!r} {x2!r} {y2!r} {d!r} {gp} {gc}\n"
+                          for (x1, y1), (x2, y2), d, gp, gc
+                          in zip(c.pos_prev.tolist(), c.pos_curr.tolist(),
+                                 c.distance.tolist(), c.group_prev.tolist(),
+                                 c.group_curr.tolist()))
         written.append(path)
     return written
 
@@ -364,17 +363,17 @@ def run_eval(config: PipelineConfig, sources, gt_dir,
         except FileNotFoundError:
             raise InputDataError(f"missing ground-truth pair file for frames {a}-{b}") from None
         gt_set = {(int(i), int(j)) for i, j in gt}
-        total += len(pair.inliers)
-        correct += sum((m.feature_prev, m.feature_curr) in gt_set for m in pair.inliers)
-        if pair.inliers:
-            displacements_prev.append(np.array([[m.x1, m.y1] for m in pair.inliers]))
-            displacements_curr.append(np.array([[m.x2, m.y2] for m in pair.inliers]))
+        cols = pair.columns
+        total += len(cols)
+        correct += sum(ids in gt_set for ids in zip(cols.feature_prev.tolist(),
+                                                     cols.feature_curr.tolist()))
+        if len(cols):
+            displacements_prev.append(cols.pos_prev)
+            displacements_curr.append(cols.pos_curr)
         R_rel, t_rel = relative_pose(rotations[a], translations[a],
                                      rotations[b], translations[b])
-        if len(pair.inliers) >= 8:
-            pts_a = np.array([[m.x1, m.y1] for m in pair.inliers])
-            pts_b = np.array([[m.x2, m.y2] for m in pair.inliers])
-            est = estimate_essential_ransac(pts_a, pts_b, intrinsics,
+        if len(cols) >= 8:
+            est = estimate_essential_ransac(cols.pos_prev, cols.pos_curr, intrinsics,
                                             rng_seed=config.seed, adaptive=True)
             pose_errors.append(pose_error(est, R_rel, t_rel))
             inlier_ratios.append(est.inlier_ratio)
@@ -441,15 +440,11 @@ def bench(config: PipelineConfig, sources, repetitions: int = 3,
     if repetitions < 1:
         raise InputDataError("repetitions must be >= 1")
     run_sequence(config, sources, frames=frames)  # warmup
-    per_stage: dict[str, list[float]] = {name: [] for name in STAGES}
-    last = None
+    pooled = RunStats()
     for _ in range(repetitions):
-        last = run_sequence(config, sources, frames=frames)
-        for name, vals in last.stats.stage_lists().items():
-            per_stage[name].extend(vals)
-    med = {name: (statistics.median(vals) if vals else 0.0)
-           for name, vals in per_stage.items()}
-    total = sum(med.values())
-    pct = {name: (100.0 * v / total if total > 0 else 0.0) for name, v in med.items()}
-    return BenchReport(repetitions=repetitions, median_stage_ms=med,
-                       stage_percentages=pct, fps=last.stats.fps, last_stats=last.stats)
+        last = run_sequence(config, sources, frames=frames).stats
+        for f in dataclasses.fields(RunStats):
+            getattr(pooled, f.name).extend(getattr(last, f.name))
+    return BenchReport(repetitions=repetitions, median_stage_ms=pooled.median_stage_ms(),
+                       stage_percentages=pooled.stage_percentages(), fps=last.fps,
+                       last_stats=last)

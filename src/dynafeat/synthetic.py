@@ -180,6 +180,10 @@ def make_cluster_scene(seed: int, frames: int = 2, n_clusters: int = 30,
     (default one group window past the patch margin); raise it so points
     never leave the frame under the expected drift.
     """
+    if frames < 1:
+        raise ValueError("frames must be >= 1")
+    if n_clusters < 1:
+        raise ValueError("n_clusters must be >= 1")
     rng = np.random.default_rng(seed)
     K = default_intrinsics(width, height)
     margin = PATCH_MARGIN + 30.0 if border_margin is None else border_margin

@@ -140,9 +140,8 @@ def _pipeline_displacements(seq):
     prev = []
     curr = []
     for pair in result.pairs:
-        for m in pair.inliers:
-            prev.append((m.x1, m.y1))
-            curr.append((m.x2, m.y2))
+        prev.extend(pair.columns.pos_prev.tolist())
+        curr.extend(pair.columns.pos_curr.tolist())
     return np.array(prev), np.array(curr), result
 
 
@@ -211,9 +210,10 @@ def test_criterion_07_filtering_benefit():
         for pair in result.pairs:
             gt = {(int(i), int(j))
                   for i, j in seq.gt_pairs[(pair.frame_prev, pair.frame_curr)]}
-            total += len(pair.inliers)
-            correct += sum((m.feature_prev, m.feature_curr) in gt
-                           for m in pair.inliers)
+            cols = pair.columns
+            total += len(cols)
+            correct += sum(ids in gt for ids in zip(cols.feature_prev.tolist(),
+                                                    cols.feature_curr.tolist()))
             raw = mutual_nn_match(seq.frames[pair.frame_prev],
                                   seq.frames[pair.frame_curr])
             raw_total += len(raw)

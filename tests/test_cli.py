@@ -9,7 +9,9 @@ from dynafeat.cli import main
 from dynafeat.config import PipelineConfig
 from dynafeat.errors import ConfigError
 from dynafeat.frontend import FrameFeatures, save_features
-from dynafeat.pipeline import bench, run_sequence
+from dynafeat.matching import InlierColumns
+from dynafeat.pipeline import (PairMatches, RunStats, SequenceResult, bench, run_sequence,
+                               write_match_files)
 from dynafeat.synthetic import (frame_filename, generate_sequence,
                                 make_cluster_scene, save_sequence)
 
@@ -168,6 +170,18 @@ def test_removed_metric_key_exits_3(tmp_path, synth_dir):
     assert main(["match", str(old), str(synth_dir)]) == 3
 
 
+@pytest.mark.parametrize("size", ["8 8", "0 20", "-5 -5"])
+def test_too_small_pgm_exits_2(tmp_path, capsys, size):
+    frames = []
+    for i in range(2):
+        path = tmp_path / f"frame_{i}.pgm"
+        path.write_bytes(f"P5\n{size}\n255\n".encode("ascii") + bytes(64))
+        frames.append(str(path))
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "o"), input_mode="images")
+    assert main(["match", str(cfg_path)] + frames) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_missing_config_exits_3(tmp_path, synth_dir):
     assert main(["match", str(tmp_path / "absent.cfg"), str(synth_dir)]) == 3
 
@@ -175,6 +189,31 @@ def test_missing_config_exits_3(tmp_path, synth_dir):
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
+
+def test_match_file_bytes_golden(tmp_path):
+    # shortest-repr floats, integer-valued distances and multi-digit group ids
+    cols = InlierColumns(
+        feature_prev=np.array([0, 5, 12]), feature_curr=np.array([1, 2, 30]),
+        pos_prev=np.array([[0.1 + 0.2, 1e-05], [639.9999999999999, 16.0], [100.5, 479.0]]),
+        pos_curr=np.array([[17.25, 3e-05], [623.0, 16.000000000000004], [1e+16, 2.5e-07]]),
+        distance=np.array([3.0, 0.0, 17.0]),
+        group_prev=np.array([12, 0, 105]), group_curr=np.array([9, 10, 2048]))
+    empty = InlierColumns(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 2)),
+                          np.zeros((0, 2)), np.zeros(0), np.zeros(0, np.int64),
+                          np.zeros(0, np.int64))
+    result = SequenceResult([PairMatches(7, 12, cols), PairMatches(12, 13, empty)],
+                            RunStats(), [], [7, 12, 13])
+    written = write_match_files(result, tmp_path / "out")
+    assert [os.path.basename(p) for p in written] == ["matches_000007_000012.txt",
+                                                      "matches_000012_000013.txt"]
+    with open(written[0], "rb") as fh:
+        assert fh.read() == (
+            b"7 12 0.30000000000000004 1e-05 17.25 3e-05 3.0 12 9\n"
+            b"7 12 639.9999999999999 16.0 623.0 16.000000000000004 0.0 0 10\n"
+            b"7 12 100.5 479.0 1e+16 2.5e-07 17.0 105 2048\n")
+    with open(written[1], "rb") as fh:
+        assert fh.read() == b""
+
 
 def test_match_runs_byte_identical(tmp_path, synth_dir):
     cfg_path = _write_config(tmp_path, output_dir="unused", timing=False)
@@ -244,6 +283,100 @@ def test_eval_reports_are_deterministic(tmp_path, synth_dir):
     assert texts[0] == texts[1]
 
 
+# summary.txt and pose_curve.dat of `dynafeat eval` as the per-match object
+# evaluator wrote them before the evaluator read match columns
+_EVAL_GOLDEN = {
+    "translate": ("""\
+format=dynafeat-eval-v1
+pairs=3
+matches=675
+precision=1.000000
+mean_inlier_ratio=1.000000
+pose_pairs_evaluated=3
+pose_errors_finite=3
+repeatability_px=n/a
+success@0.25=0.000000
+success@0.5=0.000000
+success@1.0=0.000000
+success@2.0=0.000000
+success@3.0=0.000000
+success@5.0=1.000000
+success@7.5=1.000000
+success@10.0=1.000000
+success@15.0=1.000000
+success@20.0=1.000000
+success@30.0=1.000000
+""", """\
+# threshold_deg success_ratio
+0.25 0.000000
+0.5 0.000000
+1.0 0.000000
+2.0 0.000000
+3.0 0.000000
+5.0 1.000000
+7.5 1.000000
+10.0 1.000000
+15.0 1.000000
+20.0 1.000000
+30.0 1.000000
+"""),
+    "static": ("""\
+format=dynafeat-eval-v1
+pairs=2
+matches=596
+precision=0.998322
+mean_inlier_ratio=0.943116
+pose_pairs_evaluated=2
+pose_errors_finite=2
+repeatability_px=0.9031141812360446
+repeatability_per_1000=2.3156773877847296
+success@0.25=1.000000
+success@0.5=1.000000
+success@1.0=1.000000
+success@2.0=1.000000
+success@3.0=1.000000
+success@5.0=1.000000
+success@7.5=1.000000
+success@10.0=1.000000
+success@15.0=1.000000
+success@20.0=1.000000
+success@30.0=1.000000
+""", """\
+# threshold_deg success_ratio
+0.25 1.000000
+0.5 1.000000
+1.0 1.000000
+2.0 1.000000
+3.0 1.000000
+5.0 1.000000
+7.5 1.000000
+10.0 1.000000
+15.0 1.000000
+20.0 1.000000
+30.0 1.000000
+"""),
+}
+
+
+@pytest.mark.parametrize("scene", sorted(_EVAL_GOLDEN))
+def test_eval_outputs_golden(tmp_path, synth_dir, scene):
+    if scene == "translate":
+        src = synth_dir
+    else:
+        # noisy enough for precision and RANSAC inlier ratio below 1
+        seq = generate_sequence(make_cluster_scene(seed=12, frames=3, trajectory="static",
+                                                   jitter_px=0.5, descriptor_bit_flips=40,
+                                                   outlier_rate=0.3), seed=12)
+        src = tmp_path / "static"
+        save_sequence(seq, src)
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, output_dir=str(out), timing=False)
+    assert main(["eval", str(cfg_path), str(src), "--gt", str(src / "gt")]) == 0
+    summary, curve = _EVAL_GOLDEN[scene]
+    assert (out / "summary.txt").read_text() == summary
+    assert (out / "pose_curve.dat").read_text() == curve
+
+
 def test_eval_misaligned_gt_exits_2(tmp_path, synth_dir):
     # ground truth with too few poses for the frames
     gt = tmp_path / "gt"
@@ -302,6 +435,15 @@ def test_synth_bad_scene_key_exits_3(tmp_path):
     assert main(["synth", str(scene_cfg), "--out", str(tmp_path / "x")]) == 3
 
 
+@pytest.mark.parametrize("line", ["flat_depth=maybe", "trajectory=spiral",
+                                  "n_clusters=0", "frames=0"])
+def test_synth_bad_scene_value_exits_3(tmp_path, capsys, line):
+    scene_cfg = tmp_path / "scene.cfg"
+    scene_cfg.write_text(f"seed=3\nframes=3\n{line}\n")
+    assert main(["synth", str(scene_cfg), "--out", str(tmp_path / "x")]) == 3
+    assert "config error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # pipeline-level behaviors
 # ---------------------------------------------------------------------------
@@ -318,7 +460,7 @@ def test_zero_feature_frame_skipped_state_preserved(tmp_path, capsys):
     assert any("skipping" in w for w in warnings)
     # the empty frame is bridged: the single pair joins frames 0 and 2
     assert [(p.frame_prev, p.frame_curr) for p in result.pairs] == [(0, 2)]
-    assert len(result.pairs[0].inliers) > 0
+    assert len(result.pairs[0].columns) > 0
 
 
 def test_stats_counters_consistent(synth_dir):
@@ -338,11 +480,12 @@ def test_identical_frames_give_zero_displacement_matches():
     scene = make_cluster_scene(seed=10, frames=2, trajectory="static")
     seq = generate_sequence(scene, seed=10)
     result = run_sequence(PipelineConfig(), None, frames=seq.frames)
-    inliers = result.pairs[0].inliers
-    assert inliers
-    for m in inliers:
-        assert (m.x1, m.y1) == (m.x2, m.y2)
-        assert m.distance == 0.0
+    inliers = result.pairs[0].columns
+    assert len(inliers)
+    for p, q, d in zip(inliers.pos_prev.tolist(), inliers.pos_curr.tolist(),
+                       inliers.distance.tolist()):
+        assert p == q
+        assert d == 0.0
 
 
 def test_identity_sequence_accepted_pairs_score_fully():

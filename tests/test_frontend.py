@@ -103,7 +103,7 @@ def test_identical_images_give_zero_distance():
     img = _noise_image(1)
     a = describe(img, np.array([[32, 32]]), 42)
     b = describe(img, np.array([[32, 32]]), 42)
-    assert hamming_reference(a[0].descriptor, b[0].descriptor) == 0
+    assert hamming_reference(a.descriptors[0], b.descriptors[0]) == 0
 
 
 def test_inverted_image_flips_every_bit():
@@ -113,7 +113,7 @@ def test_inverted_image_flips_every_bit():
     px = rng.integers(0, 256, (64, 64), dtype=np.uint8)
     a = describe(GrayImage.from_array(px), np.array([[32, 32]]), 42)
     b = describe(GrayImage.from_array(255 - px), np.array([[32, 32]]), 42)
-    assert hamming_reference(a[0].descriptor, b[0].descriptor) == 256
+    assert hamming_reference(a.descriptors[0], b.descriptors[0]) == 256
 
 
 def test_translated_image_descriptor_close():
@@ -122,7 +122,7 @@ def test_translated_image_descriptor_close():
     shifted = np.roll(base, 3, axis=1)
     a = describe(GrayImage.from_array(base), np.array([[30, 30]]), 42)
     b = describe(GrayImage.from_array(shifted), np.array([[33, 30]]), 42)
-    d = hamming_reference(a[0].descriptor, b[0].descriptor)
+    d = hamming_reference(a.descriptors[0], b.descriptors[0])
     assert d <= 40  # observed 0: integer translation reproduces bits exactly
     assert d == 0
 
@@ -136,8 +136,8 @@ def test_translation_consistency_bit_identical(shift):
     corners = np.array([[30, 30], [36, 40], [40, 28]])
     a = describe(GrayImage.from_array(base), corners, 42)
     b = describe(GrayImage.from_array(moved), corners + [dx, dy], 42)
-    for fa, fb in zip(a, b):
-        assert hamming_reference(fa.descriptor, fb.descriptor) == 0
+    for da, db in zip(a.descriptors, b.descriptors):
+        assert hamming_reference(da, db) == 0
 
 
 def test_same_seed_same_pattern_across_frames():
@@ -146,17 +146,17 @@ def test_same_seed_same_pattern_across_frames():
     # same pixels at different corners must compare identically per seed
     a = describe(img1, np.array([[20, 20], [40, 40]]), 7)
     b = describe(img1, np.array([[20, 20], [40, 40]]), 7)
-    assert all(hamming_reference(x.descriptor, y.descriptor) == 0 for x, y in zip(a, b))
+    assert all(hamming_reference(x, y) == 0 for x, y in zip(a.descriptors, b.descriptors))
     c = describe(img1, np.array([[20, 20]]), 8)
-    assert hamming_reference(a[0].descriptor, c[0].descriptor) > 0
+    assert hamming_reference(a.descriptors[0], c.descriptors[0]) > 0
 
 
 def test_border_corners_filtered_not_errored():
     img = _noise_image(22)
     feats = describe(img, np.array([[2, 2], [32, 32], [63, 63]]), 42)
     assert len(feats) == 1
-    assert feats[0].position == (32.0, 32.0)
-    assert feats[0].id == 0
+    # feature ids are row indices: the survivor is feature 0
+    assert tuple(feats.positions[0].tolist()) == (32.0, 32.0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +180,7 @@ def test_feature_file_roundtrip_identity(tmp_path):
     path = tmp_path / "f.feat"
     save_features(frame, path)
     loaded = load_features(path, frame_index=3)
+    assert frame.frame_index == loaded.frame_index == 3
     assert loaded.count == frame.count
     assert np.array_equal(loaded.positions, frame.positions)
     assert np.array_equal(loaded.responses, frame.responses)
@@ -203,9 +204,8 @@ def test_single_zero_descriptor_feature(tmp_path):
                     "0 16.5 20.25 1.0 " + "0" * 64 + "\n")
     frame = load_features(path)
     assert frame.count == 1
-    f = frame.feature(0)
-    assert f.position == (16.5, 20.25)
-    assert not f.descriptor.any()
+    assert tuple(frame.positions[0].tolist()) == (16.5, 20.25)
+    assert not frame.descriptors[0].any()
 
 
 def test_malformed_line_reports_line_number(tmp_path):

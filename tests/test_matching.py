@@ -173,7 +173,7 @@ def test_acceptance_reachable_for_all_legal_sizes():
 def test_empty_candidates_give_empty_outputs():
     gp, prev, gc, curr = _paired_groups(10, 10, 10)
     accepted, inliers = match_frame_pair([gp], prev, [gc], curr, [])
-    assert accepted == [] and inliers == []
+    assert accepted == [] and len(inliers) == 0
 
 
 def test_identity_groups_fully_match():
@@ -184,7 +184,7 @@ def test_identity_groups_fully_match():
     assert accepted[0].score == 10
     assert accepted[0].tau == pytest.approx(2.0 * math.sqrt(10.0))
     assert len(inliers) == 10
-    assert all(m.distance == 0.0 for m in inliers)
+    assert all(d == 0.0 for d in inliers.distance.tolist())
 
 
 def test_unknown_candidate_pair_rejected():
@@ -213,10 +213,10 @@ def test_dedup_keeps_highest_scoring_pair():
     assert {gm.group_prev for gm in accepted} == {small.group_id, large.group_id}
     # every emitted match comes from the 10-support group, none from the 6
     assert len(inliers) == 10
-    assert all(m.group_prev == large.group_id for m in inliers)
+    assert all(g == large.group_id for g in inliers.group_prev.tolist())
     # filtering soundness: one match per feature on either side
-    assert len({m.feature_prev for m in inliers}) == 10
-    assert len({m.feature_curr for m in inliers}) == 10
+    assert len(set(inliers.feature_prev.tolist())) == 10
+    assert len(set(inliers.feature_curr.tolist())) == 10
 
 
 def test_inliers_bounded_by_sum_of_scores():
