@@ -6,7 +6,7 @@ nearest-neighbor support count beats a binomial-statistics threshold, and
 accepted group motion narrows the search space of the next frame.
 """
 
-from ._kernels import active_backend, available_backends, set_backend
+from ._kernels import active_backend
 from .config import PipelineConfig
 from .frontend import (FrameFeatures, GrayImage, describe, detect_corners,
                        extract_frame, load_features, save_features)
@@ -39,6 +39,6 @@ __all__ = [
     "pose_success_ratio", "reprojection_repeatability",
     "SyntheticScene", "make_cluster_scene", "generate_sequence",
     "PipelineConfig",
-    "active_backend", "available_backends", "set_backend",
+    "active_backend",
     "__version__",
 ]

@@ -8,6 +8,7 @@ files diff cleanly. Command-line flags override file values.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -48,10 +49,10 @@ class PipelineConfig:
             self.grouping_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.k <= 0:
-            raise ConfigError("k must be positive")
-        if self.search_margin <= 0:
-            raise ConfigError("search_margin must be positive")
+        if not 0 < self.k < math.inf:
+            raise ConfigError("k must be positive and finite")
+        if not 0 < self.search_margin < math.inf:
+            raise ConfigError("search_margin must be positive and finite")
         if self.max_features < 1:
             raise ConfigError("max_features must be >= 1")
         if self.fast_threshold < 1:

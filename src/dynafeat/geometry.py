@@ -147,6 +147,18 @@ def _hartley_normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centered * scale, T
 
 
+def _design_matrix(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """One row [b1·a1, b1·a2, b1, b2·a1, b2·a2, b2, a1, a2, 1] per
+    correspondence: the epipolar constraint xb^T E xa = 0, linear in the
+    row-major entries of E."""
+    a1 = xa[:, 0]
+    a2 = xa[:, 1]
+    b1 = xb[:, 0]
+    b2 = xb[:, 1]
+    ones = np.ones_like(a1)
+    return np.stack([b1 * a1, b1 * a2, b1, b2 * a1, b2 * a2, b2, a1, a2, ones], axis=1)
+
+
 def _solve_eight_point(xa: np.ndarray, xb: np.ndarray) -> np.ndarray | None:
     """Least-squares essential matrix from normalized camera coordinates.
 
@@ -156,14 +168,8 @@ def _solve_eight_point(xa: np.ndarray, xb: np.ndarray) -> np.ndarray | None:
     """
     na, Ta = _hartley_normalize(xa)
     nb, Tb = _hartley_normalize(xb)
-    a1 = na[:, 0]
-    a2 = na[:, 1]
-    b1 = nb[:, 0]
-    b2 = nb[:, 1]
-    ones = np.ones_like(a1)
-    A = np.stack([b1 * a1, b1 * a2, b1, b2 * a1, b2 * a2, b2, a1, a2, ones], axis=1)
     try:
-        _, s, vt = np.linalg.svd(A)
+        _, s, vt = np.linalg.svd(_design_matrix(na, nb))
     except np.linalg.LinAlgError:
         return None
     E = vt[-1].reshape(3, 3)
@@ -177,13 +183,7 @@ def _solve_eight_point(xa: np.ndarray, xb: np.ndarray) -> np.ndarray | None:
 
 
 def _minimal_sample_rank_ok(xa: np.ndarray, xb: np.ndarray) -> bool:
-    a1 = xa[:, 0]
-    a2 = xa[:, 1]
-    b1 = xb[:, 0]
-    b2 = xb[:, 1]
-    ones = np.ones_like(a1)
-    A = np.stack([b1 * a1, b1 * a2, b1, b2 * a1, b2 * a2, b2, a1, a2, ones], axis=1)
-    s = np.linalg.svd(A, compute_uv=False)
+    s = np.linalg.svd(_design_matrix(xa, xb), compute_uv=False)
     return s[7] > _RANK_TOL * s[0]
 
 
@@ -308,9 +308,11 @@ def estimate_essential_ransac(points_prev: np.ndarray, points_curr: np.ndarray,
             if adaptive and count > 0:
                 ratio = count / n
                 good = ratio ** MIN_CORRESPONDENCES
+                # a good below the float resolution at 1.0 makes log(1 - good)
+                # zero: the bound is infinite, so needed is left unchanged
                 if good >= 1.0:
                     needed = it
-                else:
+                elif 1.0 - good < 1.0:
                     needed = min(max_iterations,
                                  math.ceil(math.log(1.0 - confidence)
                                            / math.log(1.0 - good)))

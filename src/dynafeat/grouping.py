@@ -18,6 +18,7 @@ unassigned, while reaching the member ceiling closes the group outright.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,12 +41,13 @@ class GroupingConfig:
     rng_seed: int = 42
 
     def __post_init__(self):
-        if self.window <= 0:
-            raise ValueError("window must be positive")
+        # chained comparisons are false for nan, so nan fails each check
+        if not 0 < self.window < math.inf:
+            raise ValueError("window must be positive and finite")
         if not 0 < self.min_group <= self.max_group:
             raise ValueError("need 0 < min_group <= max_group")
-        if self.max_bbox_side < self.window:
-            raise ValueError("max_bbox_side must be at least one window")
+        if not self.window <= self.max_bbox_side < math.inf:
+            raise ValueError("max_bbox_side must be finite and at least one window")
 
 
 @dataclass

@@ -434,8 +434,9 @@ def bench(config: PipelineConfig, sources, repetitions: int = 3,
           frames: list[FrameFeatures] | None = None) -> BenchReport:
     """Median-of-repetitions stage timings plus the stage breakdown.
 
-    One untimed warmup run precedes the measurements so JIT compilation
-    is not charged to the first repetition.
+    One untimed warmup run precedes the measurements so first-call costs
+    (lazy imports, cold caches, first allocations) are not charged to the
+    first repetition.
     """
     if repetitions < 1:
         raise InputDataError("repetitions must be >= 1")

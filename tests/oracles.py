@@ -61,6 +61,19 @@ def fast_corners_reference(pixels: np.ndarray, threshold: int,
     return corners[:max_features]
 
 
+def brief_reference(sums: np.ndarray, xs, ys, pattern: np.ndarray) -> np.ndarray:
+    """Per-corner, per-bit comparison descriptors: bit k is set when
+    sums[y + dy1, x + dx1] < sums[y + dy2, x + dx2]; bits are packed most
+    significant first."""
+    tests = pattern.tolist()
+    out = np.zeros((len(xs), len(tests) // 8), np.uint8)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        for k, (dx1, dy1, dx2, dy2) in enumerate(tests):
+            if sums[y + dy1, x + dx1] < sums[y + dy2, x + dx2]:
+                out[i, k // 8] |= 1 << (7 - k % 8)
+    return out
+
+
 def hamming_reference(a: np.ndarray, b: np.ndarray) -> int:
     return sum(int(x ^ y).bit_count() for x, y in zip(a.tolist(), b.tolist()))
 

@@ -125,6 +125,17 @@ def test_flag_overrides_beat_config(tmp_path, synth_dir):
             assert (out / name).read_text() == ""
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--k", "nan"), ("--k", "inf"), ("--search-margin", "nan"), ("--search-margin", "inf"),
+    ("--window", "nan"), ("--window", "inf"), ("--max-bbox-side", "nan"),
+    ("--max-bbox-side", "inf")])
+def test_non_finite_config_value_exits_3(tmp_path, synth_dir, flag, value):
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    assert main(["match", str(cfg_path), str(synth_dir), flag, value]) == 3
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_text(f"{flag[2:].replace('-', '_')}={value}\n")
+
+
 def test_missing_input_exits_2(tmp_path):
     cfg_path = _write_config(tmp_path)
     assert main(["match", str(cfg_path), str(tmp_path / "nope.feat"),
@@ -268,6 +279,21 @@ def test_eval_static_scene_reports_zero_repeatability(tmp_path):
     for line in summary.splitlines():
         if line.startswith("success@"):
             assert line.endswith("=1.000000"), line
+
+
+def test_eval_noisy_pair_with_tiny_inlier_ratio_exits_0(tmp_path):
+    # on pair 2->3 an early best RANSAC sample explains so few matches that
+    # the adaptive stopping bound is infinite
+    scene = make_cluster_scene(seed=5, frames=4, n_clusters=25, points_per_cluster=9,
+                               trajectory="translate_x", step=0.08, jitter_px=1.5,
+                               descriptor_bit_flips=90, outlier_rate=0.4)
+    src = tmp_path / "noisy"
+    save_sequence(generate_sequence(scene, seed=5), src)
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, output_dir=str(out), timing=False)
+    assert main(["eval", str(cfg_path), str(src), "--gt", str(src / "gt")]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "pairs=3\n" in summary and "pose_pairs_evaluated=3\n" in summary
 
 
 def test_eval_reports_are_deterministic(tmp_path, synth_dir):

@@ -50,6 +50,13 @@ def test_empty_frame_gives_empty_output():
     assert result.groups == []
 
 
+@pytest.mark.parametrize("field", ["window", "max_bbox_side"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_sizes_rejected(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        GroupingConfig(**{field: value})
+
+
 def test_partition_matches_replay_oracle_200_random():
     frame = _random_frame(123, max_count=200)
     cfg = GroupingConfig()

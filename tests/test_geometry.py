@@ -62,6 +62,19 @@ def test_outlier_rejection(seed):
     assert rotation_angle_deg(est.rotation @ R.T) < 0.5
 
 
+def test_adaptive_stop_on_pure_noise_runs_every_iteration():
+    # an early best sample of random pairs explains 1 of 300 pairs: ratio
+    # ** 8 is below the float resolution at 1.0, so the early-stop bound is
+    # infinite, and no later best (up to 7 of 300) makes it small
+    rng = np.random.default_rng(0)
+    a = rng.uniform(0, 640, (300, 2))
+    b = rng.uniform(0, 480, (300, 2))
+    K = default_intrinsics()
+    est = estimate_essential_ransac(a, b, K, adaptive=True)
+    full = estimate_essential_ransac(a, b, K)
+    assert np.array_equal(est.inlier_mask, full.inlier_mask)
+
+
 def test_too_few_matches_rejected():
     K = default_intrinsics()
     pts = np.zeros((7, 2))
