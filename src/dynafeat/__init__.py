@@ -13,14 +13,12 @@ from .frontend import (FrameFeatures, GrayImage, describe, detect_corners,
 from .geometry import (CameraIntrinsics, PoseEstimate, estimate_essential_ransac,
                        pose_error, pose_success_ratio, reprojection_repeatability)
 from .grouping import FeatureGroup, GroupingConfig, GroupingResult, group_features
-from .matching import (GroupMatch, MatchCandidate, match_frame_pair, mutual_nn_match,
-                       score_group_pair)
+from .matching import GroupMatch, mutual_nn_match
 from .stats import (BinomialMoments, MatchProbabilityParams, binomial_moments,
                     p_false, p_false_crosscheck, p_true, p_true_crosscheck,
                     separation_gap, support_threshold)
 from .synthetic import SyntheticScene, generate_sequence, make_cluster_scene
-from .tracking import (MotionProxy, SearchRegion, TrackState, advance, bootstrap,
-                       intersect_candidates, predict_search_region)
+from .tracking import TrackState, advance, bootstrap, intersect_candidates
 
 __version__ = "0.1.0"
 
@@ -31,10 +29,8 @@ __all__ = [
     "MatchProbabilityParams", "BinomialMoments", "p_true", "p_false",
     "p_true_crosscheck", "p_false_crosscheck", "binomial_moments",
     "support_threshold", "separation_gap",
-    "MatchCandidate", "GroupMatch", "mutual_nn_match",
-    "score_group_pair", "match_frame_pair",
-    "MotionProxy", "SearchRegion", "TrackState", "predict_search_region",
-    "intersect_candidates", "advance", "bootstrap",
+    "GroupMatch", "mutual_nn_match",
+    "TrackState", "intersect_candidates", "advance", "bootstrap",
     "CameraIntrinsics", "PoseEstimate", "estimate_essential_ransac", "pose_error",
     "pose_success_ratio", "reprojection_repeatability",
     "SyntheticScene", "make_cluster_scene", "generate_sequence",

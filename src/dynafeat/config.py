@@ -59,6 +59,8 @@ class PipelineConfig:
             raise ConfigError("fast_threshold must be >= 1")
         if self.input_mode not in _INPUT_MODES:
             raise ConfigError(f"input_mode must be one of {_INPUT_MODES}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     def grouping_config(self) -> GroupingConfig:
         return GroupingConfig(window=self.window, min_group=self.min_group,

@@ -52,7 +52,8 @@ class GroupingConfig:
 
 @dataclass
 class FeatureGroup:
-    group_id: int
+    """One group; its id is its position in the frame's group list."""
+
     members: np.ndarray            # feature ids, absorption order; members[0] is the seed
     n: int
     centroid: np.ndarray           # (2,) mean member position
@@ -144,11 +145,10 @@ def group_features(frame: FrameFeatures, config: GroupingConfig) -> GroupingResu
                 min_x, max_x, min_y, max_y = nmin_x, nmax_x, nmin_y, nmax_y
         if len(members) < config.min_group:
             continue  # discarded: members stay consumed but belong to no group
-        gid = len(groups)
         member_arr = np.array(members, np.int64)
-        labels[member_arr] = gid
+        labels[member_arr] = len(groups)
         groups.append(FeatureGroup(
-            group_id=gid, members=member_arr, n=len(members),
+            members=member_arr, n=len(members),
             centroid=pos[member_arr].mean(axis=0),
             bbox_min=np.array([min_x, min_y]), bbox_max=np.array([max_x, max_y])))
 

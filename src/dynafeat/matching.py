@@ -8,11 +8,12 @@ emit feature matches. A feature caught by several overlapping accepted
 pairs keeps the match from the highest-scoring one.
 
 All candidate pairs of a frame transition are scored in one batched
-kernel call, and single pairs or whole feature sets go through the same
-kernel as a batch of one; support lists on GroupMatch are materialized
-lazily from the shared flat arrays. The surviving matches of a transition
-are one InlierColumns record of column arrays, which the match-file
-writer and the evaluator read directly.
+kernel call, and whole feature sets go through the same kernel as a
+batch of one; each GroupMatch holds views of its supports in the shared
+flat arrays. Groups are named by their slot in the frame's group list.
+The surviving matches of a transition are one InlierColumns record of
+column arrays, which the match-file writer and the evaluator read
+directly.
 """
 
 from __future__ import annotations
@@ -27,49 +28,24 @@ from .grouping import FeatureGroup
 from .stats import support_threshold
 
 
-@dataclass(slots=True)
-class MatchCandidate:
-    feature_a: int      # feature id in the earlier frame
-    feature_b: int      # feature id in the later frame
-    distance: float
-
-
 @dataclass(eq=False)
 class GroupMatch:
-    group_prev: int
-    group_curr: int
+    """An accepted candidate pair and its supports (frame feature ids)."""
+
+    group_prev: int     # slot in the previous frame's group list
+    group_curr: int     # slot in the current frame's group list
     score: int
     tau: float
-    accepted: bool
-    sup_a: np.ndarray = field(repr=False, default_factory=lambda: np.zeros(0, np.int64))
-    sup_b: np.ndarray = field(repr=False, default_factory=lambda: np.zeros(0, np.int64))
-    sup_dist: np.ndarray = field(repr=False, default_factory=lambda: np.zeros(0, np.int64))
-    dist_sum: int | None = None    # total support distance; summed when absent
-
-    def __post_init__(self):
-        if self.dist_sum is None:
-            self.dist_sum = self.sup_dist.sum().item()
-
-    @property
-    def supports(self) -> list[MatchCandidate]:
-        return [MatchCandidate(int(a), int(b), float(d))
-                for a, b, d in zip(self.sup_a, self.sup_b, self.sup_dist)]
+    dist_sum: int       # total support distance
+    sup_a: np.ndarray = field(repr=False)
+    sup_b: np.ndarray = field(repr=False)
+    sup_dist: np.ndarray = field(repr=False)
 
 
-def _descriptor_matrix(features) -> np.ndarray:
-    if isinstance(features, FrameFeatures):
-        return features.descriptors
-    return np.asarray(features)
-
-
-def mutual_nn_match(features_prev, features_curr) -> list[MatchCandidate]:
-    """Mutual unique-nearest-neighbor pairs between two feature sets.
-
-    Accepts FrameFeatures or a packed uint8 descriptor matrix; returned ids
-    are row indices.
-    """
-    desc_a = _descriptor_matrix(features_prev)
-    desc_b = _descriptor_matrix(features_curr)
+def mutual_nn_match(desc_a: np.ndarray, desc_b: np.ndarray):
+    """Mutual unique-nearest-neighbor pairs between two packed uint8
+    descriptor matrices, as (ia, ib, dist) arrays of row indices and
+    Hamming distances in ascending ``ia`` order."""
     if desc_a.shape[0] == 0 or desc_b.shape[0] == 0:
         raise ValueError("descriptor sets must be non-empty")
     if desc_a.dtype != np.uint8 or desc_b.dtype != np.uint8:
@@ -82,8 +58,7 @@ def mutual_nn_match(features_prev, features_curr) -> list[MatchCandidate]:
         np.arange(n_a, dtype=np.int64), one, np.array([n_a], np.int64),
         np.arange(n_b, dtype=np.int64), one, np.array([n_b], np.int64), one, one)
     n = int(scores[0])
-    return [MatchCandidate(a, b, float(d))
-            for a, b, d in zip(ia[:n].tolist(), ib[:n].tolist(), dist[:n].tolist())]
+    return ia[:n], ib[:n], dist[:n]
 
 
 def _group_tables(groups: list[FeatureGroup]):
@@ -95,62 +70,40 @@ def _group_tables(groups: list[FeatureGroup]):
     return mem, off, cnt
 
 
-def _score_pairs(groups_prev, features_prev, groups_curr, features_curr,
-                 pairs, k: float, accepted_only: bool) -> list[GroupMatch]:
-    """Score (prev_id, curr_id) pairs in one batched kernel call; the one
-    place the acceptance rule score > tau is applied."""
-    slot_prev = {g.group_id: s for s, g in enumerate(groups_prev)}
-    slot_curr = {g.group_id: s for s, g in enumerate(groups_curr)}
-    for gp_id, gc_id in pairs:
-        if gp_id not in slot_prev or gc_id not in slot_curr:
-            raise ValueError(f"candidate pair ({gp_id}, {gc_id}) references unknown groups")
+def score_candidate_pairs(groups_prev: list[FeatureGroup], features_prev: FrameFeatures,
+                          groups_curr: list[FeatureGroup], features_curr: FrameFeatures,
+                          candidate_pairs, k: float = 2.0) -> list[GroupMatch]:
+    """Score (prev_slot, curr_slot) pairs in one batched kernel call and
+    keep the accepted ones; the one place the acceptance rule score > tau
+    is applied. Pairs are scored independently; rejected pairs are dropped
+    here since they emit nothing downstream.
+    """
+    pairs = np.asarray(candidate_pairs, np.int64).reshape(-1, 2)
+    if not pairs.shape[0]:
+        return []
+    pair_a, pair_b = pairs[:, 0], pairs[:, 1]
+    if (pairs < 0).any() or (pair_a >= len(groups_prev)).any() \
+            or (pair_b >= len(groups_curr)).any():
+        raise ValueError("candidate pairs reference unknown group slots")
     mem_a, off_a, cnt_a = _group_tables(groups_prev)
     mem_b, off_b, cnt_b = _group_tables(groups_curr)
-    pair_a = np.array([slot_prev[p] for p, _ in pairs], np.int64)
-    pair_b = np.array([slot_curr[c] for _, c in pairs], np.int64)
 
     scores, out_off, ia, ib, dist = _kernels.batch_mutual_nn(
         features_prev.descriptors, features_curr.descriptors,
         mem_a, off_a, cnt_a, mem_b, off_b, cnt_b, pair_a, pair_b)
 
     taus = support_threshold(np.minimum(cnt_a[pair_a], cnt_b[pair_b]), k)
-    accepted = scores > taus
-    emit = np.nonzero(accepted)[0] if accepted_only else np.arange(len(pairs))
+    emit = np.flatnonzero(scores > taus)
     starts = out_off[emit]
     stops = starts + scores[emit]
     dist_cum = np.zeros(dist.shape[0] + 1, np.int64)
     np.cumsum(dist, out=dist_cum[1:])
     dist_sums = dist_cum[stops] - dist_cum[starts]
-    return [GroupMatch(*pairs[p], stop - start, tau, ok,
-                       sup_a=ia[start:stop], sup_b=ib[start:stop],
-                       sup_dist=dist[start:stop], dist_sum=dist_sum)
-            for p, start, stop, dist_sum, tau, ok
-            in zip(emit.tolist(), starts.tolist(), stops.tolist(), dist_sums.tolist(),
-                   taus[emit].tolist(), accepted[emit].tolist())]
-
-
-def score_group_pair(group_prev: FeatureGroup, features_prev: FrameFeatures,
-                     group_curr: FeatureGroup, features_curr: FrameFeatures,
-                     k: float = 2.0) -> GroupMatch:
-    """Score one candidate pair; ids in the supports are frame feature ids."""
-    return _score_pairs([group_prev], features_prev, [group_curr], features_curr,
-                        [(group_prev.group_id, group_curr.group_id)], k,
-                        accepted_only=False)[0]
-
-
-def score_candidate_pairs(groups_prev: list[FeatureGroup], features_prev: FrameFeatures,
-                          groups_curr: list[FeatureGroup], features_curr: FrameFeatures,
-                          candidate_pairs, k: float = 2.0) -> list[GroupMatch]:
-    """Score every candidate (prev_id, curr_id) pair; keep accepted ones.
-
-    Pairs are scored independently; rejected pairs are dropped here since
-    they emit nothing downstream.
-    """
-    candidate_pairs = list(candidate_pairs)
-    if not candidate_pairs:
-        return []
-    return _score_pairs(groups_prev, features_prev, groups_curr, features_curr,
-                        candidate_pairs, k, accepted_only=True)
+    return [GroupMatch(gp, gc, stop - start, tau, dist_sum,
+                       ia[start:stop], ib[start:stop], dist[start:stop])
+            for gp, gc, start, stop, dist_sum, tau
+            in zip(pair_a[emit].tolist(), pair_b[emit].tolist(), starts.tolist(),
+                   stops.tolist(), dist_sums.tolist(), taus[emit].tolist())]
 
 
 @dataclass(eq=False)
@@ -172,8 +125,8 @@ class InlierColumns:
 def dedup_inlier_columns(accepted: list[GroupMatch], features_prev: FrameFeatures,
                          features_curr: FrameFeatures) -> InlierColumns:
     """One match per feature: highest-scoring pair wins, ties to the lower
-    current group id, then smaller total support distance, then the lower
-    previous group id."""
+    current group slot, then smaller total support distance, then the lower
+    previous group slot."""
     if not accepted:
         z = np.zeros(0, np.int64)
         return InlierColumns(z, z, np.zeros((0, 2)), np.zeros((0, 2)),
@@ -197,11 +150,3 @@ def dedup_inlier_columns(accepted: list[GroupMatch], features_prev: FrameFeature
                          features_curr.positions[ib],
                          dist[keep].astype(np.float64), gp_ids[keep], gc_ids[keep])
 
-
-def match_frame_pair(groups_prev: list[FeatureGroup], features_prev: FrameFeatures,
-                     groups_curr: list[FeatureGroup], features_curr: FrameFeatures,
-                     candidate_pairs, k: float = 2.0) -> tuple[list[GroupMatch], InlierColumns]:
-    """Score candidate pairs and emit deduplicated inlier matches."""
-    accepted = score_candidate_pairs(groups_prev, features_prev,
-                                     groups_curr, features_curr, candidate_pairs, k)
-    return accepted, dedup_inlier_columns(accepted, features_prev, features_curr)

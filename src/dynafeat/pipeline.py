@@ -131,22 +131,11 @@ class PairMatches:
 
 
 @dataclass
-class TrackRow:
-    frame: int
-    group_id: int
-    cx: float
-    cy: float
-    dx: float
-    dy: float
-    age: int
-    n: int
-
-
-@dataclass
 class SequenceResult:
     pairs: list[PairMatches]
     stats: RunStats
-    track_rows: list[TrackRow]
+    # per processed frame: (frame index, groups, displacement (G, 2), age (G,))
+    tracks: list[tuple]
     frame_indices: list[int]
 
     @property
@@ -184,7 +173,7 @@ def run_sequence(config: PipelineConfig, sources,
     gcfg = config.grouping_config()
     stats = RunStats()
     result_pairs: list[PairMatches] = []
-    track_rows: list[TrackRow] = []
+    tracks: list[tuple] = []
     frame_indices: list[int] = []
     state: tracking.TrackState | None = None
     margin = config.search_margin
@@ -209,7 +198,8 @@ def run_sequence(config: PipelineConfig, sources,
             stats.record((t1 - t0) * 1000.0, (time.perf_counter() - t0) * 1000.0)
             if state is not None:
                 skip_margin *= 2.0
-                state = tracking.recompute_regions(state, skip_margin)
+                state = tracking.predict(state.features, state.groups, state.displacement,
+                                         state.age, skip_margin)
             continue
 
         grouping = group_features(feats, gcfg)
@@ -235,13 +225,7 @@ def run_sequence(config: PipelineConfig, sources,
             t4 = time.perf_counter()
         skip_margin = margin
 
-        for g in state.groups:
-            proxy = state.proxies.get(g.group_id)
-            dx, dy = (proxy.displacement if proxy is not None else (0.0, 0.0))
-            age = proxy.age if proxy is not None else 0
-            track_rows.append(TrackRow(feats.frame_index, g.group_id,
-                                       float(g.centroid[0]), float(g.centroid[1]),
-                                       float(dx), float(dy), age, g.n))
+        tracks.append((feats.frame_index, state.groups, state.displacement, state.age))
 
         stats.record((t1 - t0) * 1000.0, (time.perf_counter() - t0) * 1000.0,
                      grouping_ms=(t2 - t1) * 1000.0, matching_ms=(t3 - t2) * 1000.0,
@@ -250,7 +234,7 @@ def run_sequence(config: PipelineConfig, sources,
                      accepted_pairs=len(accepted), inliers=inlier_count)
         frame_indices.append(feats.frame_index)
 
-    return SequenceResult(result_pairs, stats, track_rows, frame_indices)
+    return SequenceResult(result_pairs, stats, tracks, frame_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +265,12 @@ def write_match_files(result: SequenceResult, out_dir) -> list[str]:
 
 def write_track_dump(result: SequenceResult, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for r in result.track_rows:
-            fh.write(f"{r.frame} {r.group_id} {_fmt(r.cx)} {_fmt(r.cy)} "
-                     f"{_fmt(r.dx)} {_fmt(r.dy)} {r.age} {r.n}\n")
+        for frame, groups, displacement, age in result.tracks:
+            for slot, (g, (dx, dy), a) in enumerate(zip(groups, displacement.tolist(),
+                                                        age.tolist())):
+                cx, cy = g.centroid.tolist()
+                fh.write(f"{frame} {slot} {_fmt(cx)} {_fmt(cy)} {_fmt(dx)} {_fmt(dy)} "
+                         f"{a} {g.n}\n")
 
 
 def write_stats(stats: RunStats, path) -> None:

@@ -1,12 +1,14 @@
 """Carrying group information across frames.
 
-Each tracked group owns a motion proxy (the displacement of its centroid
-between the last two frames) and a search region: its bounding box shifted
-by the predicted displacement and dilated by a margin. Current-frame
+A group's id is its position (slot) in its frame's group list, and the
+track state keeps one row per slot: the displacement of the group's
+centroid between the last two frames (its motion proxy), the number of
+frames it was tracked continuously, and its search region, the bounding
+box shifted by the displacement and dilated by a margin. Current-frame
 groups whose bounding box overlaps a search region become matching
 candidates, which is what keeps per-frame matching cheap. Groups without
-an accepted match are dropped; newly appearing groups start without a
-proxy and predict from a standing centroid.
+an accepted match are dropped; newly appearing groups start with zero
+displacement and age 0 and predict from a standing centroid.
 """
 
 from __future__ import annotations
@@ -23,106 +25,56 @@ DEFAULT_SEARCH_MARGIN = 30.0
 BOOTSTRAP_MARGIN_SCALE = 2.0
 
 
-@dataclass
-class MotionProxy:
-    displacement: np.ndarray   # (2,) px per frame
-    age: int                   # frames tracked continuously
-
-    def __post_init__(self):
-        self.displacement = np.asarray(self.displacement, np.float64).reshape(2)
-        if not np.isfinite(self.displacement).all():
-            raise ValueError("displacement must be finite")
-        if self.age < 0:
-            raise ValueError("age must be non-negative")
-
-
-@dataclass
-class SearchRegion:
-    center: np.ndarray         # (2,) predicted centroid
-    half_extent: np.ndarray    # (2,) axis-aligned half sizes
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, np.float64).reshape(2)
-        self.half_extent = np.asarray(self.half_extent, np.float64).reshape(2)
-        if (self.half_extent <= 0).any():
-            raise ValueError("half_extent components must be positive")
-
-
-@dataclass
+@dataclass(eq=False)
 class TrackState:
     frame_index: int
     features: FrameFeatures
     groups: list[FeatureGroup]
-    proxies: dict[int, MotionProxy]      # keyed by group_id, absent when unknown
-    regions: dict[int, SearchRegion]     # keyed by group_id, one per group
+    displacement: np.ndarray   # (G, 2) px per frame, zero for a newborn group
+    age: np.ndarray            # (G,) frames tracked continuously, 0 for a newborn group
+    region_lo: np.ndarray      # (G, 2) search region corners
+    region_hi: np.ndarray      # (G, 2)
+
+    @property
+    def proxies(self) -> np.ndarray:
+        """Slots of the groups that carry a motion proxy (continued tracks)."""
+        return np.flatnonzero(self.age)
 
 
-def _predict(centroid, shift, bbox_min, bbox_max, margin):
-    return centroid + shift, (bbox_max - bbox_min) / 2.0 + margin
+def _rows(groups: list[FeatureGroup], name: str) -> np.ndarray:
+    return np.array([getattr(g, name) for g in groups], np.float64).reshape(-1, 2)
 
 
-def predict_search_region(group: FeatureGroup, proxy: MotionProxy | None,
-                          margin: float = DEFAULT_SEARCH_MARGIN) -> SearchRegion:
-    """Constant-velocity prediction: centroid shifted by the proxy (zero for
-    newborn groups), bounding-box half sizes dilated by the margin."""
+def predict(features: FrameFeatures, groups: list[FeatureGroup], displacement: np.ndarray,
+            age: np.ndarray, margin: float) -> TrackState:
+    """State with constant-velocity search regions: each centroid shifted by
+    its displacement, bounding-box half sizes dilated by the margin."""
     if margin <= 0:
         raise ValueError("margin must be positive")
-    shift = proxy.displacement if proxy is not None else np.zeros(2)
-    center, half = _predict(group.centroid, shift, group.bbox_min, group.bbox_max, margin)
-    return SearchRegion(center=center, half_extent=half)
-
-
-def _regions_for(groups: list[FeatureGroup], proxies: dict[int, MotionProxy],
-                 margin: float) -> dict[int, SearchRegion]:
-    """predict_search_region for every group, in one pass over stacked rows."""
-    if not groups:
-        return {}
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    zero = np.zeros(2)
-    shifts = np.array([proxies[g.group_id].displacement if g.group_id in proxies else zero
-                       for g in groups])
-    centers, halves = _predict(np.array([g.centroid for g in groups]), shifts,
-                               np.array([g.bbox_min for g in groups]),
-                               np.array([g.bbox_max for g in groups]), margin)
-    return {g.group_id: SearchRegion(center=c, half_extent=h)
-            for g, c, h in zip(groups, centers, halves)}
+    center = _rows(groups, "centroid") + displacement
+    half = (_rows(groups, "bbox_max") - _rows(groups, "bbox_min")) / 2.0 + margin
+    return TrackState(frame_index=features.frame_index, features=features,
+                      groups=list(groups), displacement=displacement, age=age,
+                      region_lo=center - half, region_hi=center + half)
 
 
 def bootstrap(features: FrameFeatures, groups: list[FeatureGroup],
               margin: float = DEFAULT_SEARCH_MARGIN) -> TrackState:
     """First-frame state: no proxies yet, so regions get a doubled margin
     to make up for the missing motion prior."""
-    return TrackState(frame_index=features.frame_index, features=features,
-                      groups=list(groups), proxies={},
-                      regions=_regions_for(groups, {}, margin * BOOTSTRAP_MARGIN_SCALE))
+    return predict(features, groups, np.zeros((len(groups), 2)),
+                   np.zeros(len(groups), np.int64), margin * BOOTSTRAP_MARGIN_SCALE)
 
 
-def recompute_regions(state: TrackState, margin: float) -> TrackState:
-    """Same state with regions re-dilated (used after a skipped frame)."""
-    return TrackState(frame_index=state.frame_index, features=state.features,
-                      groups=state.groups, proxies=state.proxies,
-                      regions=_regions_for(state.groups, state.proxies, margin))
-
-
-def intersect_candidates(groups_curr: list[FeatureGroup],
-                         state: TrackState) -> list[tuple[int, int]]:
-    """(prev_group_id, curr_group_id) pairs whose search region and bounding
-    box overlap (closed intervals on both axes)."""
-    if not state.groups or not groups_curr:
-        return []
-    centers = np.stack([state.regions[g.group_id].center for g in state.groups])
-    halves = np.stack([state.regions[g.group_id].half_extent for g in state.groups])
-    lo = centers - halves
-    hi = centers + halves
-    bmin = np.stack([g.bbox_min for g in groups_curr])
-    bmax = np.stack([g.bbox_max for g in groups_curr])
+def intersect_candidates(groups_curr: list[FeatureGroup], state: TrackState) -> np.ndarray:
+    """(prev_slot, curr_slot) rows, in row-major order, whose search region
+    and bounding box overlap (closed intervals on both axes)."""
+    bmin = _rows(groups_curr, "bbox_min")
+    bmax = _rows(groups_curr, "bbox_max")
+    lo, hi = state.region_lo, state.region_hi
     overlap = ((bmin[None, :, 0] <= hi[:, None, 0]) & (bmax[None, :, 0] >= lo[:, None, 0])
                & (bmin[None, :, 1] <= hi[:, None, 1]) & (bmax[None, :, 1] >= lo[:, None, 1]))
-    prev_ids = [g.group_id for g in state.groups]
-    curr_ids = [g.group_id for g in groups_curr]
-    rows, cols = np.nonzero(overlap)
-    return [(prev_ids[r], curr_ids[c]) for r, c in zip(rows.tolist(), cols.tolist())]
+    return np.argwhere(overlap)
 
 
 def advance(state: TrackState, features_curr: FrameFeatures,
@@ -134,31 +86,24 @@ def advance(state: TrackState, features_curr: FrameFeatures,
     partner: displacement is the centroid difference, age increments.
     Score ties go to the pair with the smaller total support distance
     (uncorrelated groups can tie a true pair's support count by chance,
-    but never its distances), then to the lower previous group id.
+    but never its distances), then to the lower previous slot.
     Unmatched current groups start fresh; previous groups without an
     accepted match disappear with the returned state.
     """
-    prev_by_id = {g.group_id: g for g in state.groups}
-    curr_by_id = {g.group_id: g for g in groups_curr}
-    best: dict[int, GroupMatch] = {}
-    for gm in accepted:
-        if gm.group_prev not in prev_by_id or gm.group_curr not in curr_by_id:
-            raise ValueError(
-                f"accepted match ({gm.group_prev}, {gm.group_curr}) references unknown groups")
-        cur = best.get(gm.group_curr)
-        if cur is None or (-gm.score, gm.dist_sum, gm.group_prev) \
-                < (-cur.score, cur.dist_sum, cur.group_prev):
-            best[gm.group_curr] = gm
-    proxies: dict[int, MotionProxy] = {}
-    for gc in groups_curr:
-        gm = best.get(gc.group_id)
-        if gm is None:
-            continue
-        gp = prev_by_id[gm.group_prev]
-        prev_proxy = state.proxies.get(gp.group_id)
-        prev_age = prev_proxy.age if prev_proxy is not None else 0
-        proxies[gc.group_id] = MotionProxy(displacement=gc.centroid - gp.centroid,
-                                           age=prev_age + 1)
-    return TrackState(frame_index=features_curr.frame_index, features=features_curr,
-                      groups=list(groups_curr), proxies=proxies,
-                      regions=_regions_for(groups_curr, proxies, margin))
+    gp = np.array([gm.group_prev for gm in accepted], np.int64)
+    gc = np.array([gm.group_curr for gm in accepted], np.int64)
+    if ((gp < 0) | (gp >= len(state.groups)) | (gc < 0) | (gc >= len(groups_curr))).any():
+        raise ValueError("accepted matches reference unknown group slots")
+    score = np.array([gm.score for gm in accepted], np.int64)
+    dist_sum = np.array([gm.dist_sum for gm in accepted], np.int64)
+    order = np.lexsort((gp, dist_sum, -score, gc))
+    first = np.ones(order.shape[0], bool)
+    first[1:] = gc[order[1:]] != gc[order[:-1]]
+    best = order[first]
+    cont_p, cont_c = gp[best], gc[best]
+    displacement = np.zeros((len(groups_curr), 2))
+    displacement[cont_c] = (_rows(groups_curr, "centroid")[cont_c]
+                            - _rows(state.groups, "centroid")[cont_p])
+    age = np.zeros(len(groups_curr), np.int64)
+    age[cont_c] = state.age[cont_p] + 1
+    return predict(features_curr, groups_curr, displacement, age, margin)

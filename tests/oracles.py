@@ -175,3 +175,25 @@ def claim_first_reference(ia: np.ndarray, ib: np.ndarray) -> list[bool]:
             taken_b.add(b)
         keep.append(ok)
     return keep
+
+
+def advance_reference(centroid_prev, age_prev, centroid_curr, accepted):
+    """Best-partner loop for one state advance.
+
+    ``accepted`` holds (prev_slot, curr_slot, score, dist_sum) tuples. Each
+    current group takes the pair with the highest score, ties to the
+    smaller dist_sum and then to the lower previous slot; its displacement
+    is the centroid difference and its age the partner's plus one.
+    Current groups without a pair keep zero displacement and age 0.
+    """
+    best = {}
+    for gp, gc, score, dist_sum in accepted:
+        key = (-score, dist_sum, gp)
+        if gc not in best or key < best[gc]:
+            best[gc] = key
+    displacement = np.zeros((len(centroid_curr), 2))
+    age = np.zeros(len(centroid_curr), np.int64)
+    for gc, (_, _, gp) in best.items():
+        displacement[gc] = np.asarray(centroid_curr[gc]) - np.asarray(centroid_prev[gp])
+        age[gc] = age_prev[gp] + 1
+    return displacement, age

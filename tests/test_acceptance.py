@@ -125,8 +125,7 @@ def test_criterion_04_mutual_nn_oracle_equivalence():
         b = [rng.integers(0, 256, 32, dtype=np.uint8) for _ in range(20)]
         if seed % 3 == 0:  # exercise tie disqualification
             a[1] = a[0].copy()
-        ours = [(m.feature_a, m.feature_b, int(m.distance))
-                for m in mutual_nn_match(np.stack(a), np.stack(b))]
+        ours = list(zip(*(c.tolist() for c in mutual_nn_match(np.stack(a), np.stack(b)))))
         if ours != mutual_nn_reference(a, b):
             mismatches += 1
     elapsed_ok = time.perf_counter() - started < 30.0
@@ -214,10 +213,10 @@ def test_criterion_07_filtering_benefit():
             total += len(cols)
             correct += sum(ids in gt for ids in zip(cols.feature_prev.tolist(),
                                                     cols.feature_curr.tolist()))
-            raw = mutual_nn_match(seq.frames[pair.frame_prev],
-                                  seq.frames[pair.frame_curr])
-            raw_total += len(raw)
-            raw_correct += sum((m.feature_a, m.feature_b) in gt for m in raw)
+            ia, ib, _ = mutual_nn_match(seq.frames[pair.frame_prev].descriptors,
+                                        seq.frames[pair.frame_curr].descriptors)
+            raw_total += len(ia)
+            raw_correct += sum(ids in gt for ids in zip(ia.tolist(), ib.tolist()))
         pipeline_precisions.append(correct / total)
         raw_precisions.append(raw_correct / raw_total)
     mean_pipeline = float(np.mean(pipeline_precisions))
@@ -251,7 +250,7 @@ def test_criterion_08_temporal_recall():
         state = bootstrap(seq.frames[0], groupings[0].groups, margin)
         for f in range(1, len(seq.frames)):
             curr_groups = groupings[f].groups
-            candidates = set(intersect_candidates(curr_groups, state))
+            candidates = set(map(tuple, intersect_candidates(curr_groups, state).tolist()))
             gt = seq.gt_pairs[(f - 1, f)]
             true_pairs = set()
             for i_prev, i_curr in gt:

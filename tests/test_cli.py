@@ -113,6 +113,30 @@ def test_match_dump_tracks_format(tmp_path, synth_dir):
     assert max(ages) >= 1  # tracked groups aged across the sequence
 
 
+def test_dump_tracks_bytes_golden(tmp_path):
+    # moving scene: groups continue with growing age, and a group born on
+    # frame 2 (slot 3) starts at zero displacement and age 0
+    scene = make_cluster_scene(seed=6, frames=3, n_clusters=4, points_per_cluster=20,
+                               cluster_radius_px=20.0, trajectory="translate_x", step=0.1,
+                               jitter_px=0.5, descriptor_bit_flips=10, outlier_rate=0.2)
+    src = tmp_path / "seq"
+    save_sequence(generate_sequence(scene, seed=6), src)
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, output_dir=str(out), timing=False)
+    assert main(["match", str(cfg_path), str(src), "--dump-tracks"]) == 0
+    assert (out / "tracks.txt").read_bytes() == (
+        b"0 0 243.90369549113603 304.1703164599515 0.0 0.0 0 35\n"
+        b"0 1 252.7816573742877 176.2708186845907 0.0 0.0 0 21\n"
+        b"0 2 338.18218167680095 430.4789565124423 0.0 0.0 0 20\n"
+        b"1 0 235.39038385485136 305.6735521163212 -8.51331163628467 1.503235656369725 1 35\n"
+        b"1 1 247.92557094681425 175.3889120286632 -4.856086427473457 -0.8819066559274802 1 20\n"
+        b"1 2 332.7202018881137 430.58411500672884 -5.461979788687245 0.10515849428651336 1 20\n"
+        b"2 0 228.53504001421632 305.62510370105736 -6.855343840635044 -0.0484484152638629 2 35\n"
+        b"2 1 242.79483411861128 175.61643077175114 -5.13073682820297 0.22751874308792708 2 20\n"
+        b"2 2 327.16331451696425 430.2869526401244 -5.5568873711494575 -0.2971623666044252 2 20\n"
+        b"2 3 222.35682855112114 277.56118782134797 0.0 0.0 0 5\n")
+
+
 def test_flag_overrides_beat_config(tmp_path, synth_dir):
     out = tmp_path / "out"
     cfg_path = _write_config(tmp_path, output_dir=str(out), min_group=5)
@@ -134,6 +158,14 @@ def test_non_finite_config_value_exits_3(tmp_path, synth_dir, flag, value):
     assert main(["match", str(cfg_path), str(synth_dir), flag, value]) == 3
     with pytest.raises(ConfigError):
         PipelineConfig.from_text(f"{flag[2:].replace('-', '_')}={value}\n")
+
+
+def test_negative_seed_exits_3(tmp_path, synth_dir):
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    frames = [str(synth_dir / frame_filename(i)) for i in range(3)]
+    assert main(["match", str(cfg_path)] + frames + ["--seed", "-1"]) == 3
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_text("seed=-1\n")
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -437,6 +469,32 @@ def test_bench_percentages_sum_to_100(tmp_path, synth_dir):
     assert abs(sum(pct) - 100.0) <= 1.0
 
 
+def test_perfbench_tracer_counts_every_layer(tmp_path, synth_dir, monkeypatch):
+    # perfbench/layers.py wraps pipeline functions by name and reads their
+    # outputs; a rename or a changed return shape shows up here
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    import layers
+    tracer = layers.Tracer()
+    assert tracer.unmeasured == []
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    tracer.install()
+    try:
+        assert main(["match", str(cfg_path), str(synth_dir)]) == 0
+    finally:
+        tracer.uninstall()
+    tracer.count()
+    counted = {name for _, _, name, counter in layers.LAYERS if counter is not None}
+    assert len(counted) == 9
+    assert {s["name"] for s in tracer.spans if "counts" in s} == counted
+    groups = {s["frame"]: s["counts"]["groups"] for s in tracer.spans
+              if s["name"] == "grouping.group"}
+    advanced = [s for s in tracer.spans if s["name"] == "tracking.advance"]
+    assert len(advanced) == len(groups) - 1
+    for s in advanced:
+        assert s["counts"]["continued"] + s["counts"]["born"] == groups[s["frame"]]
+        assert s["counts"]["continued"] > 0
+
+
 # ---------------------------------------------------------------------------
 # synth verb
 # ---------------------------------------------------------------------------
@@ -546,7 +604,5 @@ def test_identity_sequence_accepted_pairs_score_fully():
     accepted = score_candidate_pairs(state.groups, state.features, groups[1],
                                      seq.frames[1], candidates, k=cfg.k)
     assert accepted
-    curr_n = {g.group_id: g.n for g in groups[1]}
-    prev_n = {g.group_id: g.n for g in groups[0]}
     for gm in accepted:
-        assert gm.score == min(prev_n[gm.group_prev], curr_n[gm.group_curr])
+        assert gm.score == min(groups[0][gm.group_prev].n, groups[1][gm.group_curr].n)

@@ -116,8 +116,8 @@ def test_group_of_retained_and_discarded():
     result = group_features(frame, GroupingConfig())
     assert len(result.groups) == 1
     g = result.groups[0]
-    assert (result.labels[g.members] == g.group_id).all()
-    assert {result.group_id_of(int(i)) for i in g.members} == {g.group_id}
+    assert (result.labels[g.members] == 0).all()
+    assert {result.group_id_of(int(i)) for i in g.members} == {0}
     # the discarded pair is consumed but labelled ungrouped
     assert result.labels[len(cluster):].tolist() == [-1, -1]
     assert result.group_id_of(len(cluster)) is None
@@ -136,9 +136,9 @@ def test_set_size_matches_membership():
     seen = 0
     for seed in range(77, 87):
         result = group_features(_random_frame(seed, max_count=300), GroupingConfig())
-        for g in result.groups:
-            assert (result.labels[g.members] == g.group_id).all()
-        # each group id labels exactly its members; everything else is -1
+        for slot, g in enumerate(result.groups):
+            assert (result.labels[g.members] == slot).all()
+        # each group id (list slot) labels exactly its members; everything else is -1
         sizes = np.bincount(result.labels[result.labels >= 0],
                             minlength=len(result.groups))
         assert sizes.tolist() == [g.n for g in result.groups]

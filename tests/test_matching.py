@@ -7,7 +7,7 @@ import pytest
 
 from dynafeat.frontend import FrameFeatures
 from dynafeat.grouping import GroupingConfig, group_features
-from dynafeat.matching import match_frame_pair, mutual_nn_match, score_group_pair
+from dynafeat.matching import dedup_inlier_columns, mutual_nn_match, score_candidate_pairs
 from dynafeat.stats import support_threshold
 
 from oracles import mutual_nn_reference
@@ -48,6 +48,16 @@ def _paired_groups(n_prev: int, n_curr: int, n_supports: int, seed: int = 0):
     return gp, prev, gc, curr
 
 
+def _supports(gp, prev, gc, curr) -> int:
+    """Mutual-NN support count of one group pair, accepted or not."""
+    return len(mutual_nn_match(prev.descriptors[gp.members], curr.descriptors[gc.members])[0])
+
+
+def _match_pairs(groups_prev, prev, groups_curr, curr, pairs):
+    accepted = score_candidate_pairs(groups_prev, prev, groups_curr, curr, pairs)
+    return accepted, dedup_inlier_columns(accepted, prev, curr)
+
+
 # ---------------------------------------------------------------------------
 # mutual_nn_match
 # ---------------------------------------------------------------------------
@@ -57,11 +67,10 @@ def test_identical_sets_match_one_to_one():
     descs = [rng.integers(0, 256, 32, dtype=np.uint8) for _ in range(5)]
     prev = _frame_from_descriptors(descs)
     curr = _frame_from_descriptors(descs, frame_index=1)
-    matches = mutual_nn_match(prev, curr)
-    assert len(matches) == 5
-    for m in matches:
-        assert m.feature_a == m.feature_b
-        assert m.distance == 0.0
+    ia, ib, dist = mutual_nn_match(prev.descriptors, curr.descriptors)
+    assert len(ia) == 5
+    assert ia.tolist() == ib.tolist()
+    assert dist.tolist() == [0] * 5
 
 
 def test_distance_tie_disqualifies():
@@ -71,7 +80,7 @@ def test_distance_tie_disqualifies():
     tied_2 = _flip_bits(d, [32, 40, 48])
     prev = _frame_from_descriptors([d])
     curr = _frame_from_descriptors([tied_1, tied_2], frame_index=1)
-    assert mutual_nn_match(prev, curr) == []
+    assert len(mutual_nn_match(prev.descriptors, curr.descriptors)[0]) == 0
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -82,25 +91,20 @@ def test_matches_equal_bruteforce_oracle(seed):
     curr_desc = [rng.integers(0, 256, 32, dtype=np.uint8) for _ in range(nb)]
     if na > 3:  # force tie candidates
         prev_desc[1] = prev_desc[0].copy()
-    prev = _frame_from_descriptors(prev_desc)
-    curr = _frame_from_descriptors(curr_desc, frame_index=1)
-    ours = [(m.feature_a, m.feature_b, int(m.distance)) for m in mutual_nn_match(prev, curr)]
+    ia, ib, dist = mutual_nn_match(np.stack(prev_desc), np.stack(curr_desc))
+    ours = list(zip(ia.tolist(), ib.tolist(), dist.tolist()))
     assert ours == mutual_nn_reference(prev_desc, curr_desc)
 
 
 def test_mutual_symmetry_property():
     rng = np.random.default_rng(77)
-    prev_desc = [rng.integers(0, 256, 32, dtype=np.uint8) for _ in range(30)]
-    curr_desc = [rng.integers(0, 256, 32, dtype=np.uint8) for _ in range(30)]
-    prev = _frame_from_descriptors(prev_desc)
-    curr = _frame_from_descriptors(curr_desc, frame_index=1)
-    matches = mutual_nn_match(prev, curr)
-    seen_a = [m.feature_a for m in matches]
-    seen_b = [m.feature_b for m in matches]
-    assert len(set(seen_a)) == len(seen_a)
-    assert len(set(seen_b)) == len(seen_b)
-    rev = {(m.feature_b, m.feature_a) for m in mutual_nn_match(curr, prev)}
-    assert all((m.feature_a, m.feature_b) in rev for m in matches)
+    prev = np.stack([rng.integers(0, 256, 32, dtype=np.uint8) for _ in range(30)])
+    curr = np.stack([rng.integers(0, 256, 32, dtype=np.uint8) for _ in range(30)])
+    ia, ib, _ = mutual_nn_match(prev, curr)
+    assert len(set(ia.tolist())) == len(ia)
+    assert len(set(ib.tolist())) == len(ib)
+    rb, ra, _ = mutual_nn_match(curr, prev)
+    assert set(zip(ia.tolist(), ib.tolist())) <= set(zip(ra.tolist(), rb.tolist()))
 
 
 def test_empty_inputs_rejected():
@@ -108,7 +112,7 @@ def test_empty_inputs_rejected():
     empty = FrameFeatures(1, 640, 480, np.zeros((0, 2)), np.zeros(0),
                           np.zeros((0, 32), np.uint8))
     with pytest.raises(ValueError):
-        mutual_nn_match(prev, empty)
+        mutual_nn_match(prev.descriptors, empty.descriptors)
 
 
 def test_metric_kind_mismatch_rejected():
@@ -121,44 +125,58 @@ def test_metric_kind_mismatch_rejected():
         mutual_nn_match(a, b)
 
 
+def test_null_rate_of_unrelated_groups():
+    # two unrelated 35-member groups of random 256-bit descriptors: the
+    # mutual-NN support count alone mostly clears tau = 2 * sqrt(35) = 11.83
+    # (seed 0, 500 trials: mean 15.25, 94.2% above tau), so at this size
+    # the threshold rejects few chance pairs
+    rng = np.random.default_rng(0)
+    scores = np.array([len(mutual_nn_match(rng.integers(0, 256, (35, 32), dtype=np.uint8),
+                                           rng.integers(0, 256, (35, 32), dtype=np.uint8))[0])
+                       for _ in range(500)])
+    tau = support_threshold(35, 2.0)
+    assert tau == pytest.approx(2.0 * math.sqrt(35.0))
+    assert 14.5 <= scores.mean() <= 16.0
+    assert 0.90 <= (scores > tau).mean() <= 0.97
+
+
 # ---------------------------------------------------------------------------
-# score_group_pair
+# score_candidate_pairs: one pair
 # ---------------------------------------------------------------------------
 
 def test_pair_accepted_above_threshold():
     gp, prev, gc, curr = _paired_groups(25, 25, 12)
-    gm = score_group_pair(gp, prev, gc, curr)
+    [gm] = score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)])
     assert gm.score == 12
     assert gm.tau == 10.0
-    assert gm.accepted
-    assert len(gm.supports) == 12
+    assert len(gm.sup_a) == len(gm.sup_b) == len(gm.sup_dist) == 12
+    assert gm.dist_sum == int(gm.sup_dist.sum())
 
 
 def test_pair_rejected_at_or_below_threshold():
     gp, prev, gc, curr = _paired_groups(25, 25, 9)
-    gm = score_group_pair(gp, prev, gc, curr)
-    assert gm.score == 9
-    assert not gm.accepted
+    assert score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)]) == []
+    assert _supports(gp, prev, gc, curr) == 9
     # strict inequality: a score equal to tau still rejects
     gp, prev, gc, curr = _paired_groups(25, 25, 10)
-    gm = score_group_pair(gp, prev, gc, curr)
-    assert gm.score == 10 and gm.tau == 10.0
-    assert not gm.accepted
+    assert _supports(gp, prev, gc, curr) == 10
+    assert support_threshold(min(gp.n, gc.n), 2.0) == 10.0
+    assert score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)]) == []
 
 
 def test_threshold_uses_smaller_group():
     gp, prev, gc, curr = _paired_groups(35, 9, 7, seed=3)
-    gm = score_group_pair(gp, prev, gc, curr)
+    [gm] = score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)])
     assert gm.tau == pytest.approx(6.0)
     assert gm.score == 7
-    assert gm.accepted
 
 
 def test_score_bounded_by_smaller_group():
     for seed in range(5):
         gp, prev, gc, curr = _paired_groups(20, 12, 11, seed=seed)
-        gm = score_group_pair(gp, prev, gc, curr)
-        assert gm.score <= min(gp.n, gc.n)
+        assert _supports(gp, prev, gc, curr) <= min(gp.n, gc.n)
+        for gm in score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)]):
+            assert gm.score <= min(gp.n, gc.n)
 
 
 def test_acceptance_reachable_for_all_legal_sizes():
@@ -166,20 +184,30 @@ def test_acceptance_reachable_for_all_legal_sizes():
         assert support_threshold(n, 2.0) < n
 
 
+def test_adding_support_never_flips_acceptance():
+    # once accepted at some support count, higher counts stay accepted
+    verdicts = []
+    for supports in range(5, 21):
+        gp, prev, gc, curr = _paired_groups(25, 25, supports, seed=2)
+        verdicts.append(bool(score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)])))
+    assert verdicts == sorted(verdicts)
+    assert verdicts[0] is False and verdicts[-1] is True
+
+
 # ---------------------------------------------------------------------------
-# match_frame_pair
+# score_candidate_pairs + dedup_inlier_columns
 # ---------------------------------------------------------------------------
 
 def test_empty_candidates_give_empty_outputs():
     gp, prev, gc, curr = _paired_groups(10, 10, 10)
-    accepted, inliers = match_frame_pair([gp], prev, [gc], curr, [])
-    assert accepted == [] and len(inliers) == 0
+    for empty in ([], np.zeros((0, 2), np.int64)):
+        accepted, inliers = _match_pairs([gp], prev, [gc], curr, empty)
+        assert accepted == [] and len(inliers) == 0
 
 
 def test_identity_groups_fully_match():
     gp, prev, gc, curr = _paired_groups(10, 10, 10)
-    accepted, inliers = match_frame_pair([gp], prev, [gc], curr,
-                                         [(gp.group_id, gc.group_id)])
+    accepted, inliers = _match_pairs([gp], prev, [gc], curr, np.array([[0, 0]]))
     assert len(accepted) == 1
     assert accepted[0].score == 10
     assert accepted[0].tau == pytest.approx(2.0 * math.sqrt(10.0))
@@ -189,8 +217,9 @@ def test_identity_groups_fully_match():
 
 def test_unknown_candidate_pair_rejected():
     gp, prev, gc, curr = _paired_groups(10, 10, 10)
-    with pytest.raises(ValueError):
-        match_frame_pair([gp], prev, [gc], curr, [(99, gc.group_id)])
+    for pair in ((99, 0), (0, 99), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            score_candidate_pairs([gp], prev, [gc], curr, [pair])
 
 
 def test_dedup_keeps_highest_scoring_pair():
@@ -205,15 +234,14 @@ def test_dedup_keeps_highest_scoring_pair():
     prev_groups = group_features(prev, cfg).groups
     curr_groups = group_features(curr, cfg).groups
     assert len(prev_groups) == 2 and len(curr_groups) == 1
-    by_size = sorted(prev_groups, key=lambda g: g.n)
-    small, large = by_size[0], by_size[1]
-    pairs = [(small.group_id, curr_groups[0].group_id),
-             (large.group_id, curr_groups[0].group_id)]
-    accepted, inliers = match_frame_pair(prev_groups, prev, curr_groups, curr, pairs)
-    assert {gm.group_prev for gm in accepted} == {small.group_id, large.group_id}
+    small = min(range(2), key=lambda s: prev_groups[s].n)
+    large = 1 - small
+    accepted, inliers = _match_pairs(prev_groups, prev, curr_groups, curr,
+                                     [(small, 0), (large, 0)])
+    assert {gm.group_prev for gm in accepted} == {small, large}
     # every emitted match comes from the 10-support group, none from the 6
     assert len(inliers) == 10
-    assert all(g == large.group_id for g in inliers.group_prev.tolist())
+    assert all(g == large for g in inliers.group_prev.tolist())
     # filtering soundness: one match per feature on either side
     assert len(set(inliers.feature_prev.tolist())) == 10
     assert len(set(inliers.feature_curr.tolist())) == 10
@@ -221,17 +249,5 @@ def test_dedup_keeps_highest_scoring_pair():
 
 def test_inliers_bounded_by_sum_of_scores():
     gp, prev, gc, curr = _paired_groups(20, 20, 15, seed=11)
-    accepted, inliers = match_frame_pair([gp], prev, [gc], curr,
-                                         [(gp.group_id, gc.group_id)])
+    accepted, inliers = _match_pairs([gp], prev, [gc], curr, [(0, 0)])
     assert len(inliers) <= sum(gm.score for gm in accepted)
-
-
-def test_adding_support_never_flips_acceptance():
-    taus = {}
-    for supports in range(5, 21):
-        gp, prev, gc, curr = _paired_groups(25, 25, supports, seed=2)
-        gm = score_group_pair(gp, prev, gc, curr)
-        taus.setdefault(gm.tau, set()).add(gm.accepted)
-    for tau, verdicts in taus.items():
-        # once accepted at some score, higher scores stay accepted
-        assert verdicts in ({True}, {False}, {False, True})
