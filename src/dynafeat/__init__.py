@@ -12,7 +12,7 @@ from .frontend import (FrameFeatures, GrayImage, describe, detect_corners,
                        extract_frame, load_features, save_features)
 from .geometry import (CameraIntrinsics, PoseEstimate, estimate_essential_ransac,
                        pose_error, pose_success_ratio, reprojection_repeatability)
-from .grouping import FeatureGroup, GroupingConfig, GroupingResult, group_features
+from .grouping import FeatureGroup, GroupingResult, group_features
 from .matching import GroupMatch, mutual_nn_match
 from .stats import (BinomialMoments, MatchProbabilityParams, binomial_moments,
                     p_false, p_false_crosscheck, p_true, p_true_crosscheck,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FrameFeatures", "GrayImage", "detect_corners", "describe",
     "extract_frame", "load_features", "save_features",
-    "GroupingConfig", "FeatureGroup", "GroupingResult", "group_features",
+    "FeatureGroup", "GroupingResult", "group_features",
     "MatchProbabilityParams", "BinomialMoments", "p_true", "p_false",
     "p_true_crosscheck", "p_false_crosscheck", "binomial_moments",
     "support_threshold", "separation_gap",

@@ -15,11 +15,10 @@ Exit codes: 0 ok, 2 bad input, 3 bad config, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
-from .config import PipelineConfig, parse_bool
+from .config import CONFIG_CONVERTERS, PipelineConfig, parse_bool, read_key_values
 from .errors import ConfigError, FeatureFileError, InputDataError
 from .pipeline import (bench, run_eval, run_sequence, write_match_files,
                        write_stats, write_track_dump)
@@ -30,35 +29,30 @@ EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_RUNTIME = 4
 
-_SCENE_KEYS = {
+_SCENE_CONVERTERS = {
     "seed": int, "frames": int, "n_clusters": int, "points_per_cluster": int,
     "cluster_radius_px": float, "trajectory": str, "step": float,
     "width": int, "height": int, "jitter_px": float,
-    "descriptor_bit_flips": int, "outlier_rate": float, "flat_depth": bool,
+    "descriptor_bit_flips": int, "outlier_rate": float, "flat_depth": parse_bool,
 }
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for f in dataclasses.fields(PipelineConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
+    for name, convert in CONFIG_CONVERTERS.items():
+        flag = "--" + name.replace("_", "-")
+        if convert is parse_bool:
             group = parser.add_mutually_exclusive_group()
-            group.add_argument(flag, dest=f.name, action="store_true", default=None)
-            group.add_argument("--no-" + f.name.replace("_", "-"), dest=f.name,
+            group.add_argument(flag, dest=name, action="store_true", default=None)
+            group.add_argument("--no-" + name.replace("_", "-"), dest=name,
                                action="store_false", default=None)
-        elif f.type == "int":
-            parser.add_argument(flag, dest=f.name, type=int, default=None)
-        elif f.type == "float":
-            parser.add_argument(flag, dest=f.name, type=float, default=None)
         else:
-            parser.add_argument(flag, dest=f.name, type=str, default=None)
+            parser.add_argument(flag, dest=name, type=convert, default=None)
 
 
 def _load_config(args) -> PipelineConfig:
     config = PipelineConfig.load(args.config)
-    overrides = {f.name: getattr(args, f.name)
-                 for f in dataclasses.fields(PipelineConfig)
-                 if getattr(args, f.name, None) is not None}
+    overrides = {name: getattr(args, name) for name in CONFIG_CONVERTERS
+                 if getattr(args, name, None) is not None}
     if overrides:
         config = config.replace(**overrides)
     return config
@@ -74,32 +68,6 @@ def _expand_inputs(inputs: list[str]) -> list[str]:
         if not os.path.isfile(path):
             raise InputDataError(f"input not found: {path}")
     return list(inputs)
-
-
-def _parse_scene_config(path) -> dict:
-    values: dict = {}
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read scene config {path}: {exc}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key=value")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _SCENE_KEYS:
-            raise ConfigError(f"line {lineno}: unknown scene key {key!r}")
-        typ = _SCENE_KEYS[key]
-        try:
-            values[key] = parse_bool(raw) if typ is bool else typ(raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: bad value {raw!r} for {key}") from None
-    return values
 
 
 def _cmd_match(args) -> int:
@@ -146,7 +114,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    values = _parse_scene_config(args.scene_config)
+    values = read_key_values(args.scene_config, _SCENE_CONVERTERS)
     if args.seed is not None:
         values["seed"] = args.seed
     values.setdefault("seed", 0)

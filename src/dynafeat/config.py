@@ -1,8 +1,9 @@
-"""Pipeline configuration and its flat key=value file format.
+"""Pipeline configuration and the flat key=value file format.
 
 The file serialization is canonical (fixed key order, shortest float
 repr), so serialize -> parse -> serialize is a fixed point and config
-files diff cleanly. Command-line flags override file values.
+files diff cleanly. Command-line flags override file values. The same
+key=value reader parses pipeline and synthetic-scene config files.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .grouping import GroupingConfig
 
 _INPUT_MODES = ("features", "images")
 
@@ -26,9 +26,49 @@ def parse_bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
+# field type name -> converter of a raw value; ValueError marks a bad value
+_CONVERTERS = {"bool": parse_bool, "int": int, "float": float, "str": str}
+
+
+def parse_key_values(text: str, converters: dict) -> dict:
+    """Parse ``key=value`` lines, skipping blanks and ``#`` comments.
+
+    ``converters`` maps each known key to the callable that converts its
+    raw value. Unknown keys, lines without ``=`` and values the converter
+    rejects raise ConfigError with the line number.
+    """
+    values: dict = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if key not in converters:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = converters[key](raw)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: bad value {raw!r} for {key}") from None
+    return values
+
+
+def read_key_values(path, converters: dict) -> dict:
+    """parse_key_values over a file; an unreadable file is a ConfigError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    return parse_key_values(text, converters)
+
+
 @dataclass
 class PipelineConfig:
-    window: float = 30.0
+    window: float = 30.0           # side of the grouping neighbor square, px
     min_group: int = 5
     max_group: int = 35
     max_bbox_side: float = 90.0
@@ -45,10 +85,13 @@ class PipelineConfig:
         self.validate()
 
     def validate(self) -> None:
-        try:
-            self.grouping_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        # chained comparisons are false for nan, so nan fails each check
+        if not 0 < self.window < math.inf:
+            raise ConfigError("window must be positive and finite")
+        if not 0 < self.min_group <= self.max_group:
+            raise ConfigError("need 0 < min_group <= max_group")
+        if not self.window <= self.max_bbox_side < math.inf:
+            raise ConfigError("max_bbox_side must be finite and at least one window")
         if not 0 < self.k < math.inf:
             raise ConfigError("k must be positive and finite")
         if not 0 < self.search_margin < math.inf:
@@ -61,11 +104,6 @@ class PipelineConfig:
             raise ConfigError(f"input_mode must be one of {_INPUT_MODES}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-
-    def grouping_config(self) -> GroupingConfig:
-        return GroupingConfig(window=self.window, min_group=self.min_group,
-                              max_group=self.max_group, max_bbox_side=self.max_bbox_side,
-                              rng_seed=self.seed)
 
     def to_text(self) -> str:
         lines = []
@@ -85,42 +123,12 @@ class PipelineConfig:
             fh.write(self.to_text())
 
     @classmethod
-    def from_text(cls, text: str) -> "PipelineConfig":
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        values: dict = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in fields:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            ftype = fields[key].type
-            try:
-                if ftype == "bool":
-                    values[key] = parse_bool(raw)
-                elif ftype == "int":
-                    values[key] = int(raw)
-                elif ftype == "float":
-                    values[key] = float(raw)
-                else:
-                    values[key] = raw
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad value {raw!r} for {key}") from None
-        return cls(**values)
-
-    @classmethod
     def load(cls, path) -> "PipelineConfig":
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        return cls.from_text(text)
+        return cls(**read_key_values(path, CONFIG_CONVERTERS))
 
     def replace(self, **overrides) -> "PipelineConfig":
         return dataclasses.replace(self, **overrides)
+
+
+# key -> converter of every PipelineConfig field (annotations are type names)
+CONFIG_CONVERTERS = {f.name: _CONVERTERS[f.type] for f in dataclasses.fields(PipelineConfig)}

@@ -13,6 +13,7 @@ built on either path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,8 @@ class FrameFeatures:
     descriptor_seed: int = DEFAULT_DESCRIPTOR_SEED
 
     def __post_init__(self):
+        if self.frame_index < 0:
+            raise ValueError("frame_index must be non-negative")
         self.positions = np.ascontiguousarray(self.positions, np.float64).reshape(-1, 2)
         self.responses = np.ascontiguousarray(self.responses, np.float64).reshape(-1)
         self.descriptors = np.ascontiguousarray(self.descriptors, np.uint8)
@@ -104,21 +107,6 @@ class FrameFeatures:
 
     def __len__(self) -> int:
         return self.count
-
-    def validate(self, max_features: int | None = DEFAULT_MAX_FEATURES) -> None:
-        if self.frame_index < 0:
-            raise ValueError("frame_index must be non-negative")
-        if max_features is not None and self.count > max_features:
-            raise ValueError(f"{self.count} features exceed the cap of {max_features}")
-        if self.count == 0:
-            return
-        x = self.positions[:, 0]
-        y = self.positions[:, 1]
-        if (x < PATCH_MARGIN).any() or (x > self.width - 1 - PATCH_MARGIN).any() \
-                or (y < PATCH_MARGIN).any() or (y > self.height - 1 - PATCH_MARGIN).any():
-            raise ValueError("feature positions violate the descriptor patch margin")
-        if (self.responses < 0).any():
-            raise ValueError("responses must be non-negative")
 
 
 def _desc_bytes(desc_bits: int) -> int:
@@ -244,7 +232,7 @@ def save_features(frame: FrameFeatures, path) -> None:
 
 def load_features(path, frame_index: int = 0,
                   max_features: int | None = DEFAULT_MAX_FEATURES) -> FrameFeatures:
-    """Parse a feature file, enforcing the frame invariants."""
+    """Parse a feature file, checking every feature line as it is read."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     lines = text.splitlines()
@@ -286,8 +274,8 @@ def load_features(path, frame_index: int = 0,
             descs.append(bytes.fromhex(hexdesc))
         except ValueError:
             raise FeatureFileError("descriptor is not valid hex", line=lineno) from None
-        if response < 0:
-            raise FeatureFileError("negative response", line=lineno)
+        if not 0 <= response < math.inf:
+            raise FeatureFileError("response must be finite and non-negative", line=lineno)
         if not (PATCH_MARGIN <= x <= width - 1 - PATCH_MARGIN
                 and PATCH_MARGIN <= y <= height - 1 - PATCH_MARGIN):
             raise FeatureFileError("position violates the descriptor patch margin",
@@ -297,7 +285,5 @@ def load_features(path, frame_index: int = 0,
         raise FeatureFileError(f"{len(rows)} features exceed the cap of {max_features}")
     cols = np.array(rows, np.float64).reshape(-1, 3)
     desc = np.frombuffer(bytearray().join(descs), np.uint8).reshape(-1, raw)
-    frame = FrameFeatures(frame_index, width, height, cols[:, :2], cols[:, 2], desc,
-                          desc_bits=desc_bits, descriptor_seed=seed)
-    frame.validate(max_features)
-    return frame
+    return FrameFeatures(frame_index, width, height, cols[:, :2], cols[:, 2], desc,
+                         desc_bits=desc_bits, descriptor_seed=seed)

@@ -18,36 +18,13 @@ unassigned, while reaching the member ceiling closes the group outright.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .frontend import FrameFeatures
-
-DEFAULT_WINDOW = 30.0
-DEFAULT_MIN_GROUP = 5
-DEFAULT_MAX_GROUP = 35
-DEFAULT_MAX_BBOX_SIDE = 90.0
-
-
-@dataclass
-class GroupingConfig:
-    window: float = DEFAULT_WINDOW          # side of the neighbor square, px
-    min_group: int = DEFAULT_MIN_GROUP
-    max_group: int = DEFAULT_MAX_GROUP
-    max_bbox_side: float = DEFAULT_MAX_BBOX_SIDE
-    rng_seed: int = 42
-
-    def __post_init__(self):
-        # chained comparisons are false for nan, so nan fails each check
-        if not 0 < self.window < math.inf:
-            raise ValueError("window must be positive and finite")
-        if not 0 < self.min_group <= self.max_group:
-            raise ValueError("need 0 < min_group <= max_group")
-        if not self.window <= self.max_bbox_side < math.inf:
-            raise ValueError("max_bbox_side must be finite and at least one window")
 
 
 @dataclass
@@ -75,10 +52,11 @@ class GroupingResult:
         return gid if gid >= 0 else None
 
 
-def group_features(frame: FrameFeatures, config: GroupingConfig) -> GroupingResult:
+def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResult:
     """Partition the frame's features into local groups (see module docs).
 
-    Deterministic for a fixed (frame, config): the seed order is one
+    Reads the config's window, min_group, max_group, max_bbox_side and
+    seed. Deterministic for a fixed (frame, config): the seed order is one
     shuffle of all feature ids from the seeded generator, consumed in
     order and skipping ids that were absorbed meanwhile.
     """
@@ -95,7 +73,7 @@ def group_features(frame: FrameFeatures, config: GroupingConfig) -> GroupingResu
     for i in range(n):
         grid.setdefault((int(cell_x[i]), int(cell_y[i])), []).append(i)
 
-    order = np.random.default_rng(config.rng_seed).permutation(n)
+    order = np.random.default_rng(config.seed).permutation(n)
     assigned = np.zeros(n, bool)
     labels = np.full(n, -1, np.int64)
     groups: list[FeatureGroup] = []

@@ -29,7 +29,7 @@ import numpy as np
 from . import matching, tracking
 from .config import PipelineConfig
 from .errors import InputDataError, UndefinedMetricError
-from .frontend import FrameFeatures, extract_frame, load_features
+from .frontend import FrameFeatures, _fmt, extract_frame, load_features
 from .geometry import (estimate_essential_ransac, pose_error, pose_success_ratio,
                        reprojection_repeatability, rotation_angle_deg)
 from .grouping import group_features
@@ -41,8 +41,12 @@ DEFAULT_POSE_THRESHOLDS = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 20.0,
 STAGES = ("detection", "grouping", "matching", "filtering")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _stage_summary_lines(fps: float, median_ms: dict[str, float],
+                         percentages: dict[str, float]) -> list[str]:
+    """The fps, median and percentage lines shared by stats.txt and bench.txt."""
+    return ([f"fps={fps:.3f}"]
+            + [f"median_{name}_ms={median_ms[name]:.4f}" for name in STAGES]
+            + [f"pct_{name}={percentages[name]:.2f}" for name in STAGES])
 
 
 @dataclass
@@ -101,15 +105,9 @@ class RunStats:
         return {name: 100.0 * v / total for name, v in med.items()}
 
     def to_text(self) -> str:
-        med = self.median_stage_ms()
-        pct = self.stage_percentages()
-        lines = ["format=dynafeat-stats-v1",
-                 f"frames={self.frame_count}",
-                 f"fps={self.fps:.3f}"]
-        for name in STAGES:
-            lines.append(f"median_{name}_ms={med[name]:.4f}")
-        for name in STAGES:
-            lines.append(f"pct_{name}={pct[name]:.2f}")
+        lines = ["format=dynafeat-stats-v1", f"frames={self.frame_count}"]
+        lines += _stage_summary_lines(self.fps, self.median_stage_ms(),
+                                      self.stage_percentages())
         lines.append("table=frame features groups candidates accepted inliers "
                      "detect_ms group_ms match_ms filter_ms total_ms")
         for i in range(self.frame_count):
@@ -134,9 +132,9 @@ class PairMatches:
 class SequenceResult:
     pairs: list[PairMatches]
     stats: RunStats
-    # per processed frame: (frame index, groups, displacement (G, 2), age (G,))
+    # per processed frame: (groups, displacement (G, 2), age (G,))
     tracks: list[tuple]
-    frame_indices: list[int]
+    frame_indices: list[int]       # frame index of each tracks entry
 
     @property
     def total_inliers(self) -> int:
@@ -170,7 +168,6 @@ def run_sequence(config: PipelineConfig, sources,
     elif len(frames) < 2:
         raise InputDataError("at least 2 frames are required")
 
-    gcfg = config.grouping_config()
     stats = RunStats()
     result_pairs: list[PairMatches] = []
     tracks: list[tuple] = []
@@ -202,7 +199,7 @@ def run_sequence(config: PipelineConfig, sources,
                                          state.age, skip_margin)
             continue
 
-        grouping = group_features(feats, gcfg)
+        grouping = group_features(feats, config)
         groups = grouping.groups
         t2 = time.perf_counter()
 
@@ -225,14 +222,14 @@ def run_sequence(config: PipelineConfig, sources,
             t4 = time.perf_counter()
         skip_margin = margin
 
-        tracks.append((feats.frame_index, state.groups, state.displacement, state.age))
+        tracks.append((state.groups, state.displacement, state.age))
+        frame_indices.append(feats.frame_index)
 
         stats.record((t1 - t0) * 1000.0, (time.perf_counter() - t0) * 1000.0,
                      grouping_ms=(t2 - t1) * 1000.0, matching_ms=(t3 - t2) * 1000.0,
                      filtering_ms=(t4 - t3) * 1000.0, features=feats.count,
                      groups=len(groups), candidate_pairs=len(candidates),
                      accepted_pairs=len(accepted), inliers=inlier_count)
-        frame_indices.append(feats.frame_index)
 
     return SequenceResult(result_pairs, stats, tracks, frame_indices)
 
@@ -265,7 +262,7 @@ def write_match_files(result: SequenceResult, out_dir) -> list[str]:
 
 def write_track_dump(result: SequenceResult, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for frame, groups, displacement, age in result.tracks:
+        for frame, (groups, displacement, age) in zip(result.frame_indices, result.tracks):
             for slot, (g, (dx, dy), a) in enumerate(zip(groups, displacement.tolist(),
                                                         age.tolist())):
                 cx, cy = g.centroid.tolist()
@@ -408,12 +405,9 @@ class BenchReport:
     last_stats: RunStats
 
     def to_text(self) -> str:
-        lines = ["format=dynafeat-bench-v1", f"repetitions={self.repetitions}",
-                 f"fps={self.fps:.3f}"]
-        for name in STAGES:
-            lines.append(f"median_{name}_ms={self.median_stage_ms[name]:.4f}")
-        for name in STAGES:
-            lines.append(f"pct_{name}={self.stage_percentages[name]:.2f}")
+        lines = ["format=dynafeat-bench-v1", f"repetitions={self.repetitions}"]
+        lines += _stage_summary_lines(self.fps, self.median_stage_ms,
+                                      self.stage_percentages)
         return "\n".join(lines) + "\n"
 
 

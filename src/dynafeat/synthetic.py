@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SceneValidationError
-from .frontend import (DEFAULT_DESC_BITS, PATCH_MARGIN, FrameFeatures, _desc_bytes)
+from .errors import InputDataError, SceneValidationError
+from .frontend import DEFAULT_DESC_BITS, PATCH_MARGIN, FrameFeatures, _desc_bytes, _fmt
 from .geometry import CameraIntrinsics
 
 _BORDER_BUFFER = 2.0  # keeps jittered positions inside the patch margin
@@ -296,40 +296,40 @@ def save_sequence(seq: GeneratedSequence, out_dir) -> None:
                 fh.write(f"{a} {b} {ia} {ib}\n")
     with open(os.path.join(gt_dir, "poses.txt"), "w") as fh:
         for f in range(seq.scene.frame_count):
-            vals = [str(f)] + [repr(float(v)) for v in seq.rotations[f].ravel()] \
-                + [repr(float(v)) for v in seq.translations[f]]
+            vals = [str(f)] + [_fmt(v) for v in seq.rotations[f].ravel()] \
+                + [_fmt(v) for v in seq.translations[f]]
             fh.write(" ".join(vals) + "\n")
 
 
-def load_gt_pairs(gt_dir, a: int, b: int) -> np.ndarray:
-    path = os.path.join(gt_dir, f"pairs_{a:06d}_{b:06d}.txt")
+def _read_gt_rows(path, fields: int, convert) -> list[list]:
+    """Non-blank lines of a ground-truth file, each split into ``fields``
+    values converted by ``convert``; InputDataError names file and line."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) != 4:
-                raise ValueError(f"{path}: expected 4 fields per line")
-            rows.append((int(parts[2]), int(parts[3])))
-    return np.array(rows, np.int64).reshape(-1, 2)
+            if len(parts) != fields:
+                raise InputDataError(f"{path}: line {lineno}: expected {fields} fields, "
+                                     f"got {len(parts)}")
+            try:
+                rows.append([convert(v) for v in parts])
+            except ValueError:
+                raise InputDataError(f"{path}: line {lineno}: malformed numeric field") \
+                    from None
+    return rows
+
+
+def load_gt_pairs(gt_dir, a: int, b: int) -> np.ndarray:
+    rows = _read_gt_rows(os.path.join(gt_dir, f"pairs_{a:06d}_{b:06d}.txt"), 4, int)
+    return np.array(rows, np.int64).reshape(-1, 4)[:, 2:]
 
 
 def load_gt_poses(gt_dir) -> tuple[np.ndarray, np.ndarray]:
-    path = os.path.join(gt_dir, "poses.txt")
-    rotations = []
-    translations = []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 13:
-                raise ValueError(f"{path}: expected 13 fields per line")
-            vals = [float(v) for v in parts[1:]]
-            rotations.append(np.array(vals[:9]).reshape(3, 3))
-            translations.append(np.array(vals[9:]))
-    return np.array(rotations), np.array(translations)
+    rows = np.array(_read_gt_rows(os.path.join(gt_dir, "poses.txt"), 13, float),
+                    np.float64).reshape(-1, 13)
+    return rows[:, 1:10].reshape(-1, 3, 3), rows[:, 10:]
 
 
 def relative_pose(rot_a: np.ndarray, t_a: np.ndarray,

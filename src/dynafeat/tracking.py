@@ -27,13 +27,16 @@ BOOTSTRAP_MARGIN_SCALE = 2.0
 
 @dataclass(eq=False)
 class TrackState:
-    frame_index: int
     features: FrameFeatures
     groups: list[FeatureGroup]
     displacement: np.ndarray   # (G, 2) px per frame, zero for a newborn group
     age: np.ndarray            # (G,) frames tracked continuously, 0 for a newborn group
     region_lo: np.ndarray      # (G, 2) search region corners
     region_hi: np.ndarray      # (G, 2)
+
+    @property
+    def frame_index(self) -> int:
+        return self.features.frame_index
 
     @property
     def proxies(self) -> np.ndarray:
@@ -53,9 +56,8 @@ def predict(features: FrameFeatures, groups: list[FeatureGroup], displacement: n
         raise ValueError("margin must be positive")
     center = _rows(groups, "centroid") + displacement
     half = (_rows(groups, "bbox_max") - _rows(groups, "bbox_min")) / 2.0 + margin
-    return TrackState(frame_index=features.frame_index, features=features,
-                      groups=list(groups), displacement=displacement, age=age,
-                      region_lo=center - half, region_hi=center + half)
+    return TrackState(features=features, groups=list(groups), displacement=displacement,
+                      age=age, region_lo=center - half, region_hi=center + half)
 
 
 def bootstrap(features: FrameFeatures, groups: list[FeatureGroup],

@@ -15,7 +15,7 @@ from dynafeat import _kernels
 from dynafeat.cli import main
 from dynafeat.config import PipelineConfig
 from dynafeat.frontend import FrameFeatures
-from dynafeat.grouping import GroupingConfig, group_features
+from dynafeat.grouping import group_features
 from dynafeat.matching import mutual_nn_match
 from dynafeat.pipeline import bench, run_sequence
 from dynafeat.geometry import (direction_angle_deg, estimate_essential_ransac,
@@ -99,7 +99,7 @@ def test_criterion_03_clustering_oracle_equivalence():
         pos = np.column_stack([rng.uniform(0, 639, n), rng.uniform(0, 479, n)])
         frame = FrameFeatures(0, 640, 480, pos, np.zeros(n),
                               np.zeros((n, 32), np.uint8))
-        cfg = GroupingConfig(rng_seed=seed)
+        cfg = PipelineConfig(seed=seed)
         result = group_features(frame, cfg)
         ours = [g.members.tolist() for g in result.groups]
         ref = region_grow_reference(pos, cfg.window, cfg.min_group,
@@ -245,8 +245,7 @@ def test_criterion_08_temporal_recall():
                                    border_margin=20.0 + drift + 10.0)
         seq = generate_sequence(scene, seed=seed + 600)
         cfg = PipelineConfig()
-        gcfg = cfg.grouping_config()
-        groupings = [group_features(f, gcfg) for f in seq.frames]
+        groupings = [group_features(f, cfg) for f in seq.frames]
         state = bootstrap(seq.frames[0], groupings[0].groups, margin)
         for f in range(1, len(seq.frames)):
             curr_groups = groupings[f].groups

@@ -1,12 +1,14 @@
 """End-to-end CLI verbs, file formats, exit codes and determinism."""
 
+import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from dynafeat.cli import main
-from dynafeat.config import PipelineConfig
+from dynafeat.config import CONFIG_CONVERTERS, PipelineConfig, parse_key_values
 from dynafeat.errors import ConfigError
 from dynafeat.frontend import FrameFeatures, save_features
 from dynafeat.matching import InlierColumns
@@ -39,30 +41,34 @@ def _write_config(tmp_path, **overrides):
 # config format
 # ---------------------------------------------------------------------------
 
+def _config_from_text(text):
+    return PipelineConfig(**parse_key_values(text, CONFIG_CONVERTERS))
+
+
 def test_config_roundtrip_is_fixed_point(tmp_path):
     cfg = PipelineConfig(window=25.0, k=2.5, timing=False, seed=7)
     text = cfg.to_text()
-    again = PipelineConfig.from_text(text)
+    again = _config_from_text(text)
     assert again == cfg
     assert again.to_text() == text
 
 
 def test_config_rejects_unknown_key():
     with pytest.raises(ConfigError):
-        PipelineConfig.from_text("wibble=3\n")
+        _config_from_text("wibble=3\n")
 
 
 def test_config_rejects_bad_value():
     with pytest.raises(ConfigError):
-        PipelineConfig.from_text("window=fast\n")
+        _config_from_text("window=fast\n")
     with pytest.raises(ConfigError):
-        PipelineConfig.from_text("min_group=10\nmax_group=5\n")
+        _config_from_text("min_group=10\nmax_group=5\n")
     with pytest.raises(ConfigError):
-        PipelineConfig.from_text("input_mode=video\n")
+        _config_from_text("input_mode=video\n")
 
 
 def test_config_comments_and_blanks_ignored():
-    cfg = PipelineConfig.from_text("# comment\n\nwindow=40.0\n")
+    cfg = _config_from_text("# comment\n\nwindow=40.0\n")
     assert cfg.window == 40.0
 
 
@@ -157,7 +163,7 @@ def test_non_finite_config_value_exits_3(tmp_path, synth_dir, flag, value):
     cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
     assert main(["match", str(cfg_path), str(synth_dir), flag, value]) == 3
     with pytest.raises(ConfigError):
-        PipelineConfig.from_text(f"{flag[2:].replace('-', '_')}={value}\n")
+        _config_from_text(f"{flag[2:].replace('-', '_')}={value}\n")
 
 
 def test_negative_seed_exits_3(tmp_path, synth_dir):
@@ -165,7 +171,7 @@ def test_negative_seed_exits_3(tmp_path, synth_dir):
     frames = [str(synth_dir / frame_filename(i)) for i in range(3)]
     assert main(["match", str(cfg_path)] + frames + ["--seed", "-1"]) == 3
     with pytest.raises(ConfigError):
-        PipelineConfig.from_text("seed=-1\n")
+        _config_from_text("seed=-1\n")
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -204,6 +210,19 @@ def test_mismatched_descriptor_widths_exit_2(tmp_path, capsys, bits):
     err = capsys.readouterr().err
     assert f"frame 1 has {bits[1]}-bit descriptors" in err
     assert not (out / "matches_000000_000001.txt").exists()
+
+
+@pytest.mark.parametrize("response", ["nan", "inf"])
+def test_non_finite_response_exits_2(tmp_path, synth_dir, capsys, response):
+    bad = tmp_path / "bad.feat"
+    lines = (synth_dir / frame_filename(1)).read_text().splitlines()
+    fields = lines[2].split()
+    fields[3] = response
+    lines[2] = " ".join(fields)
+    bad.write_text("\n".join(lines) + "\n")
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "o"))
+    assert main(["match", str(cfg_path), str(synth_dir / frame_filename(0)), str(bad)]) == 2
+    assert "line 3: response must be finite" in capsys.readouterr().err
 
 
 def test_removed_metric_key_exits_3(tmp_path, synth_dir):
@@ -444,6 +463,22 @@ def test_eval_misaligned_gt_exits_2(tmp_path, synth_dir):
     assert main(["eval", str(cfg_path), str(synth_dir), "--gt", str(gt)]) == 2
 
 
+@pytest.mark.parametrize("name,line,edit,message", [
+    ("poses.txt", 1, lambda fields: fields[:-1], "poses.txt: line 2: expected 13 fields, got 12"),
+    ("pairs_000001_000002.txt", 0, lambda fields: fields[:-1] + ["4x"],
+     "pairs_000001_000002.txt: line 1: malformed numeric field")],
+    ids=["poses-field-count", "pairs-non-integer-id"])
+def test_eval_malformed_gt_exits_2(tmp_path, synth_dir, capsys, name, line, edit, message):
+    gt = tmp_path / "gt"
+    shutil.copytree(synth_dir / "gt", gt)
+    lines = (gt / name).read_text().splitlines()
+    lines[line] = " ".join(edit(lines[line].split()))
+    (gt / name).write_text("\n".join(lines) + "\n")
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "o"))
+    assert main(["eval", str(cfg_path), str(synth_dir), "--gt", str(gt)]) == 2
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bench verb
 # ---------------------------------------------------------------------------
@@ -483,6 +518,7 @@ def test_perfbench_tracer_counts_every_layer(tmp_path, synth_dir, monkeypatch):
     finally:
         tracer.uninstall()
     tracer.count()
+    json.dumps(tracer.spans)  # the spans file is written this way; numpy scalars fail
     counted = {name for _, _, name, counter in layers.LAYERS if counter is not None}
     assert len(counted) == 9
     assert {s["name"] for s in tracer.spans if "counts" in s} == counted
@@ -598,7 +634,7 @@ def test_identity_sequence_accepted_pairs_score_fully():
                            translations=np.zeros((2, 3)), intrinsics=K)
     seq = generate_sequence(scene, seed=0)
     cfg = PipelineConfig()
-    groups = [group_features(f, cfg.grouping_config()).groups for f in seq.frames]
+    groups = [group_features(f, cfg).groups for f in seq.frames]
     state = bootstrap(seq.frames[0], groups[0], cfg.search_margin)
     candidates = intersect_candidates(groups[1], state)
     accepted = score_candidate_pairs(state.groups, state.features, groups[1],

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dynafeat.frontend import FrameFeatures
-from dynafeat.grouping import GroupingConfig, group_features
+from dynafeat.config import PipelineConfig
+from dynafeat.grouping import group_features
 
 from oracles import region_grow_reference
 
@@ -31,7 +32,7 @@ def _random_frame(seed, max_count=500, width=640, height=480):
 def test_two_clusters_seed_invariant():
     frame = _frame([(0.0, 0.0), (10.0, 10.0), (100.0, 100.0)], 640, 480)
     for seed in range(10):
-        cfg = GroupingConfig(window=30, min_group=1, max_group=35, rng_seed=seed)
+        cfg = PipelineConfig(window=30, min_group=1, max_group=35, seed=seed)
         result = group_features(frame, cfg)
         parts = sorted(sorted(g.members.tolist()) for g in result.groups)
         assert parts == [[0, 1], [2]]
@@ -39,14 +40,14 @@ def test_two_clusters_seed_invariant():
 
 def test_below_min_group_discarded():
     frame = _frame([(50.0, 50.0), (51.0, 50.0), (52.0, 53.0), (54.0, 54.0)])
-    result = group_features(frame, GroupingConfig())
+    result = group_features(frame, PipelineConfig())
     assert result.groups == []
     assert result.labels.tolist() == [-1] * 4
     assert all(result.group_id_of(i) is None for i in range(4))
 
 
 def test_empty_frame_gives_empty_output():
-    result = group_features(_frame(np.zeros((0, 2))), GroupingConfig())
+    result = group_features(_frame(np.zeros((0, 2))), PipelineConfig())
     assert result.groups == []
 
 
@@ -54,15 +55,15 @@ def test_empty_frame_gives_empty_output():
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_sizes_rejected(field, value):
     with pytest.raises(ValueError, match="finite"):
-        GroupingConfig(**{field: value})
+        PipelineConfig(**{field: value})
 
 
 def test_partition_matches_replay_oracle_200_random():
     frame = _random_frame(123, max_count=200)
-    cfg = GroupingConfig()
+    cfg = PipelineConfig()
     result = group_features(frame, cfg)
     ref = region_grow_reference(frame.positions, cfg.window, cfg.min_group,
-                                cfg.max_group, cfg.max_bbox_side, cfg.rng_seed)
+                                cfg.max_group, cfg.max_bbox_side, cfg.seed)
     ours = [g.members.tolist() for g in result.groups]
     assert ours == ref
 
@@ -70,10 +71,10 @@ def test_partition_matches_replay_oracle_200_random():
 @pytest.mark.parametrize("seed", range(25))
 def test_fuzz_caps_connectivity_and_oracle(seed):
     frame = _random_frame(seed)
-    cfg = GroupingConfig(rng_seed=seed * 7 + 1)
+    cfg = PipelineConfig(seed=seed * 7 + 1)
     result = group_features(frame, cfg)
     ref = region_grow_reference(frame.positions, cfg.window, cfg.min_group,
-                                cfg.max_group, cfg.max_bbox_side, cfg.rng_seed)
+                                cfg.max_group, cfg.max_bbox_side, cfg.seed)
     assert [g.members.tolist() for g in result.groups] == ref
 
     seen = set()
@@ -102,7 +103,7 @@ def test_fuzz_caps_connectivity_and_oracle(seed):
 
 def test_grouping_deterministic():
     frame = _random_frame(55)
-    cfg = GroupingConfig(rng_seed=9)
+    cfg = PipelineConfig(seed=9)
     a = group_features(frame, cfg)
     b = group_features(frame, cfg)
     assert [g.members.tolist() for g in a.groups] == [g.members.tolist() for g in b.groups]
@@ -113,7 +114,7 @@ def test_group_of_retained_and_discarded():
     cluster = [(100.0 + dx, 100.0 + dy) for dx in range(3) for dy in range(2)]
     stragglers = [(400.0, 400.0), (401.0, 401.0)]
     frame = _frame(cluster + stragglers)
-    result = group_features(frame, GroupingConfig())
+    result = group_features(frame, PipelineConfig())
     assert len(result.groups) == 1
     g = result.groups[0]
     assert (result.labels[g.members] == 0).all()
@@ -125,7 +126,7 @@ def test_group_of_retained_and_discarded():
 
 def test_out_of_range_ids_rejected():
     result = group_features(_frame([(50.0, 50.0), (51.0, 50.0), (52.0, 53.0)]),
-                            GroupingConfig(min_group=1))
+                            PipelineConfig(min_group=1))
     assert result.group_id_of(2) is not None
     for bad in (3, 999, -1):
         with pytest.raises(ValueError):
@@ -135,7 +136,7 @@ def test_out_of_range_ids_rejected():
 def test_set_size_matches_membership():
     seen = 0
     for seed in range(77, 87):
-        result = group_features(_random_frame(seed, max_count=300), GroupingConfig())
+        result = group_features(_random_frame(seed, max_count=300), PipelineConfig())
         for slot, g in enumerate(result.groups):
             assert (result.labels[g.members] == slot).all()
         # each group id (list slot) labels exactly its members; everything else is -1

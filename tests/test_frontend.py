@@ -173,6 +173,11 @@ def test_empty_feature_file_roundtrip(tmp_path):
     assert loaded.width == 64 and loaded.height == 64
 
 
+def test_negative_frame_index_rejected():
+    with pytest.raises(ValueError, match="frame_index"):
+        FrameFeatures(-1, 64, 64, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 32), np.uint8))
+
+
 def test_feature_file_roundtrip_identity(tmp_path):
     img = _noise_image(30, 96, 128)
     frame = extract_frame(img, 3)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from dynafeat.config import PipelineConfig
 from dynafeat.frontend import FrameFeatures
-from dynafeat.grouping import GroupingConfig, group_features
+from dynafeat.grouping import group_features
 from dynafeat.matching import dedup_inlier_columns, mutual_nn_match, score_candidate_pairs
 from dynafeat.stats import support_threshold
 
@@ -42,7 +43,7 @@ def _paired_groups(n_prev: int, n_curr: int, n_supports: int, seed: int = 0):
     curr_desc = shared + [filler_curr] * (n_curr - n_supports)
     prev = _frame_from_descriptors(prev_desc, frame_index=0)
     curr = _frame_from_descriptors(curr_desc, frame_index=1)
-    cfg = GroupingConfig(window=2000.0, min_group=1, max_group=100, max_bbox_side=2000.0)
+    cfg = PipelineConfig(window=2000.0, min_group=1, max_group=100, max_bbox_side=2000.0)
     gp = group_features(prev, cfg).groups[0]
     gc = group_features(curr, cfg).groups[0]
     return gp, prev, gc, curr
@@ -230,7 +231,7 @@ def test_dedup_keeps_highest_scoring_pair():
     prev = _frame_from_descriptors(base + base[:6], spacing=10.0)
     prev.positions[10:, 0] += 400.0
     curr = _frame_from_descriptors(base, spacing=10.0, frame_index=1)
-    cfg = GroupingConfig(window=200.0, min_group=1, max_group=100, max_bbox_side=500.0)
+    cfg = PipelineConfig(window=200.0, min_group=1, max_group=100, max_bbox_side=500.0)
     prev_groups = group_features(prev, cfg).groups
     curr_groups = group_features(curr, cfg).groups
     assert len(prev_groups) == 2 and len(curr_groups) == 1

@@ -257,7 +257,8 @@ def test_candidate_count_stays_small_on_uniform_scenes():
     # efficiency smoke check with the default margin; uniformly scattered
     # features give sparse groups, so each current group should intersect
     # few regions (observed mean 0.89 over these seeds, bound 6)
-    from dynafeat.grouping import GroupingConfig, group_features
+    from dynafeat.config import PipelineConfig
+    from dynafeat.grouping import group_features
 
     ratios = []
     for seed in range(20):
@@ -268,7 +269,7 @@ def test_candidate_count_stays_small_on_uniform_scenes():
             pos = np.column_stack([rng.uniform(20, 619, n), rng.uniform(20, 459, n)])
             frames.append(FrameFeatures(f, 640, 480, pos, np.zeros(n),
                                         rng.integers(0, 256, (n, 32), dtype=np.uint8)))
-        cfg = GroupingConfig(rng_seed=seed)
+        cfg = PipelineConfig(seed=seed)
         groups = [group_features(fr, cfg).groups for fr in frames]
         if not groups[0] or not groups[1]:
             continue
