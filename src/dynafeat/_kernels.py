@@ -128,7 +128,7 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
     its second whose Hamming distance is the unique minimum of both i's row
     and j's column; a tied minimum disqualifies the row or column.
     ``desc_*`` are the full frame descriptor tables (uint8, equal widths;
-    rows are zero-padded to whole 64-bit words); groups are given as
+    rows are padded to whole 64-bit words here); groups are given as
     flattened member-id arrays with offset/count tables, and each pair
     indexes a group slot per side.
     Returns (scores, out_off, ia, ib, dist): supports of pair p occupy

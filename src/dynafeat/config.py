@@ -12,7 +12,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, decode_error_line
+from .stats import support_threshold
 
 _INPUT_MODES = ("features", "images")
 
@@ -57,12 +58,15 @@ def parse_key_values(text: str, converters: dict) -> dict:
 
 
 def read_key_values(path, converters: dict) -> dict:
-    """parse_key_values over a file; an unreadable file is a ConfigError."""
+    """parse_key_values over a file; an unreadable or non-ASCII file is a ConfigError."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path}: line {decode_error_line(exc)}: "
+                          "non-ASCII byte") from None
     return parse_key_values(text, converters)
 
 
@@ -94,6 +98,9 @@ class PipelineConfig:
             raise ConfigError("max_bbox_side must be finite and at least one window")
         if not 0 < self.k < math.inf:
             raise ConfigError("k must be positive and finite")
+        # a score is at most n_eff <= max_group, and score > tau accepts
+        if support_threshold(self.max_group, self.k) >= self.max_group:
+            raise ConfigError("k * sqrt(max_group) >= max_group: no pair can be accepted")
         if not 0 < self.search_margin < math.inf:
             raise ConfigError("search_margin must be positive and finite")
         if self.max_features < 1:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, plus the line number of a decode error."""
 
 
 class FeatureFileError(ValueError):
@@ -9,6 +9,11 @@ class FeatureFileError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def decode_error_line(exc: UnicodeDecodeError) -> int:
+    """1-based line of the byte a decode error stopped at."""
+    return exc.object.count(b"\n", 0, exc.start) + 1
 
 
 class InputDataError(ValueError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import FeatureFileError
+from .errors import FeatureFileError, decode_error_line
 
 PATCH_MARGIN = 16
 DEFAULT_DESC_BITS = 256
@@ -53,10 +53,7 @@ class GrayImage:
                 f"image must be at least {PATCH_MARGIN}x{PATCH_MARGIN}, "
                 f"got {self.width}x{self.height}")
         if self.pixels.shape != (self.height, self.width):
-            if self.pixels.size == self.width * self.height:
-                self.pixels = self.pixels.reshape(self.height, self.width)
-            else:
-                raise ValueError("pixel count does not match width*height")
+            raise ValueError("pixels must be a (height, width) array")
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "GrayImage":
@@ -70,9 +67,9 @@ class GrayImage:
 class FrameFeatures:
     """All features of one frame, stored as column arrays.
 
-    ``descriptors`` rows are zero-padded to a multiple of 8 bytes so the
-    matching kernels can view them as 64-bit words; ``desc_bits`` is the
-    true descriptor length. Feature ids are the row indices 0..count-1.
+    ``descriptors`` rows hold ``ceil(desc_bits / 8)`` bytes, unpadded; the
+    matching kernel pads them to whole 64-bit words itself. Feature ids
+    are the row indices 0..count-1.
     """
 
     frame_index: int
@@ -80,7 +77,7 @@ class FrameFeatures:
     height: int
     positions: np.ndarray          # (n, 2) float64, columns (x, y)
     responses: np.ndarray          # (n,) float64
-    descriptors: np.ndarray        # (n, padded_bytes) uint8
+    descriptors: np.ndarray        # (n, ceil(desc_bits / 8)) uint8
     desc_bits: int = DEFAULT_DESC_BITS
     descriptor_seed: int = DEFAULT_DESCRIPTOR_SEED
 
@@ -93,12 +90,7 @@ class FrameFeatures:
         n = self.positions.shape[0]
         if self.responses.shape[0] != n or self.descriptors.shape[0] != n:
             raise ValueError("positions, responses and descriptors disagree on count")
-        raw = _desc_bytes(self.desc_bits)
-        padded = _padded_bytes(self.desc_bits)
-        if self.descriptors.shape[1] == raw and raw != padded:
-            pad = np.zeros((n, padded - raw), np.uint8)
-            self.descriptors = np.concatenate([self.descriptors, pad], axis=1)
-        elif self.descriptors.shape[1] != padded:
+        if self.descriptors.shape[1] != _desc_bytes(self.desc_bits):
             raise ValueError("descriptor byte width does not match desc_bits")
 
     @property
@@ -111,11 +103,6 @@ class FrameFeatures:
 
 def _desc_bytes(desc_bits: int) -> int:
     return (desc_bits + 7) // 8
-
-
-def _padded_bytes(desc_bits: int) -> int:
-    raw = _desc_bytes(desc_bits)
-    return ((raw + 7) // 8) * 8
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +119,6 @@ def detect_corners(image: GrayImage, fast_threshold: int = DEFAULT_FAST_THRESHOL
     with row-major position as the tie-break, then truncated to
     ``max_features``.
     """
-    if image.width < PATCH_MARGIN or image.height < PATCH_MARGIN:
-        raise ValueError(f"image must be at least {PATCH_MARGIN}x{PATCH_MARGIN}")
     if fast_threshold < 1:
         raise ValueError("fast_threshold must be >= 1")
     if max_features < 1:
@@ -219,11 +204,10 @@ def save_features(frame: FrameFeatures, path) -> None:
     Feature: ``<id> <x> <y> <response> <hex-descriptor>`` (hex lowercase,
     most significant bit first).
     """
-    raw = _desc_bytes(frame.desc_bits)
     lines = [f"{FEATURE_FILE_MAGIC} {FEATURE_FILE_VERSION} {frame.width} "
              f"{frame.height} {frame.desc_bits} {frame.descriptor_seed}"]
     for i in range(frame.count):
-        hexdesc = bytes(frame.descriptors[i, :raw]).hex()
+        hexdesc = bytes(frame.descriptors[i]).hex()
         lines.append(f"{i} {_fmt(frame.positions[i, 0])} {_fmt(frame.positions[i, 1])} "
                      f"{_fmt(frame.responses[i])} {hexdesc}")
     with open(path, "w", encoding="ascii") as fh:
@@ -233,8 +217,11 @@ def save_features(frame: FrameFeatures, path) -> None:
 def load_features(path, frame_index: int = 0,
                   max_features: int | None = DEFAULT_MAX_FEATURES) -> FrameFeatures:
     """Parse a feature file, checking every feature line as it is read."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FeatureFileError("non-ASCII byte", line=decode_error_line(exc)) from None
     lines = text.splitlines()
     if not lines:
         raise FeatureFileError("empty file", line=1)

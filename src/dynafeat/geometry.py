@@ -169,7 +169,7 @@ def _solve_eight_point(xa: np.ndarray, xb: np.ndarray) -> np.ndarray | None:
     na, Ta = _hartley_normalize(xa)
     nb, Tb = _hartley_normalize(xb)
     try:
-        _, s, vt = np.linalg.svd(_design_matrix(na, nb))
+        _, _, vt = np.linalg.svd(_design_matrix(na, nb))
     except np.linalg.LinAlgError:
         return None
     E = vt[-1].reshape(3, 3)
@@ -177,7 +177,7 @@ def _solve_eight_point(xa: np.ndarray, xb: np.ndarray) -> np.ndarray | None:
         return None
     E = Tb.T @ E @ Ta
     # project onto the essential manifold: singular values (1, 1, 0)
-    u, sv, vt = np.linalg.svd(E)
+    u, _, vt = np.linalg.svd(E)
     E = u @ np.diag([1.0, 1.0, 0.0]) @ vt
     return E
 
@@ -202,29 +202,17 @@ def _sampson_distance_px(E: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray,
 
 def _triangulate_depths(R: np.ndarray, t: np.ndarray, xa: np.ndarray,
                         xb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """DLT triangulation in normalized coordinates; returns both depths."""
-    n = xa.shape[0]
+    """DLT triangulation in normalized coordinates, one batched SVD for all
+    points; returns both depths, zero for a point at infinity."""
     P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
     P2 = np.hstack([R, t.reshape(3, 1)])
-    z1 = np.zeros(n)
-    z2 = np.zeros(n)
-    for i in range(n):
-        A = np.stack([
-            xa[i, 0] * P1[2] - P1[0],
-            xa[i, 1] * P1[2] - P1[1],
-            xb[i, 0] * P2[2] - P2[0],
-            xb[i, 1] * P2[2] - P2[1],
-        ])
-        _, _, vt = np.linalg.svd(A)
-        X = vt[-1]
-        if abs(X[3]) < 1e-15:
-            z1[i] = 0.0
-            z2[i] = 0.0
-            continue
-        X = X[:3] / X[3]
-        z1[i] = X[2]
-        z2[i] = (R @ X + t)[2]
-    return z1, z2
+    A = np.stack([xa[:, :1] * P1[2] - P1[0], xa[:, 1:] * P1[2] - P1[1],
+                  xb[:, :1] * P2[2] - P2[0], xb[:, 1:] * P2[2] - P2[1]], axis=1)
+    X = np.linalg.svd(A)[2][:, -1]
+    at_infinity = np.abs(X[:, 3]) < 1e-15
+    X = X[:, :3] / np.where(at_infinity, 1.0, X[:, 3])[:, None]
+    z2 = (R @ X[:, :, None])[:, 2, 0] + t[2]
+    return np.where(at_infinity, 0.0, X[:, 2]), np.where(at_infinity, 0.0, z2)
 
 
 def _decompose_essential(E: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -335,8 +323,6 @@ def estimate_essential_ransac(points_prev: np.ndarray, points_curr: np.ndarray,
                 best_E = refit
                 inliers = inliers_refit
 
-    if not inliers.any():
-        inliers = resid <= inlier_threshold  # keep whatever the model explains
     sel = inliers if inliers.any() else np.ones(n, bool)
     R, t = _choose_pose(best_E, norm_a[sel], norm_b[sel])
     count = int(inliers.sum())

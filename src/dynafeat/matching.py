@@ -79,8 +79,6 @@ def score_candidate_pairs(groups_prev: list[FeatureGroup], features_prev: FrameF
     here since they emit nothing downstream.
     """
     pairs = np.asarray(candidate_pairs, np.int64).reshape(-1, 2)
-    if not pairs.shape[0]:
-        return []
     pair_a, pair_b = pairs[:, 0], pairs[:, 1]
     if (pairs < 0).any() or (pair_a >= len(groups_prev)).any() \
             or (pair_b >= len(groups_curr)).any():

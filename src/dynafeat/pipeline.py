@@ -153,19 +153,14 @@ def load_frame(config: PipelineConfig, path, index: int) -> FrameFeatures:
 
 
 def run_sequence(config: PipelineConfig, sources,
-                 frames: list[FrameFeatures] | None = None,
                  warn=lambda msg: print(msg, file=sys.stderr)) -> SequenceResult:
     """Run the matching pipeline over ordered frame sources.
 
-    ``sources`` are file paths interpreted per ``config.input_mode``;
-    pre-loaded ``frames`` bypass the file layer (used by the evaluation
-    harness and the tests). At least two frames are required.
+    Each source is a FrameFeatures record or a file path read per
+    ``config.input_mode``. At least two frames are required.
     """
-    if frames is None:
-        sources = list(sources)
-        if len(sources) < 2:
-            raise InputDataError("at least 2 frames are required")
-    elif len(frames) < 2:
+    sources = list(sources)
+    if len(sources) < 2:
         raise InputDataError("at least 2 frames are required")
 
     stats = RunStats()
@@ -176,13 +171,9 @@ def run_sequence(config: PipelineConfig, sources,
     margin = config.search_margin
     skip_margin = margin
 
-    count = len(frames) if frames is not None else len(sources)
-    for idx in range(count):
+    for idx, source in enumerate(sources):
         t0 = time.perf_counter()
-        if frames is not None:
-            feats = frames[idx]
-        else:
-            feats = load_frame(config, sources[idx], idx)
+        feats = source if isinstance(source, FrameFeatures) else load_frame(config, source, idx)
         t1 = time.perf_counter()
         if idx == 0:
             desc_bits = feats.desc_bits
@@ -319,14 +310,13 @@ class EvalReport:
 
 
 def run_eval(config: PipelineConfig, sources, gt_dir,
-             thresholds=DEFAULT_POSE_THRESHOLDS,
-             frames: list[FrameFeatures] | None = None) -> EvalReport:
+             thresholds=DEFAULT_POSE_THRESHOLDS) -> EvalReport:
     """Match the sequence and score it against generator ground truth.
 
     Pose estimation assumes the synthetic generator's default intrinsics
     (the same camera the ground-truth poses were rendered with).
     """
-    result = run_sequence(config, sources, frames=frames)
+    result = run_sequence(config, sources)
     rotations, translations = load_gt_poses(gt_dir)
     if rotations.shape[0] < result.stats.frame_count:
         raise InputDataError(
@@ -339,6 +329,7 @@ def run_eval(config: PipelineConfig, sources, gt_dir,
     total = 0
     displacements_prev = []
     displacements_curr = []
+    static = True
 
     for pair in result.pairs:
         a, b = pair.frame_prev, pair.frame_curr
@@ -356,6 +347,8 @@ def run_eval(config: PipelineConfig, sources, gt_dir,
             displacements_curr.append(cols.pos_curr)
         R_rel, t_rel = relative_pose(rotations[a], translations[a],
                                      rotations[b], translations[b])
+        if rotation_angle_deg(R_rel) > 1e-9 or np.linalg.norm(t_rel) > 1e-12:
+            static = False
         if len(cols) >= 8:
             est = estimate_essential_ransac(cols.pos_prev, cols.pos_curr, intrinsics,
                                             rng_seed=config.seed, adaptive=True)
@@ -363,14 +356,6 @@ def run_eval(config: PipelineConfig, sources, gt_dir,
             inlier_ratios.append(est.inlier_ratio)
         else:
             pose_errors.append(math.inf)
-
-    static = True
-    for a, b in zip(result.frame_indices[:-1], result.frame_indices[1:]):
-        R_rel, t_rel = relative_pose(rotations[a], translations[a],
-                                     rotations[b], translations[b])
-        if rotation_angle_deg(R_rel) > 1e-9 or np.linalg.norm(t_rel) > 1e-12:
-            static = False
-            break
 
     repeat = repeat_norm = None
     if static and displacements_prev:
@@ -411,8 +396,7 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def bench(config: PipelineConfig, sources, repetitions: int = 3,
-          frames: list[FrameFeatures] | None = None) -> BenchReport:
+def bench(config: PipelineConfig, sources, repetitions: int = 3) -> BenchReport:
     """Median-of-repetitions stage timings plus the stage breakdown.
 
     One untimed warmup run precedes the measurements so first-call costs
@@ -421,10 +405,10 @@ def bench(config: PipelineConfig, sources, repetitions: int = 3,
     """
     if repetitions < 1:
         raise InputDataError("repetitions must be >= 1")
-    run_sequence(config, sources, frames=frames)  # warmup
+    run_sequence(config, sources)  # warmup
     pooled = RunStats()
     for _ in range(repetitions):
-        last = run_sequence(config, sources, frames=frames).stats
+        last = run_sequence(config, sources).stats
         for f in dataclasses.fields(RunStats):
             getattr(pooled, f.name).extend(getattr(last, f.name))
     return BenchReport(repetitions=repetitions, median_stage_ms=pooled.median_stage_ms(),

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputDataError, SceneValidationError
-from .frontend import DEFAULT_DESC_BITS, PATCH_MARGIN, FrameFeatures, _desc_bytes, _fmt
+from .errors import InputDataError, SceneValidationError, decode_error_line
+from .frontend import (DEFAULT_DESC_BITS, PATCH_MARGIN, FrameFeatures, _desc_bytes, _fmt,
+                       save_features)
 from .geometry import CameraIntrinsics
 
 _BORDER_BUFFER = 2.0  # keeps jittered positions inside the patch margin
@@ -283,18 +284,16 @@ def frame_filename(index: int) -> str:
 
 def save_sequence(seq: GeneratedSequence, out_dir) -> None:
     """Write feature files plus gt/ with pair files and poses.txt."""
-    from .frontend import save_features  # local import avoids a cycle at module load
-
     os.makedirs(out_dir, exist_ok=True)
     gt_dir = os.path.join(out_dir, "gt")
     os.makedirs(gt_dir, exist_ok=True)
     for frame in seq.frames:
         save_features(frame, os.path.join(out_dir, frame_filename(frame.frame_index)))
     for (a, b), pairs in seq.gt_pairs.items():
-        with open(os.path.join(gt_dir, f"pairs_{a:06d}_{b:06d}.txt"), "w") as fh:
+        with open(os.path.join(gt_dir, f"pairs_{a:06d}_{b:06d}.txt"), "w", encoding="ascii") as fh:
             for ia, ib in pairs:
                 fh.write(f"{a} {b} {ia} {ib}\n")
-    with open(os.path.join(gt_dir, "poses.txt"), "w") as fh:
+    with open(os.path.join(gt_dir, "poses.txt"), "w", encoding="ascii") as fh:
         for f in range(seq.scene.frame_count):
             vals = [str(f)] + [_fmt(v) for v in seq.rotations[f].ravel()] \
                 + [_fmt(v) for v in seq.translations[f]]
@@ -304,20 +303,23 @@ def save_sequence(seq: GeneratedSequence, out_dir) -> None:
 def _read_gt_rows(path, fields: int, convert) -> list[list]:
     """Non-blank lines of a ground-truth file, each split into ``fields``
     values converted by ``convert``; InputDataError names file and line."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{path}: line {decode_error_line(exc)}: non-ASCII byte") from None
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != fields:
-                raise InputDataError(f"{path}: line {lineno}: expected {fields} fields, "
-                                     f"got {len(parts)}")
-            try:
-                rows.append([convert(v) for v in parts])
-            except ValueError:
-                raise InputDataError(f"{path}: line {lineno}: malformed numeric field") \
-                    from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != fields:
+            raise InputDataError(f"{path}: line {lineno}: expected {fields} fields, "
+                                 f"got {len(parts)}")
+        try:
+            rows.append([convert(v) for v in parts])
+        except ValueError:
+            raise InputDataError(f"{path}: line {lineno}: malformed numeric field") from None
     return rows
 
 

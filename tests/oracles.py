@@ -197,3 +197,21 @@ def advance_reference(centroid_prev, age_prev, centroid_curr, accepted):
         displacement[gc] = np.asarray(centroid_curr[gc]) - np.asarray(centroid_prev[gp])
         age[gc] = age_prev[gp] + 1
     return displacement, age
+
+
+def triangulate_depths_reference(R, t, xa, xb):
+    """Per-point DLT triangulation: the smallest right singular vector of
+    each point's 4x4 system, depths in both cameras, zero at infinity."""
+    P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+    P2 = np.hstack([R, t.reshape(3, 1)])
+    z1 = np.zeros(len(xa))
+    z2 = np.zeros(len(xa))
+    for i in range(len(xa)):
+        A = np.stack([xa[i, 0] * P1[2] - P1[0], xa[i, 1] * P1[2] - P1[1],
+                      xb[i, 0] * P2[2] - P2[0], xb[i, 1] * P2[2] - P2[1]])
+        X = np.linalg.svd(A)[2][-1]
+        if abs(X[3]) >= 1e-15:
+            X = X[:3] / X[3]
+            z1[i] = X[2]
+            z2[i] = (R @ X + t)[2]
+    return z1, z2

@@ -135,7 +135,7 @@ def test_criterion_04_mutual_nn_oracle_equivalence():
 
 
 def _pipeline_displacements(seq):
-    result = run_sequence(PipelineConfig(), None, frames=seq.frames)
+    result = run_sequence(PipelineConfig(), seq.frames)
     prev = []
     curr = []
     for pair in result.pairs:
@@ -201,7 +201,7 @@ def test_criterion_07_filtering_benefit():
                                    step=0.1, jitter_px=0.1,
                                    descriptor_bit_flips=8, outlier_rate=0.2)
         seq = generate_sequence(scene, seed=seed + 300)
-        result = run_sequence(PipelineConfig(), None, frames=seq.frames)
+        result = run_sequence(PipelineConfig(), seq.frames)
         correct = 0
         total = 0
         raw_correct = 0
@@ -278,7 +278,7 @@ def test_criterion_09_performance_smoke():
                                jitter_px=0.1, descriptor_bit_flips=6)
     seq = generate_sequence(scene, seed=900)
     counts = [f.count for f in seq.frames]
-    report = bench(PipelineConfig(), None, repetitions=3, frames=seq.frames)
+    report = bench(PipelineConfig(), seq.frames, repetitions=3)
     hot = report.median_stage_ms["matching"] + report.median_stage_ms["filtering"]
     breakdown = " ".join(f"{name}={report.stage_percentages[name]:.0f}%"
                          for name in ("detection", "grouping", "matching", "filtering"))

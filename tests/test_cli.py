@@ -10,7 +10,8 @@ import pytest
 from dynafeat.cli import main
 from dynafeat.config import CONFIG_CONVERTERS, PipelineConfig, parse_key_values
 from dynafeat.errors import ConfigError
-from dynafeat.frontend import FrameFeatures, save_features
+from dynafeat.frontend import FrameFeatures, GrayImage, save_features
+from dynafeat.image_io import load_pgm, save_pgm
 from dynafeat.matching import InlierColumns
 from dynafeat.pipeline import (PairMatches, RunStats, SequenceResult, bench, run_sequence,
                                write_match_files)
@@ -246,6 +247,155 @@ def test_too_small_pgm_exits_2(tmp_path, capsys, size):
 
 def test_missing_config_exits_3(tmp_path, synth_dir):
     assert main(["match", str(tmp_path / "absent.cfg"), str(synth_dir)]) == 3
+
+
+@pytest.mark.parametrize("overrides", [{"k": "6"}, {"k": "3", "max_group": "9"}],
+                         ids=["k6", "k3-max-group-9"])
+def test_config_that_accepts_no_pair_exits_3(tmp_path, synth_dir, capsys, overrides):
+    # a score is at most max_group, and tau(35) = 6 * sqrt(35) = 35.5 or
+    # tau(9) = 3 * sqrt(9) = 9 leaves no score above tau
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, output_dir=str(out))
+    flags = [arg for key, value in overrides.items()
+             for arg in ("--" + key.replace("_", "-"), value)]
+    assert main(["match", str(cfg_path), str(synth_dir)] + flags) == 3
+    assert "no pair can be accepted" in capsys.readouterr().err
+    text = f"output_dir={out}\n" + "".join(f"{k}={v}\n" for k, v in overrides.items())
+    cfg_path.write_text(text)
+    assert main(["match", str(cfg_path), str(synth_dir)]) == 3
+    assert not out.exists()
+
+
+def test_largest_k_that_can_accept_runs(tmp_path, synth_dir):
+    # tau(10) = 3 * sqrt(10) = 9.49: a full 10-member pair is still accepted
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    assert main(["match", str(cfg_path), str(synth_dir), "--k", "3", "--max-group", "10"]) == 0
+
+
+def _non_ascii_input(tmp_path, synth_dir, kind):
+    """argv of a run whose one input file of ``kind`` holds a non-ASCII byte."""
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    if kind == "pipeline-config":
+        cfg_path.write_bytes(cfg_path.read_bytes().replace(b"window=30.0", b"window=3\xc3\xa9"))
+        return ["match", str(cfg_path), str(synth_dir)]
+    if kind == "scene-config":
+        scene = tmp_path / "scene.cfg"
+        scene.write_bytes(b"seed=3\ntrajectory=st\xc3\xa4tic\n")
+        return ["synth", str(scene), "--out", str(tmp_path / "gen")]
+    src = tmp_path / "copy"
+    shutil.copytree(synth_dir, src)
+    if kind == "feature-line":
+        path = src / frame_filename(1)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b" ", b" \xc3\xa9", 1)
+        path.write_bytes(b"\n".join(lines))
+        return ["match", str(cfg_path), str(src)]
+    with open(src / "gt" / "poses.txt", "ab") as fh:
+        fh.write(b"\xff\xfe")
+    return ["eval", str(cfg_path), str(src), "--gt", str(src / "gt")]
+
+
+@pytest.mark.parametrize("kind,code,message", [
+    ("pipeline-config", 3, "line 1: non-ASCII byte"),
+    ("scene-config", 3, "line 2: non-ASCII byte"),
+    ("feature-line", 2, "line 3: non-ASCII byte"),
+    ("gt-poses", 2, "poses.txt: line 5: non-ASCII byte")],
+    ids=["pipeline-config", "scene-config", "feature-line", "gt-poses"])
+def test_non_ascii_input_exits_2_or_3(tmp_path, synth_dir, capsys, kind, code, message):
+    assert main(_non_ascii_input(tmp_path, synth_dir, kind)) == code
+    assert message in capsys.readouterr().err
+
+
+# edits of frame 1's feature file (line 1 header, line 3 its second feature)
+_FEATURE_FILE_EDITS = {
+    "empty-file": (lambda lines: [], "line 1: empty file"),
+    "non-integer-header": (lambda lines: ["DYNAFEAT v1 640 wide 256 42"] + lines[1:],
+                           "line 1: non-integer header field"),
+    "header-out-of-range": (lambda lines: ["DYNAFEAT v1 640 480 12 42"] + lines[1:],
+                            "line 1: header dimensions out of range"),
+    "field-count": (lambda lines: lines[:2] + [lines[2].rsplit(" ", 1)[0]] + lines[3:],
+                    "line 3: expected 5 fields, got 4"),
+    "id-sequence": (lambda lines: lines[:2] + ["7" + lines[2][1:]] + lines[3:],
+                    "line 3: feature id 7 out of sequence"),
+    "invalid-hex": (lambda lines: lines[:2] + [lines[2][:-2] + "zz"] + lines[3:],
+                    "line 3: descriptor is not valid hex"),
+    "blank-line": (lambda lines: lines[:2] + ["", "  "] + lines[2:], None),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_FEATURE_FILE_EDITS))
+def test_feature_file_errors_name_their_line(tmp_path, synth_dir, capsys, edit):
+    change, message = _FEATURE_FILE_EDITS[edit]
+    src = tmp_path / "copy"
+    shutil.copytree(synth_dir, src)
+    path = src / frame_filename(1)
+    path.write_text("".join(line + "\n" for line in change(path.read_text().splitlines())))
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    rc = main(["match", str(cfg_path), str(src)])
+    if message is None:  # blank lines are skipped: the file still loads
+        assert rc == 0
+        return
+    assert rc == 2
+    assert f"input error: {message}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# image input
+# ---------------------------------------------------------------------------
+
+def _shifted_blob_frames(shift, count, width=160, height=120):
+    """Frames of four noise-textured blobs on a flat background, the whole
+    picture moving by ``shift`` pixels per frame; every blob stays far
+    enough inside the border that its descriptors never see the edge."""
+    rng = np.random.default_rng(3)
+    canvas = np.full((height + 40, width + 40), 90, np.uint8)
+    for cx, cy in [(65, 60), (130, 65), (80, 105), (135, 105)]:
+        canvas[cy - 10:cy + 10, cx - 10:cx + 10] = rng.integers(0, 256, (20, 20))
+    dx, dy = shift
+    return [canvas[20 - f * dy:20 - f * dy + height, 20 - f * dx:20 - f * dx + width]
+            for f in range(count)]
+
+
+def test_match_on_shifted_pgm_frames(tmp_path):
+    frames = []
+    for i, pixels in enumerate(_shifted_blob_frames((3, 2), 3)):
+        frames.append(str(tmp_path / f"frame_{i}.pgm"))
+        save_pgm(GrayImage.from_array(pixels), frames[-1])
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, output_dir=str(out), input_mode="images")
+    assert main(["match", str(cfg_path)] + frames) == 0
+    for name in ("matches_000000_000001.txt", "matches_000001_000002.txt"):
+        rows = np.loadtxt(out / name, ndmin=2)
+        assert len(rows) > 100
+        assert (rows[:, 4:6] - rows[:, 2:4] == [3.0, 2.0]).all()
+
+
+def test_pgm_header_comment_is_skipped(tmp_path):
+    pixels = np.arange(32 * 24).astype(np.uint8).reshape(24, 32)
+    path = tmp_path / "commented.pgm"
+    path.write_bytes(b"P5\n# written by hand\n32 24\n255\n" + pixels.tobytes())
+    image = load_pgm(path)
+    assert (image.width, image.height) == (32, 24)
+    assert np.array_equal(image.pixels, pixels)
+
+
+_RASTER = bytes(range(256)) * 4  # 32x32 pixels
+
+
+@pytest.mark.parametrize("name,data,message", [
+    ("frame.pgm", b"P2\n32 32\n255\n" + _RASTER, "not a binary PGM"),
+    ("frame.pgm", b"P5\n32 32\n0\n" + _RASTER, "maxval 0 unsupported"),
+    ("frame.pgm", b"P5\n32 32\n256\n" + _RASTER, "maxval 256 unsupported"),
+    ("frame.pgm", b"P5\n32 32\n255\n" + _RASTER[:-1], "PGM raster truncated"),
+    ("frame.jpg", b"P5\n32 32\n255\n" + _RASTER, "unsupported image type '.jpg'")],
+    ids=["magic-P2", "maxval-0", "maxval-256", "truncated-raster", "jpg"])
+def test_bad_image_exits_2(tmp_path, capsys, name, data, message):
+    frames = [tmp_path / f"{i}_{name}" for i in range(2)]
+    for path in frames:
+        path.write_bytes(data)
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "o"), input_mode="images")
+    assert main(["match", str(cfg_path)] + [str(path) for path in frames]) == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +637,7 @@ def test_bench_single_rep_equals_single_run(tmp_path):
     scene = make_cluster_scene(seed=8, frames=3, trajectory="static")
     seq = generate_sequence(scene, seed=8)
     cfg = PipelineConfig()
-    report = bench(cfg, None, repetitions=1, frames=seq.frames)
+    report = bench(cfg, seq.frames, repetitions=1)
     assert report.repetitions == 1
     med = report.last_stats.median_stage_ms()
     assert report.median_stage_ms == med
@@ -575,7 +725,7 @@ def test_zero_feature_frame_skipped_state_preserved(tmp_path, capsys):
                           np.zeros((0, 32), np.uint8))
     frames = [seq.frames[0], empty, seq.frames[2]]
     warnings = []
-    result = run_sequence(PipelineConfig(), None, frames=frames,
+    result = run_sequence(PipelineConfig(), frames,
                           warn=warnings.append)
     assert any("skipping" in w for w in warnings)
     # the empty frame is bridged: the single pair joins frames 0 and 2
@@ -599,7 +749,7 @@ def test_stats_counters_consistent(synth_dir):
 def test_identical_frames_give_zero_displacement_matches():
     scene = make_cluster_scene(seed=10, frames=2, trajectory="static")
     seq = generate_sequence(scene, seed=10)
-    result = run_sequence(PipelineConfig(), None, frames=seq.frames)
+    result = run_sequence(PipelineConfig(), seq.frames)
     inliers = result.pairs[0].columns
     assert len(inliers)
     for p, q, d in zip(inliers.pos_prev.tolist(), inliers.pos_curr.tolist(),

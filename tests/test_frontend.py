@@ -198,6 +198,23 @@ def test_feature_file_roundtrip_identity(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_odd_width_descriptor_roundtrip(tmp_path):
+    # 136-bit rows are stored as 17 bytes, unpadded, in memory and on disk
+    rng = np.random.default_rng(6)
+    desc = rng.integers(0, 256, (4, 17), dtype=np.uint8)
+    frame = FrameFeatures(0, 64, 64, np.full((4, 2), 20.0), np.zeros(4), desc,
+                          desc_bits=136)
+    path = tmp_path / "odd.feat"
+    save_features(frame, path)
+    loaded = load_features(path)
+    assert loaded.desc_bits == 136
+    assert loaded.descriptors.shape == (4, 17)
+    assert np.array_equal(loaded.descriptors, desc)
+    with pytest.raises(ValueError, match="byte width"):
+        FrameFeatures(0, 64, 64, np.full((4, 2), 20.0), np.zeros(4),
+                      np.pad(desc, ((0, 0), (0, 7))), desc_bits=136)
+
+
 def test_single_zero_descriptor_feature(tmp_path):
     path = tmp_path / "one.feat"
     path.write_text("DYNAFEAT v1 64 64 256 42\n"

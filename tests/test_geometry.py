@@ -16,6 +16,8 @@ from dynafeat.synthetic import (SyntheticScene, default_intrinsics,
                                 generate_sequence, make_cluster_scene,
                                 make_two_view_points)
 
+from oracles import triangulate_depths_reference
+
 
 def _axis_rotation(axis, angle_deg):
     axis = np.asarray(axis, float)
@@ -119,6 +121,24 @@ def test_exactly_one_decomposition_passes_cheirality_noiseless():
         if ((z1 > 0) & (z2 > 0)).mean() > 0.99:
             winners += 1
     assert winners == 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_triangulate_depths_equal_per_point_loop(seed):
+    # one batched SVD must give the loop's depths bit for bit, for all four
+    # decompositions (points in front of and behind either camera)
+    pa, pb, _, _, K = make_two_view_points(seed, 60)
+    K_inv = np.linalg.inv(K.matrix)
+    na = (np.column_stack([pa, np.ones(len(pa))]) @ K_inv.T)[:, :2]
+    nb = (np.column_stack([pb, np.ones(len(pb))]) @ K_inv.T)[:, :2]
+    nb[:5] = na[:5]  # zero parallax rows
+    est = estimate_essential_ransac(pa, pb, K, rng_seed=seed)
+    t = est.translation_dir
+    E = np.array([[0, -t[2], t[1]], [t[2], 0, -t[0]], [-t[1], t[0], 0]]) @ est.rotation
+    for Rc, tc in _decompose_essential(E):
+        z1, z2 = _triangulate_depths(Rc, tc, na, nb)
+        r1, r2 = triangulate_depths_reference(Rc, tc, na, nb)
+        assert np.array_equal(z1, r1) and np.array_equal(z2, r2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ import pytest
 from dynafeat.config import PipelineConfig
 from dynafeat.frontend import FrameFeatures
 from dynafeat.grouping import group_features
-from dynafeat.matching import dedup_inlier_columns, mutual_nn_match, score_candidate_pairs
+from dynafeat.matching import (InlierColumns, dedup_inlier_columns, mutual_nn_match,
+                               score_candidate_pairs)
+from dynafeat.pipeline import run_sequence
 from dynafeat.stats import support_threshold
+from dynafeat.synthetic import generate_sequence, make_cluster_scene
 
 from oracles import mutual_nn_reference
 
@@ -95,6 +98,20 @@ def test_matches_equal_bruteforce_oracle(seed):
     ia, ib, dist = mutual_nn_match(np.stack(prev_desc), np.stack(curr_desc))
     ours = list(zip(ia.tolist(), ib.tolist(), dist.tolist()))
     assert ours == mutual_nn_reference(prev_desc, curr_desc)
+
+
+def test_odd_width_rows_match_oracle():
+    # 17-byte (136-bit) rows: the kernel pads them to three 64-bit words
+    rng = np.random.default_rng(21)
+    prev = rng.integers(0, 256, (30, 17), dtype=np.uint8)
+    curr = prev[rng.permutation(30)[:24]].copy()
+    curr[:, 16] ^= rng.integers(0, 256, 24, dtype=np.uint8)
+    curr[:6] = rng.integers(0, 256, (6, 17), dtype=np.uint8)
+    prev[1] = prev[0]  # a tied row
+    ia, ib, dist = mutual_nn_match(prev, curr)
+    ours = list(zip(ia.tolist(), ib.tolist(), dist.tolist()))
+    assert len(ours) >= 10
+    assert ours == mutual_nn_reference(prev, curr)
 
 
 def test_mutual_symmetry_property():
@@ -252,3 +269,23 @@ def test_inliers_bounded_by_sum_of_scores():
     gp, prev, gc, curr = _paired_groups(20, 20, 15, seed=11)
     accepted, inliers = _match_pairs([gp], prev, [gc], curr, [(0, 0)])
     assert len(inliers) <= sum(gm.score for gm in accepted)
+
+
+def test_odd_width_sequence_equals_zero_extended_rows():
+    # the same 136-bit rows zero-extended to 192 bits add nothing to any
+    # distance, so the whole run keeps the same matches
+    scene = make_cluster_scene(seed=31, frames=3, trajectory="translate_x", step=0.05,
+                               jitter_px=0.3, descriptor_bit_flips=6, outlier_rate=0.1,
+                               desc_bits=136)
+    frames = generate_sequence(scene, seed=31).frames
+    wide = [FrameFeatures(f.frame_index, f.width, f.height, f.positions, f.responses,
+                          np.pad(f.descriptors, ((0, 0), (0, 7))), desc_bits=192)
+            for f in frames]
+    assert frames[0].descriptors.shape[1] == 17
+    narrow_run = run_sequence(PipelineConfig(), frames)
+    wide_run = run_sequence(PipelineConfig(), wide)
+    assert len(narrow_run.pairs) == len(wide_run.pairs) == 2
+    assert narrow_run.total_inliers > 100
+    for a, b in zip(narrow_run.pairs, wide_run.pairs):
+        for name in InlierColumns.__dataclass_fields__:
+            assert np.array_equal(getattr(a.columns, name), getattr(b.columns, name)), name
