@@ -14,9 +14,8 @@ from .geometry import (CameraIntrinsics, PoseEstimate, estimate_essential_ransac
                        pose_error, pose_success_ratio, reprojection_repeatability)
 from .grouping import FeatureGroup, GroupingResult, group_features
 from .matching import GroupMatch, mutual_nn_match
-from .stats import (BinomialMoments, MatchProbabilityParams, binomial_moments,
-                    p_false, p_false_crosscheck, p_true, p_true_crosscheck,
-                    separation_gap, support_threshold)
+from .stats import (BinomialMoments, binomial_moments, p_false, p_false_crosscheck,
+                    p_true, p_true_crosscheck, support_threshold)
 from .synthetic import SyntheticScene, generate_sequence, make_cluster_scene
 from .tracking import TrackState, advance, bootstrap, intersect_candidates
 
@@ -26,9 +25,8 @@ __all__ = [
     "FrameFeatures", "GrayImage", "detect_corners", "describe",
     "extract_frame", "load_features", "save_features",
     "FeatureGroup", "GroupingResult", "group_features",
-    "MatchProbabilityParams", "BinomialMoments", "p_true", "p_false",
-    "p_true_crosscheck", "p_false_crosscheck", "binomial_moments",
-    "support_threshold", "separation_gap",
+    "BinomialMoments", "p_true", "p_false", "p_true_crosscheck",
+    "p_false_crosscheck", "binomial_moments", "support_threshold",
     "GroupMatch", "mutual_nn_match",
     "TrackState", "intersect_candidates", "advance", "bootstrap",
     "CameraIntrinsics", "PoseEstimate", "estimate_essential_ransac", "pose_error",

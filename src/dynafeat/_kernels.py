@@ -131,33 +131,23 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
     rows are padded to whole 64-bit words here); groups are given as
     flattened member-id arrays with offset/count tables, and each pair
     indexes a group slot per side.
-    Returns (scores, out_off, ia, ib, dist): supports of pair p occupy
-    ``[out_off[p], out_off[p] + scores[p])`` in the flat arrays, ordered by
-    ascending member position on the first side.
+    Returns (scores, out_off, ia, ib, dist): the supports come packed,
+    pair after pair, so pair p's occupy ``[out_off[p], out_off[p] +
+    scores[p])`` of the flat arrays, ordered by ascending member position
+    on the first side.
     """
     if desc_a.ndim != 2 or desc_b.ndim != 2 or desc_a.shape[1] != desc_b.shape[1]:
         raise ValueError("descriptor arrays must be 2-D with matching widths")
     n_pairs = pair_a.shape[0]
-    bound = np.minimum(cnt_a[pair_a], cnt_b[pair_b]) if n_pairs else np.zeros(0, np.int64)
-    out_off = np.zeros(n_pairs, np.int64)
-    if n_pairs:
-        np.cumsum(bound[:-1], out=out_off[1:])
-    total = int(bound.sum())
-    # zeroed, not empty: slots past each pair's support count stay deterministic
-    out_ia = np.zeros(total, np.int64)
-    out_ib = np.zeros(total, np.int64)
-    out_dist = np.zeros(total, np.int64)
-    scores = np.zeros(n_pairs, np.int64)
-    if n_pairs == 0:
-        return scores, out_off, out_ia, out_ib, out_dist
     # A chunk of pairs is padded to the largest group sizes of the call and
     # laid out pair-innermost, so each numpy call runs over the whole chunk:
     # d[i, j, p] is the distance of member i of pair p's first group to
     # member j of its second group.
-    ma = int(cnt_a[pair_a].max())
-    mb = int(cnt_b[pair_b].max())
+    ma = int(cnt_a[pair_a].max(initial=0))
+    mb = int(cnt_b[pair_b].max(initial=0))
     if ma == 0 or mb == 0:
-        return scores, out_off, out_ia, out_ib, out_dist
+        none = np.zeros(0, np.int64)
+        return np.zeros(n_pairs, np.int64), np.zeros(n_pairs, np.int64), none, none, none
     planes_a, ids_a, padding_a = _group_planes(desc_a, mem_a, off_a, cnt_a, ma)
     planes_b, ids_b, padding_b = _group_planes(desc_b, mem_b, off_b, cnt_b, mb)
     n_words = planes_a.shape[0]
@@ -207,12 +197,9 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
     # pair-major, ascending member position within a pair
     p, i = np.nonzero(ok.T)
     scores = np.bincount(p, minlength=n_pairs).astype(np.int64, copy=False)
-    slot = out_off[p] + np.arange(p.shape[0]) - (np.cumsum(scores) - scores)[p]
     keys = row_key[i, p]
-    out_ia[slot] = ids_a[i, pair_a[p]]
-    out_ib[slot] = ids_b[keys & low, pair_b[p]]
-    out_dist[slot] = keys >> shift
-    return scores, out_off, out_ia, out_ib, out_dist
+    return (scores, np.cumsum(scores) - scores, ids_a[i, pair_a[p]],
+            ids_b[keys & low, pair_b[p]], (keys >> shift).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

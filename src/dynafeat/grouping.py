@@ -18,7 +18,6 @@ unassigned, while reaching the member ceiling closes the group outright.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,12 +85,10 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
         members = [seed]
         min_x = max_x = pos[seed, 0]
         min_y = max_y = pos[seed, 1]
-        queue = deque([seed])
-        closed = False
-        while queue and not closed:
-            f = int(queue.popleft())
-            if len(members) >= config.max_group:
-                break
+        head = 0   # members doubles as the FIFO queue: absorption order is visit order
+        while head < len(members) and len(members) < config.max_group:
+            f = members[head]
+            head += 1
             fx, fy = pos[f, 0], pos[f, 1]
             cand = []
             cfx, cfy = int(cell_x[f]), int(cell_y[f])
@@ -107,7 +104,6 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
             cand.sort()
             for j in cand:
                 if len(members) >= config.max_group:
-                    closed = True
                     break
                 jx, jy = pos[j, 0], pos[j, 1]
                 nmin_x = min(min_x, jx)
@@ -119,7 +115,6 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
                     continue  # stays unassigned, may seed a later group
                 assigned[j] = True
                 members.append(j)
-                queue.append(j)
                 min_x, max_x, min_y, max_y = nmin_x, nmax_x, nmin_y, nmax_y
         if len(members) < config.min_group:
             continue  # discarded: members stay consumed but belong to no group

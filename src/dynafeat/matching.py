@@ -53,12 +53,11 @@ def mutual_nn_match(desc_a: np.ndarray, desc_b: np.ndarray):
     # one pair of groups, each holding its whole set
     one = np.zeros(1, np.int64)
     n_a, n_b = desc_a.shape[0], desc_b.shape[0]
-    scores, _, ia, ib, dist = _kernels.batch_mutual_nn(
+    _, _, ia, ib, dist = _kernels.batch_mutual_nn(
         np.ascontiguousarray(desc_a), np.ascontiguousarray(desc_b),
         np.arange(n_a, dtype=np.int64), one, np.array([n_a], np.int64),
         np.arange(n_b, dtype=np.int64), one, np.array([n_b], np.int64), one, one)
-    n = int(scores[0])
-    return ia[:n], ib[:n], dist[:n]
+    return ia, ib, dist
 
 
 def _group_tables(groups: list[FeatureGroup]):
@@ -120,20 +119,26 @@ class InlierColumns:
         return self.feature_prev.shape[0]
 
 
+def rank_pairs(accepted: list[GroupMatch]):
+    """Best-first order of accepted pairs, with their previous-slot and
+    current-slot columns: highest score first, ties to the lower current
+    group slot, then the smaller total support distance, then the lower
+    previous group slot."""
+    group_prev = np.array([gm.group_prev for gm in accepted], np.int64)
+    group_curr = np.array([gm.group_curr for gm in accepted], np.int64)
+    score = np.array([gm.score for gm in accepted], np.int64)
+    dist_sum = np.array([gm.dist_sum for gm in accepted], np.int64)
+    return np.lexsort((group_prev, dist_sum, group_curr, -score)), group_prev, group_curr
+
+
 def dedup_inlier_columns(accepted: list[GroupMatch], features_prev: FrameFeatures,
                          features_curr: FrameFeatures) -> InlierColumns:
-    """One match per feature: highest-scoring pair wins, ties to the lower
-    current group slot, then smaller total support distance, then the lower
-    previous group slot."""
+    """One match per feature: the first pair in ``rank_pairs`` order wins."""
     if not accepted:
         z = np.zeros(0, np.int64)
         return InlierColumns(z, z, np.zeros((0, 2)), np.zeros((0, 2)),
                              np.zeros(0), z, z)
-    score = np.array([gm.score for gm in accepted], np.int64)
-    group_prev = np.array([gm.group_prev for gm in accepted], np.int64)
-    group_curr = np.array([gm.group_curr for gm in accepted], np.int64)
-    dist_sum = np.array([gm.dist_sum for gm in accepted])
-    order = np.lexsort((group_prev, dist_sum, group_curr, -score))   # stable
+    order, group_prev, group_curr = rank_pairs(accepted)
     ranked = [accepted[i] for i in order.tolist()]
     ia = np.concatenate([gm.sup_a for gm in ranked])
     ib = np.concatenate([gm.sup_b for gm in ranked])
@@ -147,4 +152,3 @@ def dedup_inlier_columns(accepted: list[GroupMatch], features_prev: FrameFeature
     return InlierColumns(ia, ib, features_prev.positions[ia],
                          features_curr.positions[ib],
                          dist[keep].astype(np.float64), gp_ids[keep], gc_ids[keep])
-

@@ -405,6 +405,7 @@ def bench(config: PipelineConfig, sources, repetitions: int = 3) -> BenchReport:
     """
     if repetitions < 1:
         raise InputDataError("repetitions must be >= 1")
+    sources = list(sources)   # every run reads them again
     run_sequence(config, sources)  # warmup
     pooled = RunStats()
     for _ in range(repetitions):

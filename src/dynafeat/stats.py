@@ -6,7 +6,10 @@ inside the paired patch with probability n / n_pool. Cross-checked (
 bidirectional) probabilities are the product of the two independent
 directions. Support counts between a group pair then follow a binomial
 law, and a pair is trusted when its support count clears mu + k * sigma
-of the uncorrelated case, which reduces to roughly k * sqrt(n).
+of the uncorrelated case. ``binomial_moments`` gives those exact moments;
+the deployed threshold is their approximation k * sqrt(n)
+(``support_threshold``), since the uncorrelated mean is tiny and its
+variance is dominated by n.
 
 The per-feature independence baked into this model is an approximation:
 mutual nearest-neighbor matching couples features, and real descriptor
@@ -20,36 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class MatchProbabilityParams:
-    """Inputs of the matching model.
-
-    t:      prior probability that a single feature matches correctly
-    n:      feature count of the first patch
-    n_pool: candidate features on the other side for the first direction
-    m:      feature count of the second patch
-    m_pool: candidate features for the reverse direction
-    k:      threshold width in standard deviations
-    """
-
-    t: float
-    n: float
-    n_pool: float
-    m: float
-    m_pool: float
-    k: float = 2.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError("t must lie in [0, 1]")
-        if not 1 <= self.n <= self.n_pool:
-            raise ValueError("need 1 <= n <= n_pool")
-        if not 1 <= self.m <= self.m_pool:
-            raise ValueError("need 1 <= m <= m_pool")
-        if self.k <= 0:
-            raise ValueError("k must be positive")
 
 
 @dataclass
@@ -110,35 +83,11 @@ def binomial_moments(trials: float, p: float) -> BinomialMoments:
     return BinomialMoments(mean=trials * p, stddev=math.sqrt(trials * p * (1.0 - p)))
 
 
-def support_threshold(n, k: float = 2.0, mode: str = "approximate",
-                      p_false_cc: float | None = None):
-    """Minimum support count for trusting a group pair.
-
-    The deployed criterion is the approximation k * sqrt(n) (the
-    uncorrelated mean is tiny and its variance is dominated by n). The
-    approximate mode also takes an integer array of n and returns the
-    thresholds elementwise, equal to the scalar results. The exact mode
-    evaluates mu + k * sigma of the binomial with the given uncorrelated
-    cross-check probability; it exists for analysis only.
-    """
-    is_array = isinstance(n, np.ndarray)
+def support_threshold(n, k: float = 2.0):
+    """Minimum support count for trusting a group pair: k * sqrt(n), for a
+    group size n or elementwise for an integer array of sizes."""
     if np.any(np.asarray(n) < 1):
         raise ValueError("n must be >= 1")
     if k <= 0:
         raise ValueError("k must be positive")
-    if mode == "approximate":
-        return k * np.sqrt(n) if is_array else k * math.sqrt(n)
-    if is_array:
-        raise ValueError(f"mode {mode!r} takes a scalar n")
-    if mode == "exact":
-        if p_false_cc is None or not 0.0 <= p_false_cc <= 1.0:
-            raise ValueError("exact mode needs p_false_cc in [0, 1]")
-        mom = binomial_moments(n, p_false_cc)
-        return mom.mean + k * mom.stddev
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def separation_gap(params: MatchProbabilityParams) -> float:
-    """p_true_crosscheck - p_false_crosscheck for the given parameters."""
-    return (p_true_crosscheck(params.t, params.n, params.n_pool, params.m, params.m_pool)
-            - p_false_crosscheck(params.t, params.n, params.n_pool, params.m, params.m_pool))
+    return k * np.sqrt(n)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .frontend import FrameFeatures
 from .grouping import FeatureGroup
-from .matching import GroupMatch
+from .matching import GroupMatch, rank_pairs
 
 DEFAULT_SEARCH_MARGIN = 30.0
 BOOTSTRAP_MARGIN_SCALE = 2.0
@@ -84,24 +84,19 @@ def advance(state: TrackState, features_curr: FrameFeatures,
             margin: float = DEFAULT_SEARCH_MARGIN) -> TrackState:
     """Fold accepted matches into the next state.
 
-    Each current group inherits a proxy from its best-scoring accepted
-    partner: displacement is the centroid difference, age increments.
+    Each current group inherits a proxy from its first accepted partner in
+    ``rank_pairs`` order, its best-scoring one: displacement is the
+    centroid difference, age increments.
     Score ties go to the pair with the smaller total support distance
     (uncorrelated groups can tie a true pair's support count by chance,
     but never its distances), then to the lower previous slot.
     Unmatched current groups start fresh; previous groups without an
     accepted match disappear with the returned state.
     """
-    gp = np.array([gm.group_prev for gm in accepted], np.int64)
-    gc = np.array([gm.group_curr for gm in accepted], np.int64)
+    order, gp, gc = rank_pairs(accepted)
     if ((gp < 0) | (gp >= len(state.groups)) | (gc < 0) | (gc >= len(groups_curr))).any():
         raise ValueError("accepted matches reference unknown group slots")
-    score = np.array([gm.score for gm in accepted], np.int64)
-    dist_sum = np.array([gm.dist_sum for gm in accepted], np.int64)
-    order = np.lexsort((gp, dist_sum, -score, gc))
-    first = np.ones(order.shape[0], bool)
-    first[1:] = gc[order[1:]] != gc[order[:-1]]
-    best = order[first]
+    best = order[np.unique(gc[order], return_index=True)[1]]
     cont_p, cont_c = gp[best], gc[best]
     displacement = np.zeros((len(groups_curr), 2))
     displacement[cont_c] = (_rows(groups_curr, "centroid")[cont_c]

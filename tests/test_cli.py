@@ -9,7 +9,7 @@ import pytest
 
 from dynafeat.cli import main
 from dynafeat.config import CONFIG_CONVERTERS, PipelineConfig, parse_key_values
-from dynafeat.errors import ConfigError
+from dynafeat.errors import ConfigError, InputDataError
 from dynafeat.frontend import FrameFeatures, GrayImage, save_features
 from dynafeat.image_io import load_pgm, save_pgm
 from dynafeat.matching import InlierColumns
@@ -66,6 +66,12 @@ def test_config_rejects_bad_value():
         _config_from_text("min_group=10\nmax_group=5\n")
     with pytest.raises(ConfigError):
         _config_from_text("input_mode=video\n")
+    with pytest.raises(ConfigError):
+        _config_from_text("window 40.0\n")
+    with pytest.raises(ConfigError):
+        _config_from_text("max_features=0\n")
+    with pytest.raises(ConfigError):
+        _config_from_text("fast_threshold=0\n")
 
 
 def test_config_comments_and_blanks_ignored():
@@ -604,6 +610,53 @@ def test_eval_outputs_golden(tmp_path, synth_dir, scene):
     assert (out / "pose_curve.dat").read_text() == curve
 
 
+def _few_points_sequence(tmp_path):
+    # one 7-point cluster: every transition keeps fewer than 8 matches
+    scene = make_cluster_scene(seed=4, frames=3, n_clusters=1, points_per_cluster=7,
+                               trajectory="translate_x", step=0.02)
+    src = tmp_path / "few"
+    save_sequence(generate_sequence(scene, seed=4), src)
+    return src
+
+
+def _eval_summary(tmp_path, src):
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, output_dir=str(out), timing=False)
+    assert main(["eval", str(cfg_path), str(src), "--gt", str(src / "gt")]) == 0
+    return (out / "summary.txt").read_text()
+
+
+def test_eval_transitions_under_8_matches_score_no_pose(tmp_path):
+    # a transition too small for the eight-point solver counts as an
+    # infinite pose error, so no threshold is met
+    summary = _eval_summary(tmp_path, _few_points_sequence(tmp_path))
+    assert summary == "".join([
+        "format=dynafeat-eval-v1\npairs=2\nmatches=14\nprecision=1.000000\n",
+        "mean_inlier_ratio=0.000000\npose_pairs_evaluated=2\npose_errors_finite=0\n",
+        "repeatability_px=n/a\n"]
+        + [f"success@{th}=0.000000\n"
+           for th in ("0.25", "0.5", "1.0", "2.0", "3.0", "5.0", "7.5", "10.0",
+                      "15.0", "20.0", "30.0")])
+
+
+def test_eval_without_transitions_has_no_curve(tmp_path):
+    # frames 1 and 2 carry a header and no feature, so both are skipped
+    # and no transition is matched: no precision, no success curve
+    src = _few_points_sequence(tmp_path)
+    header = (src / frame_filename(0)).read_text().splitlines()[0]
+    for i in (1, 2):
+        (src / frame_filename(i)).write_text(header + "\n")
+    assert _eval_summary(tmp_path, src) == (
+        "format=dynafeat-eval-v1\npairs=0\nmatches=0\nmean_inlier_ratio=0.000000\n"
+        "pose_pairs_evaluated=0\npose_errors_finite=0\nrepeatability_px=n/a\n")
+
+
+def test_missing_frame_path_names_the_frame(tmp_path, synth_dir):
+    paths = [str(synth_dir / frame_filename(0)), str(tmp_path / "gone.feat")]
+    with pytest.raises(InputDataError, match="cannot read frame 1 "):
+        run_sequence(PipelineConfig(), paths)
+
+
 def test_eval_misaligned_gt_exits_2(tmp_path, synth_dir):
     # ground truth with too few poses for the frames
     gt = tmp_path / "gt"
@@ -641,6 +694,18 @@ def test_bench_single_rep_equals_single_run(tmp_path):
     assert report.repetitions == 1
     med = report.last_stats.median_stage_ms()
     assert report.median_stage_ms == med
+
+
+def test_bench_reads_an_iterator_like_a_list():
+    # the warmup and every repetition read the same frames
+    seq = generate_sequence(make_cluster_scene(seed=8, frames=3), seed=8)
+    reports = [bench(PipelineConfig(), frames, repetitions=2)
+               for frames in (seq.frames, iter(seq.frames))]
+    assert [r.repetitions for r in reports] == [2, 2]
+    want, got = (r.last_stats for r in reports)
+    for name in ("features", "groups", "candidate_pairs", "accepted_pairs", "inliers"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert len(want.inliers) == 3 and all(want.inliers[1:])   # both transitions matched
 
 
 def test_bench_percentages_sum_to_100(tmp_path, synth_dir):
@@ -697,6 +762,19 @@ def test_synth_verb_generates_usable_sequence(tmp_path):
     run_out = tmp_path / "runout"
     cfg_path = _write_config(tmp_path, output_dir=str(run_out))
     assert main(["match", str(cfg_path), str(out)]) == 0
+
+
+def test_synth_seed_flag_overrides_scene_seed(tmp_path):
+    outs = []
+    for seed_line, flags in (("seed=7", ["--seed", "5"]), ("seed=5", [])):
+        scene_cfg = tmp_path / "scene.cfg"
+        scene_cfg.write_text(f"{seed_line}\nframes=2\nn_clusters=6\n")
+        out = tmp_path / f"gen{len(outs)}"
+        assert main(["synth", str(scene_cfg), "--out", str(out)] + flags) == 0
+        outs.append({str(p.relative_to(out)): p.read_bytes()
+                     for p in sorted(out.rglob("*")) if p.is_file()})
+    assert outs[0] == outs[1]
+    assert len(outs[0]) == 4   # two frames, the poses and one pair file
 
 
 def test_synth_bad_scene_key_exits_3(tmp_path):

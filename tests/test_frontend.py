@@ -8,7 +8,7 @@ import pytest
 from dynafeat.errors import FeatureFileError, InputDataError
 from dynafeat.frontend import (FrameFeatures, GrayImage, describe, detect_corners,
                                extract_frame, load_features, save_features)
-from dynafeat.image_io import load_image
+from dynafeat.image_io import load_image, rgb_to_luma
 
 from oracles import fast_corners_reference, fast_response_reference, hamming_reference
 
@@ -277,3 +277,14 @@ def test_png_without_pillow_names_the_dependency(monkeypatch):
     monkeypatch.setitem(sys.modules, "PIL", None)
     with pytest.raises(InputDataError, match="pillow"):
         load_image("x.png")
+
+
+def test_rgb_to_luma_rounds_half_up():
+    # 0.114 * 250 = 28.5: half up gives 29 where half-even gives 28
+    assert rgb_to_luma(np.array([[[0, 0, 250]]], np.uint8)).tolist() == [[29]]
+    assert rgb_to_luma(np.array([[[255, 255, 255]]], np.uint8)).tolist() == [[255]]
+    rgb = np.random.default_rng(33).integers(0, 256, (1000, 1, 3), dtype=np.uint8)
+    luma = rgb_to_luma(rgb)
+    assert luma.dtype == np.uint8 and luma.shape == (1000, 1)
+    assert luma[:, 0].tolist() == [(299 * r + 587 * g + 114 * b + 500) // 1000
+                                   for r, g, b in rgb[:, 0].tolist()]

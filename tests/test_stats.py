@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from dynafeat.stats import (MatchProbabilityParams, binomial_moments, p_false,
-                            p_false_crosscheck, p_true, p_true_crosscheck,
-                            separation_gap, support_threshold)
+from dynafeat.stats import (binomial_moments, p_false, p_false_crosscheck, p_true,
+                            p_true_crosscheck, support_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -51,16 +50,22 @@ def test_binomial_moments_values():
 def test_support_threshold_values():
     assert support_threshold(25, 2.0) == 10.0
     assert support_threshold(5, 2.0) == pytest.approx(2.0 * math.sqrt(5.0))
-    exact = support_threshold(25, 2.0, mode="exact", p_false_cc=0.0625)
+    mom = binomial_moments(25, 0.0625)
+    exact = mom.mean + 2.0 * mom.stddev
     expected = 25 * 0.0625 + 2.0 * math.sqrt(25 * 0.0625 * 0.9375)
     assert exact == pytest.approx(expected, abs=1e-12)
     assert exact == pytest.approx(3.9831, abs=1e-3)
 
 
+def _gap(t, n, n_pool, m, m_pool):
+    return (p_true_crosscheck(t, n, n_pool, m, m_pool)
+            - p_false_crosscheck(t, n, n_pool, m, m_pool))
+
+
 def test_separation_gap_values():
-    assert separation_gap(MatchProbabilityParams(0.5, 30, 30, 20, 20)) == pytest.approx(0.75)
-    assert separation_gap(MatchProbabilityParams(1.0, 5, 50, 7, 70)) == 1.0
-    assert separation_gap(MatchProbabilityParams(0.5, 10, 20, 15, 30)) == pytest.approx(0.5)
+    assert _gap(0.5, 30, 30, 20, 20) == pytest.approx(0.75)
+    assert _gap(1.0, 5, 50, 7, 70) == 1.0
+    assert _gap(0.5, 10, 20, 15, 30) == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +83,9 @@ def test_count_exceeding_pool_rejected():
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        MatchProbabilityParams(-0.1, 5, 10, 5, 10)
+        p_true(-0.1, 5, 10)
     with pytest.raises(ValueError):
-        MatchProbabilityParams(0.5, 0, 10, 5, 10)
-    with pytest.raises(ValueError):
-        MatchProbabilityParams(0.5, 5, 10, 5, 10, k=0.0)
-    with pytest.raises(ValueError):
-        support_threshold(25, 2.0, mode="exact")
-    with pytest.raises(ValueError):
-        support_threshold(25, 2.0, mode="quantum")
+        support_threshold(25, 0.0)
     with pytest.raises(ValueError):
         binomial_moments(0, 0.5)
 
@@ -132,8 +131,6 @@ def test_support_threshold_array_equals_scalar():
     for bad in (np.array([3, 0, 5]), np.array([-1])):
         with pytest.raises(ValueError):
             support_threshold(bad, 2.0)
-    with pytest.raises(ValueError):
-        support_threshold(n, 2.0, mode="exact", p_false_cc=0.1)
 
 
 def test_threshold_monotone_in_n_and_k():
@@ -145,7 +142,7 @@ def test_threshold_monotone_in_n_and_k():
 
 def test_gap_lower_bound_for_confident_matcher():
     for t in np.linspace(0.5, 1.0, 101):
-        gap = separation_gap(MatchProbabilityParams(float(t), 20, 20, 20, 20))
+        gap = _gap(float(t), 20, 20, 20, 20)
         assert gap >= 0.75 * t * t - 1e-12
 
 
