@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError, decode_error_line
@@ -29,6 +30,8 @@ def parse_bool(raw: str) -> bool:
 
 # field type name -> converter of a raw value; ValueError marks a bad value
 _CONVERTERS = {"bool": parse_bool, "int": int, "float": float, "str": str}
+# field type name -> the values a field takes (bool only for bool fields)
+_VALUE_TYPES = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 def parse_key_values(text: str, converters: dict) -> dict:
@@ -89,6 +92,13 @@ class PipelineConfig:
         self.validate()
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _VALUE_TYPES[f.type]) \
+                    or (isinstance(value, bool) and f.type != "bool"):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type != "bool":  # builtin type, so to_text writes what load reads
+                setattr(self, f.name, _CONVERTERS[f.type](value))
         # chained comparisons are false for nan, so nan fails each check
         if not 0 < self.window < math.inf:
             raise ConfigError("window must be positive and finite")

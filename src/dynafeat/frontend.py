@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import FeatureFileError, decode_error_line
+from .errors import FeatureFileError, InputDataError, decode_error_line
 
 PATCH_MARGIN = 16
 DEFAULT_DESC_BITS = 256
@@ -49,7 +49,7 @@ class GrayImage:
     def __post_init__(self):
         self.pixels = np.asarray(self.pixels, np.uint8)
         if self.width < PATCH_MARGIN or self.height < PATCH_MARGIN:
-            raise ValueError(
+            raise InputDataError(
                 f"image must be at least {PATCH_MARGIN}x{PATCH_MARGIN}, "
                 f"got {self.width}x{self.height}")
         if self.pixels.shape != (self.height, self.width):

@@ -50,10 +50,9 @@ def load_pgm(path) -> GrayImage:
     magic = token()
     if magic != b"P5":
         raise InputDataError(f"{path}: not a binary PGM (magic {magic!r})")
+    fields = [token() for _ in range(3)]  # width, height, maxval
     try:
-        width = int(token())
-        height = int(token())
-        maxval = int(token())
+        width, height, maxval = map(int, fields)
     except ValueError:
         raise InputDataError(f"{path}: non-integer PGM header field") from None
     if width < PATCH_MARGIN or height < PATCH_MARGIN:

@@ -4,8 +4,8 @@ A candidate group pair is scored by its mutual nearest-neighbor matches
 (each feature must be the other's unique nearest neighbor; distance ties
 disqualify). The pair is accepted when the support count strictly exceeds
 k * sqrt(n_eff) with n_eff the smaller group size, and only accepted pairs
-emit feature matches. A feature caught by several overlapping accepted
-pairs keeps the match from the highest-scoring one.
+emit feature matches, best pair first. A feature caught by several
+overlapping accepted pairs keeps the match from the first, best-ranked one.
 
 All candidate pairs of a frame transition are scored in one batched
 kernel call, and whole feature sets go through the same kernel as a
@@ -34,9 +34,6 @@ class GroupMatch:
 
     group_prev: int     # slot in the previous frame's group list
     group_curr: int     # slot in the current frame's group list
-    score: int
-    tau: float
-    dist_sum: int       # total support distance
     sup_a: np.ndarray = field(repr=False)
     sup_b: np.ndarray = field(repr=False)
     sup_dist: np.ndarray = field(repr=False)
@@ -76,6 +73,11 @@ def score_candidate_pairs(groups_prev: list[FeatureGroup], features_prev: FrameF
     keep the accepted ones; the one place the acceptance rule score > tau
     is applied. Pairs are scored independently; rejected pairs are dropped
     here since they emit nothing downstream.
+
+    The accepted pairs come back best first: highest score (support count)
+    first, ties to the lower current slot, then to the smaller total
+    support distance (chance pairs can tie a true pair's support count,
+    but not its distances), then to the lower previous slot.
     """
     pairs = np.asarray(candidate_pairs, np.int64).reshape(-1, 2)
     pair_a, pair_b = pairs[:, 0], pairs[:, 1]
@@ -91,16 +93,14 @@ def score_candidate_pairs(groups_prev: list[FeatureGroup], features_prev: FrameF
 
     taus = support_threshold(np.minimum(cnt_a[pair_a], cnt_b[pair_b]), k)
     emit = np.flatnonzero(scores > taus)
-    starts = out_off[emit]
-    stops = starts + scores[emit]
     dist_cum = np.zeros(dist.shape[0] + 1, np.int64)
     np.cumsum(dist, out=dist_cum[1:])
-    dist_sums = dist_cum[stops] - dist_cum[starts]
-    return [GroupMatch(gp, gc, stop - start, tau, dist_sum,
-                       ia[start:stop], ib[start:stop], dist[start:stop])
-            for gp, gc, start, stop, dist_sum, tau
-            in zip(pair_a[emit].tolist(), pair_b[emit].tolist(), starts.tolist(),
-                   stops.tolist(), dist_sums.tolist(), taus[emit].tolist())]
+    dist_sums = dist_cum[out_off[emit] + scores[emit]] - dist_cum[out_off[emit]]
+    emit = emit[np.lexsort((pair_a[emit], dist_sums, pair_b[emit], -scores[emit]))]
+    starts = out_off[emit]
+    return [GroupMatch(gp, gc, ia[start:stop], ib[start:stop], dist[start:stop])
+            for gp, gc, start, stop in zip(pair_a[emit].tolist(), pair_b[emit].tolist(),
+                                           starts.tolist(), (starts + scores[emit]).tolist())]
 
 
 @dataclass(eq=False)
@@ -119,33 +119,20 @@ class InlierColumns:
         return self.feature_prev.shape[0]
 
 
-def rank_pairs(accepted: list[GroupMatch]):
-    """Best-first order of accepted pairs, with their previous-slot and
-    current-slot columns: highest score first, ties to the lower current
-    group slot, then the smaller total support distance, then the lower
-    previous group slot."""
-    group_prev = np.array([gm.group_prev for gm in accepted], np.int64)
-    group_curr = np.array([gm.group_curr for gm in accepted], np.int64)
-    score = np.array([gm.score for gm in accepted], np.int64)
-    dist_sum = np.array([gm.dist_sum for gm in accepted], np.int64)
-    return np.lexsort((group_prev, dist_sum, group_curr, -score)), group_prev, group_curr
-
-
 def dedup_inlier_columns(accepted: list[GroupMatch], features_prev: FrameFeatures,
                          features_curr: FrameFeatures) -> InlierColumns:
-    """One match per feature: the first pair in ``rank_pairs`` order wins."""
+    """One match per feature: the first listed pair that holds it wins,
+    the best one in the list ``score_candidate_pairs`` returns."""
     if not accepted:
         z = np.zeros(0, np.int64)
         return InlierColumns(z, z, np.zeros((0, 2)), np.zeros((0, 2)),
                              np.zeros(0), z, z)
-    order, group_prev, group_curr = rank_pairs(accepted)
-    ranked = [accepted[i] for i in order.tolist()]
-    ia = np.concatenate([gm.sup_a for gm in ranked])
-    ib = np.concatenate([gm.sup_b for gm in ranked])
-    dist = np.concatenate([gm.sup_dist for gm in ranked])
-    sizes = [gm.sup_a.shape[0] for gm in ranked]
-    gp_ids = np.repeat(group_prev[order], sizes)
-    gc_ids = np.repeat(group_curr[order], sizes)
+    ia = np.concatenate([gm.sup_a for gm in accepted])
+    ib = np.concatenate([gm.sup_b for gm in accepted])
+    dist = np.concatenate([gm.sup_dist for gm in accepted])
+    sizes = [gm.sup_a.shape[0] for gm in accepted]
+    gp_ids = np.repeat([gm.group_prev for gm in accepted], sizes)
+    gc_ids = np.repeat([gm.group_curr for gm in accepted], sizes)
     keep = _kernels.claim_first(ia, ib, features_prev.count, features_curr.count)
     ia = ia[keep]
     ib = ib[keep]

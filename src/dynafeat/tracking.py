@@ -19,7 +19,7 @@ import numpy as np
 
 from .frontend import FrameFeatures
 from .grouping import FeatureGroup
-from .matching import GroupMatch, rank_pairs
+from .matching import GroupMatch
 
 DEFAULT_SEARCH_MARGIN = 30.0
 BOOTSTRAP_MARGIN_SCALE = 2.0
@@ -84,19 +84,17 @@ def advance(state: TrackState, features_curr: FrameFeatures,
             margin: float = DEFAULT_SEARCH_MARGIN) -> TrackState:
     """Fold accepted matches into the next state.
 
-    Each current group inherits a proxy from its first accepted partner in
-    ``rank_pairs`` order, its best-scoring one: displacement is the
-    centroid difference, age increments.
-    Score ties go to the pair with the smaller total support distance
-    (uncorrelated groups can tie a true pair's support count by chance,
-    but never its distances), then to the lower previous slot.
+    ``accepted`` is best first, as ``score_candidate_pairs`` returns it.
+    Each current group inherits a proxy from its first listed partner:
+    displacement is the centroid difference, age increments.
     Unmatched current groups start fresh; previous groups without an
     accepted match disappear with the returned state.
     """
-    order, gp, gc = rank_pairs(accepted)
+    gp = np.array([gm.group_prev for gm in accepted], np.int64)
+    gc = np.array([gm.group_curr for gm in accepted], np.int64)
     if ((gp < 0) | (gp >= len(state.groups)) | (gc < 0) | (gc >= len(groups_curr))).any():
         raise ValueError("accepted matches reference unknown group slots")
-    best = order[np.unique(gc[order], return_index=True)[1]]
+    best = np.unique(gc, return_index=True)[1]
     cont_p, cont_c = gp[best], gc[best]
     displacement = np.zeros((len(groups_curr), 2))
     displacement[cont_c] = (_rows(groups_curr, "centroid")[cont_c]

@@ -3,6 +3,8 @@
 import json
 import os
 import shutil
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from dynafeat.cli import main
 from dynafeat.config import CONFIG_CONVERTERS, PipelineConfig, parse_key_values
 from dynafeat.errors import ConfigError, InputDataError
 from dynafeat.frontend import FrameFeatures, GrayImage, save_features
-from dynafeat.image_io import load_pgm, save_pgm
+from dynafeat.image_io import load_image, load_pgm, rgb_to_luma, save_pgm
 from dynafeat.matching import InlierColumns
 from dynafeat.pipeline import (PairMatches, RunStats, SequenceResult, bench, run_sequence,
                                write_match_files)
@@ -72,6 +74,23 @@ def test_config_rejects_bad_value():
         _config_from_text("max_features=0\n")
     with pytest.raises(ConfigError):
         _config_from_text("fast_threshold=0\n")
+
+
+@pytest.mark.parametrize("name,value", [("max_group", 35.5), ("seed", 1.5),
+                                        ("min_group", True), ("timing", "no"),
+                                        ("window", "30")])
+def test_config_rejects_value_its_file_format_cannot_hold(name, value):
+    with pytest.raises(ConfigError, match=name):
+        PipelineConfig(**{name: value})
+
+
+def test_config_numpy_scalars_roundtrip_as_builtins():
+    cfg = PipelineConfig(window=np.float64(30.0), max_group=np.int64(35), k=np.float32(2.5))
+    text = cfg.to_text()
+    assert "window=30.0\n" in text and "max_group=35\n" in text and "k=2.5\n" in text
+    again = _config_from_text(text)
+    assert again == cfg
+    assert again.to_text() == text
 
 
 def test_config_comments_and_blanks_ignored():
@@ -393,8 +412,11 @@ _RASTER = bytes(range(256)) * 4  # 32x32 pixels
     ("frame.pgm", b"P5\n32 32\n0\n" + _RASTER, "maxval 0 unsupported"),
     ("frame.pgm", b"P5\n32 32\n256\n" + _RASTER, "maxval 256 unsupported"),
     ("frame.pgm", b"P5\n32 32\n255\n" + _RASTER[:-1], "PGM raster truncated"),
-    ("frame.jpg", b"P5\n32 32\n255\n" + _RASTER, "unsupported image type '.jpg'")],
-    ids=["magic-P2", "maxval-0", "maxval-256", "truncated-raster", "jpg"])
+    ("frame.jpg", b"P5\n32 32\n255\n" + _RASTER, "unsupported image type '.jpg'"),
+    ("frame.pgm", b"P5\n32", "truncated PGM header"),
+    ("frame.pgm", b"P5\nab 32\n255\n", "non-integer PGM header field")],
+    ids=["magic-P2", "maxval-0", "maxval-256", "truncated-raster", "jpg", "truncated-header",
+         "non-integer-header"])
 def test_bad_image_exits_2(tmp_path, capsys, name, data, message):
     frames = [tmp_path / f"{i}_{name}" for i in range(2)]
     for path in frames:
@@ -402,6 +424,55 @@ def test_bad_image_exits_2(tmp_path, capsys, name, data, message):
     cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "o"), input_mode="images")
     assert main(["match", str(cfg_path)] + [str(path) for path in frames]) == 2
     assert message in capsys.readouterr().err
+
+
+class _FakePngImage:
+    """What load_png reads of a Pillow image: mode, array view, convert."""
+
+    def __init__(self, pixels, mode):
+        self.pixels, self.mode = np.asarray(pixels, np.uint8), mode
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def __array__(self, dtype=None, copy=None):
+        return self.pixels.astype(dtype or np.uint8)
+
+    def convert(self, mode):
+        assert mode == "RGBA"
+        alpha = np.full(self.pixels.shape[:2] + (1,), 255, np.uint8)
+        return _FakePngImage(np.concatenate([self.pixels, alpha], axis=2), mode)
+
+
+def _install_fake_pil(monkeypatch, image):
+    pil = types.ModuleType("PIL")
+    pil.Image = types.SimpleNamespace(open=lambda path: image)
+    monkeypatch.setitem(sys.modules, "PIL", pil)
+
+
+@pytest.mark.parametrize("image,message", [
+    (_FakePngImage(np.zeros((10, 10)), "L"), "image must be at least 16x16, got 10x10"),
+    (_FakePngImage(np.zeros((32, 32)), "P"), "unsupported PNG mode P")],
+    ids=["10x10-L", "mode-P"])
+def test_bad_png_exits_2(tmp_path, capsys, monkeypatch, image, message):
+    _install_fake_pil(monkeypatch, image)
+    frames = [tmp_path / f"{i}.png" for i in range(2)]
+    for path in frames:
+        path.write_bytes(b"")
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "o"), input_mode="images")
+    assert main(["match", str(cfg_path)] + [str(path) for path in frames]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_rgb_png_loads_as_luma(monkeypatch):
+    rgb = np.random.default_rng(3).integers(0, 256, (32, 32, 3), dtype=np.uint8)
+    _install_fake_pil(monkeypatch, _FakePngImage(rgb, "RGB"))
+    image = load_image("frame.png")
+    assert (image.width, image.height) == (32, 32)
+    assert np.array_equal(image.pixels, rgb_to_luma(rgb))
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +737,15 @@ def test_eval_misaligned_gt_exits_2(tmp_path, synth_dir):
     assert main(["eval", str(cfg_path), str(synth_dir), "--gt", str(gt)]) == 2
 
 
+def test_eval_missing_pair_file_exits_2(tmp_path, synth_dir, capsys):
+    gt = tmp_path / "gt"
+    shutil.copytree(synth_dir / "gt", gt)
+    (gt / "pairs_000001_000002.txt").unlink()
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "o"))
+    assert main(["eval", str(cfg_path), str(synth_dir), "--gt", str(gt)]) == 2
+    assert "missing ground-truth pair file for frames 1-2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name,line,edit,message", [
     ("poses.txt", 1, lambda fields: fields[:-1], "poses.txt: line 2: expected 13 fields, got 12"),
     ("pairs_000001_000002.txt", 0, lambda fields: fields[:-1] + ["4x"],
@@ -717,6 +797,11 @@ def test_bench_percentages_sum_to_100(tmp_path, synth_dir):
     pct = [float(line.split("=")[1]) for line in text.splitlines()
            if line.startswith("pct_")]
     assert abs(sum(pct) - 100.0) <= 1.0
+
+
+def test_bench_zero_reps_exits_2(tmp_path, synth_dir):
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    assert main(["bench", str(cfg_path), str(synth_dir), "--reps", "0"]) == 2
 
 
 def test_perfbench_tracer_counts_every_layer(tmp_path, synth_dir, monkeypatch):
@@ -869,4 +954,4 @@ def test_identity_sequence_accepted_pairs_score_fully():
                                      seq.frames[1], candidates, k=cfg.k)
     assert accepted
     for gm in accepted:
-        assert gm.score == min(groups[0][gm.group_prev].n, groups[1][gm.group_curr].n)
+        assert len(gm.sup_a) == min(groups[0][gm.group_prev].n, groups[1][gm.group_curr].n)

@@ -7,7 +7,7 @@ import pytest
 
 from dynafeat.config import PipelineConfig
 from dynafeat.frontend import FrameFeatures
-from dynafeat.grouping import group_features
+from dynafeat.grouping import FeatureGroup, group_features
 from dynafeat.matching import (InlierColumns, dedup_inlier_columns, mutual_nn_match,
                                score_candidate_pairs)
 from dynafeat.pipeline import run_sequence
@@ -165,10 +165,8 @@ def test_null_rate_of_unrelated_groups():
 def test_pair_accepted_above_threshold():
     gp, prev, gc, curr = _paired_groups(25, 25, 12)
     [gm] = score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)])
-    assert gm.score == 12
-    assert gm.tau == 10.0
+    assert support_threshold(25) == 10.0
     assert len(gm.sup_a) == len(gm.sup_b) == len(gm.sup_dist) == 12
-    assert gm.dist_sum == int(gm.sup_dist.sum())
 
 
 def test_pair_rejected_at_or_below_threshold():
@@ -184,9 +182,10 @@ def test_pair_rejected_at_or_below_threshold():
 
 def test_threshold_uses_smaller_group():
     gp, prev, gc, curr = _paired_groups(35, 9, 7, seed=3)
+    # accepted at 7 supports: tau comes from the 9-member group (6.0),
+    # not from the 35-member one (11.8)
     [gm] = score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)])
-    assert gm.tau == pytest.approx(6.0)
-    assert gm.score == 7
+    assert len(gm.sup_a) == 7
 
 
 def test_score_bounded_by_smaller_group():
@@ -194,7 +193,7 @@ def test_score_bounded_by_smaller_group():
         gp, prev, gc, curr = _paired_groups(20, 12, 11, seed=seed)
         assert _supports(gp, prev, gc, curr) <= min(gp.n, gc.n)
         for gm in score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)]):
-            assert gm.score <= min(gp.n, gc.n)
+            assert len(gm.sup_a) <= min(gp.n, gc.n)
 
 
 def test_acceptance_reachable_for_all_legal_sizes():
@@ -213,6 +212,77 @@ def test_adding_support_never_flips_acceptance():
 
 
 # ---------------------------------------------------------------------------
+# score_candidate_pairs: accepted pairs come back best first
+# ---------------------------------------------------------------------------
+
+def _slot_group(frame: FrameFeatures, members) -> FeatureGroup:
+    pos = frame.positions[members]
+    return FeatureGroup(members=np.asarray(members, np.int64), n=len(members),
+                        centroid=pos.mean(axis=0), bbox_min=pos.min(axis=0),
+                        bbox_max=pos.max(axis=0))
+
+
+def _copies_of_one_group(flip_second: bool):
+    """Two previous groups of 12 copies of the current group's descriptors;
+    the second copy has one bit flipped per descriptor if ``flip_second``."""
+    rng = np.random.default_rng(12)
+    base = [rng.integers(0, 256, 32, dtype=np.uint8) for _ in range(12)]
+    second = [_flip_bits(d, [7]) for d in base] if flip_second else base
+    prev = _frame_from_descriptors(base + second)
+    curr = _frame_from_descriptors(base, frame_index=1)
+    copies = [_slot_group(prev, range(12)), _slot_group(prev, range(12, 24))]
+    return copies, prev, [_slot_group(curr, range(12))], curr
+
+
+def _ranked(groups_prev, prev, groups_curr, curr, pairs):
+    accepted = score_candidate_pairs(groups_prev, prev, groups_curr, curr, pairs)
+    return [(gm.group_prev, gm.group_curr, len(gm.sup_a), int(gm.sup_dist.sum()))
+            for gm in accepted]
+
+
+def test_equal_scores_and_distances_rank_lower_prev_slot_first():
+    copies, prev, groups_curr, curr = _copies_of_one_group(flip_second=False)
+    for pairs in ([(0, 0), (1, 0)], [(1, 0), (0, 0)]):
+        assert _ranked(copies, prev, groups_curr, curr, pairs) == [(0, 0, 12, 0), (1, 0, 12, 0)]
+
+
+def test_equal_scores_rank_smaller_distance_sum_first():
+    copies, prev, groups_curr, curr = _copies_of_one_group(flip_second=True)
+    for exact in (0, 1):
+        groups_prev = copies if exact == 0 else copies[::-1]
+        for pairs in ([(0, 0), (1, 0)], [(1, 0), (0, 0)]):
+            assert _ranked(groups_prev, prev, groups_curr, curr, pairs) \
+                == [(exact, 0, 12, 0), (1 - exact, 0, 12, 12)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_accepted_pairs_equal_per_pair_oracle_best_first(seed):
+    scene = make_cluster_scene(seed, frames=2, n_clusters=60, points_per_cluster=25,
+                               cluster_radius_px=25.0, trajectory="translate_x", step=0.05,
+                               jitter_px=0.5, descriptor_bit_flips=20, outlier_rate=0.3)
+    prev, curr = generate_sequence(scene, seed=seed).frames
+    cfg = PipelineConfig()
+    groups_prev = group_features(prev, cfg).groups
+    groups_curr = group_features(curr, cfg).groups
+    pairs = [(p, c) for p, gp in enumerate(groups_prev) for c, gc in enumerate(groups_curr)
+             if np.hypot(*(gp.centroid - gc.centroid)) <= 60.0]
+    want = {}
+    for p, c in pairs:
+        gp, gc = groups_prev[p], groups_curr[c]
+        _, _, dist = mutual_nn_match(prev.descriptors[gp.members],
+                                     curr.descriptors[gc.members])
+        if len(dist) > support_threshold(min(gp.n, gc.n)):
+            want[(p, c)] = (len(dist), int(dist.sum()))
+    got = _ranked(groups_prev, prev, groups_curr, curr, pairs)
+    assert {(p, c): (score, dist_sum) for p, c, score, dist_sum in got} == want
+    keys = [(-score, c, dist_sum, p) for p, c, score, dist_sum in got]
+    assert keys == sorted(keys)
+    # score ties inside one current group occur, so the later keys decide
+    curr_scores = [(c, score) for _, c, score, _ in got]
+    assert len(set(curr_scores)) < len(curr_scores)
+
+
+# ---------------------------------------------------------------------------
 # score_candidate_pairs + dedup_inlier_columns
 # ---------------------------------------------------------------------------
 
@@ -227,8 +297,7 @@ def test_identity_groups_fully_match():
     gp, prev, gc, curr = _paired_groups(10, 10, 10)
     accepted, inliers = _match_pairs([gp], prev, [gc], curr, np.array([[0, 0]]))
     assert len(accepted) == 1
-    assert accepted[0].score == 10
-    assert accepted[0].tau == pytest.approx(2.0 * math.sqrt(10.0))
+    assert len(accepted[0].sup_a) == 10
     assert len(inliers) == 10
     assert all(d == 0.0 for d in inliers.distance.tolist())
 
@@ -268,7 +337,7 @@ def test_dedup_keeps_highest_scoring_pair():
 def test_inliers_bounded_by_sum_of_scores():
     gp, prev, gc, curr = _paired_groups(20, 20, 15, seed=11)
     accepted, inliers = _match_pairs([gp], prev, [gc], curr, [(0, 0)])
-    assert len(inliers) <= sum(gm.score for gm in accepted)
+    assert len(inliers) <= sum(len(gm.sup_a) for gm in accepted)
 
 
 def test_odd_width_sequence_equals_zero_extended_rows():

@@ -129,10 +129,9 @@ def test_closed_interval_boundary_touch_counts():
 # advance / bootstrap
 # ---------------------------------------------------------------------------
 
-def _match(gp, gc, score, dist_sum=0):
+def _match(gp, gc):
     z = np.zeros(0, np.int64)
-    return GroupMatch(group_prev=gp, group_curr=gc, score=score, tau=0.0,
-                      dist_sum=dist_sum, sup_a=z, sup_b=z, sup_dist=z)
+    return GroupMatch(group_prev=gp, group_curr=gc, sup_a=z, sup_b=z, sup_dist=z)
 
 
 def test_no_accepted_matches_means_full_rebirth():
@@ -148,36 +147,20 @@ def test_no_accepted_matches_means_full_rebirth():
 def test_displacement_is_centroid_difference():
     state = _state([_group(100.0, 100.0, 15.0, 15.0)])
     curr = [_group(110.0, 98.0, 15.0, 15.0)]
-    nxt = advance(state, _dummy_features(1), curr, [_match(0, 0, 9)])
+    nxt = advance(state, _dummy_features(1), curr, [_match(0, 0)])
     assert np.allclose(nxt.displacement[0], [10.0, -2.0])
     assert nxt.age[0] == 1
     assert nxt.proxies.tolist() == [0]
 
 
-def test_best_score_partner_wins():
+def test_first_listed_partner_wins():
+    # the list is best first, so whichever partner comes first continues
     state = _state([_group(100.0, 100.0, 15.0, 15.0),
                     _group(200.0, 100.0, 15.0, 15.0)])
     curr = [_group(130.0, 100.0, 15.0, 15.0)]
-    nxt = advance(state, _dummy_features(1), curr,
-                  [_match(0, 0, 12), _match(1, 0, 8)])
+    nxt = advance(state, _dummy_features(1), curr, [_match(0, 0), _match(1, 0)])
     assert np.allclose(nxt.displacement[0], [30.0, 0.0])
-
-
-def test_equal_scores_tie_to_lower_prev_id():
-    state = _state([_group(100.0, 100.0, 15.0, 15.0),
-                    _group(200.0, 100.0, 15.0, 15.0)])
-    curr = [_group(130.0, 100.0, 15.0, 15.0)]
-    nxt = advance(state, _dummy_features(1), curr,
-                  [_match(1, 0, 9), _match(0, 0, 9)])
-    assert np.allclose(nxt.displacement[0], [30.0, 0.0])
-
-
-def test_equal_scores_tie_to_smaller_distance_sum_first():
-    state = _state([_group(100.0, 100.0, 15.0, 15.0),
-                    _group(200.0, 100.0, 15.0, 15.0)])
-    curr = [_group(130.0, 100.0, 15.0, 15.0)]
-    nxt = advance(state, _dummy_features(1), curr,
-                  [_match(0, 0, 9, dist_sum=40), _match(1, 0, 9, dist_sum=12)])
+    nxt = advance(state, _dummy_features(1), curr, [_match(1, 0), _match(0, 0)])
     assert np.allclose(nxt.displacement[0], [-70.0, 0.0])
 
 
@@ -186,7 +169,7 @@ def test_age_increments_while_continuously_matched():
     ages = []
     for step in range(1, 4):
         curr = [_group(100.0 + 5.0 * step, 100.0, 15.0, 15.0)]
-        state = advance(state, _dummy_features(step), curr, [_match(0, 0, 10)])
+        state = advance(state, _dummy_features(step), curr, [_match(0, 0)])
         ages.append(int(state.age[0]))
     assert ages == [1, 2, 3]
 
@@ -196,14 +179,14 @@ def test_unknown_group_ids_rejected():
     curr = [_group(100.0, 100.0, 15.0, 15.0)]
     for gp, gc in ((9, 0), (0, 9), (-1, 0), (0, -1)):
         with pytest.raises(ValueError):
-            advance(state, _dummy_features(1), curr, [_match(gp, gc, 5)])
+            advance(state, _dummy_features(1), curr, [_match(gp, gc)])
 
 
 def test_advance_is_deterministic():
     state = _state([_group(100.0, 100.0, 15.0, 15.0)])
     curr = [_group(108.0, 103.0, 15.0, 15.0)]
-    a = advance(state, _dummy_features(1), curr, [_match(0, 0, 7)])
-    b = advance(state, _dummy_features(1), curr, [_match(0, 0, 7)])
+    a = advance(state, _dummy_features(1), curr, [_match(0, 0)])
+    b = advance(state, _dummy_features(1), curr, [_match(0, 0)])
     assert np.allclose(a.displacement, b.displacement)
     assert a.frame_index == b.frame_index == 1
 
@@ -227,8 +210,10 @@ def test_advance_matches_reference_loop(seed):
                     for _ in range(int(rng.integers(0, 30)))]
         want_disp, ref_age = advance_reference(
             [g.centroid for g in groups], ref_age, [g.centroid for g in curr], accepted)
+        # advance takes the list best first, as score_candidate_pairs ranks it
+        accepted.sort(key=lambda t: (-t[2], t[1], t[3], t[0]))
         state = advance(state, _dummy_features(step), curr,
-                        [_match(gp, gc, s, d) for gp, gc, s, d in accepted])
+                        [_match(gp, gc) for gp, gc, _, _ in accepted])
         assert np.array_equal(state.displacement, want_disp)
         assert np.array_equal(state.age, ref_age)
         assert state.proxies.tolist() == np.flatnonzero(ref_age).tolist()
