@@ -20,12 +20,31 @@ def active_backend() -> str:
 _CIRCLE_DX = np.array([0, 1, 2, 3, 3, 3, 2, 1, 0, -1, -2, -3, -3, -3, -2, -1], np.int64)
 _CIRCLE_DY = np.array([-3, -3, -2, -1, 0, 1, 2, 3, 3, 3, 2, 1, 0, -1, -2, -3], np.int64)
 
-_ARC_LEN = 9
+# On 8-bit pixels no ring pixel is brighter than c + 255 or darker than
+# c - 255, so a larger threshold detects nothing; up to 254, c + threshold
+# is at most 509 and every comparison and clamped sum is exact in int16.
+MAX_FAST_THRESHOLD = 254
 
 
 # ---------------------------------------------------------------------------
 # Segment-test corner response
 # ---------------------------------------------------------------------------
+
+def _rotr(code: np.ndarray, k: int) -> np.ndarray:
+    """Rotate 16-bit codes right by k: bit j of the result is bit
+    (j + k) mod 16 of ``code``."""
+    return (code >> k) | (code << (16 - k))
+
+
+def _has_arc(code: np.ndarray) -> np.ndarray:
+    """Nonzero where the uint16 ring code holds a circular run of 9 set bits:
+    bit j of the result is set when ring bits j..j+8 (mod 16) all are."""
+    run = code & _rotr(code, 1)   # bit j: bits j..j+1 set
+    run &= _rotr(run, 2)          # j..j+3
+    run &= _rotr(run, 4)          # j..j+7
+    run &= _rotr(code, 8)         # j..j+8: an arc of 9
+    return run
+
 
 def fast_response_map(img: np.ndarray, threshold: int) -> np.ndarray:
     """Segment-test corner response (int32, zero at non-corners).
@@ -33,37 +52,56 @@ def fast_response_map(img: np.ndarray, threshold: int) -> np.ndarray:
     A pixel scores when a contiguous arc of at least 9 of its 16 ring
     pixels is brighter or darker than the center by more than ``threshold``;
     the score is the larger of the brighter/darker clamped difference sums.
+    ``img`` is a 2-D uint8 array and ``threshold`` lies in
+    1..MAX_FAST_THRESHOLD; anything else raises ValueError.
     """
-    img = np.ascontiguousarray(img, dtype=np.int32)
+    if not 1 <= threshold <= MAX_FAST_THRESHOLD:
+        raise ValueError(f"fast_threshold must be in 1..{MAX_FAST_THRESHOLD}, "
+                         f"got {threshold!r}")
     threshold = int(threshold)
+    img = np.asarray(img)
+    if img.ndim != 2 or img.dtype != np.uint8:
+        raise ValueError("expected a 2-D uint8 image")
     h, w = img.shape
     resp = np.zeros((h, w), np.int32)
     if h < 7 or w < 7:
         return resp
-    c = img[3:h - 3, 3:w - 3]
-    hi = c + threshold
-    lo = c - threshold
-    ring = np.empty((16,) + c.shape, np.int32)
-    for k in range(16):
-        dx = int(_CIRCLE_DX[k])
-        dy = int(_CIRCLE_DY[k])
-        ring[k] = img[3 + dy:h - 3 + dy, 3 + dx:w - 3 + dx]
-    bright = ring > hi[None]
-    dark = ring < lo[None]
-
-    def has_run(mask: np.ndarray) -> np.ndarray:
-        out = np.zeros(c.shape, bool)
-        for s in range(16):
-            seg = mask[s]
-            for j in range(1, _ARC_LEN):
-                seg = seg & mask[(s + j) % 16]
-            out |= seg
-        return out
-
-    corner = has_run(bright) | has_run(dark)
-    bsum = np.maximum(ring - hi[None], 0).sum(axis=0, dtype=np.int32)
-    dsum = np.maximum(lo[None] - ring, 0).sum(axis=0, dtype=np.int32)
-    resp[3:h - 3, 3:w - 3] = np.where(corner, np.maximum(bsum, dsum), 0)
+    # Row-major flat pixels: ring pixel k of pixel p is flat[p + ring[k]].
+    # Every p in [start, start + n) has its whole ring inside the array;
+    # those within 3 columns of a side read neighbouring rows and are
+    # dropped below.
+    flat = img.astype(np.int16).ravel()
+    ring = _CIRCLE_DY * w + _CIRCLE_DX
+    start = 3 * w + 3
+    n = (h - 6) * w - 6
+    center = flat[start:start + n]
+    hi = center + threshold
+    lo = center - threshold
+    # bit k of a code: ring pixel k is brighter (darker) than the center
+    bright = np.zeros(n, np.uint16)
+    dark = np.zeros(n, np.uint16)
+    flag = np.empty(n, bool)
+    bit = np.empty(n, np.uint16)
+    for k, off in enumerate(ring.tolist()):
+        shifted = flat[start + off:start + off + n]
+        np.greater(shifted, hi, out=flag)
+        np.left_shift(flag, k, out=bit, dtype=np.uint16)
+        bright |= bit
+        np.less(shifted, lo, out=flag)
+        np.left_shift(flag, k, out=bit, dtype=np.uint16)
+        dark |= bit
+    arc = _has_arc(bright)
+    arc |= _has_arc(dark)
+    p = np.flatnonzero(arc) + start
+    col = p % w
+    p = p[(col >= 3) & (col < w - 3)]
+    # the clamped sums at the corners only, ring-major so each sum adds
+    # 16 rows; a sum is at most 16 * 254, exact in int16
+    vals = flat[ring[:, None] + p]
+    center = flat[p]
+    bsum = np.maximum(vals - (center + threshold), 0).sum(axis=0, dtype=np.int16)
+    dsum = np.maximum((center - threshold) - vals, 0).sum(axis=0, dtype=np.int16)
+    resp.reshape(-1)[p] = np.maximum(bsum, dsum)
     return resp
 
 
@@ -75,10 +113,11 @@ def brief_descriptors(sums: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                       pattern: np.ndarray) -> np.ndarray:
     """Packed comparison descriptors for corners at (xs, ys).
 
-    ``sums`` is the smoothed-intensity plane (box block sums), ``pattern``
-    an (nbits, 4) table of (dx1, dy1, dx2, dy2) test offsets. Bit k is set
-    when the first test point is darker than the second; bits are packed
-    most significant first.
+    ``sums`` is the smoothed-intensity plane (box block sums, any integer
+    dtype), ``pattern`` an (nbits, 4) table of (dx1, dy1, dx2, dy2) test
+    offsets. Bit k is set when the first test point is darker than the
+    second; bits are packed most significant first. A test point outside
+    the plane raises ValueError.
     """
     if pattern.shape[0] % 8 != 0:
         raise ValueError("descriptor bit count must be a multiple of 8")
@@ -86,10 +125,19 @@ def brief_descriptors(sums: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     ys = np.asarray(ys, np.int64)
     if xs.size == 0:
         return np.zeros((0, pattern.shape[0] // 8), np.uint8)
-    sums = np.asarray(sums, np.int64)
+    sums = np.asarray(sums)
+    h, w = sums.shape
     p = np.asarray(pattern, np.int64)
-    a = sums[ys[:, None] + p[None, :, 1], xs[:, None] + p[None, :, 0]]
-    b = sums[ys[:, None] + p[None, :, 3], xs[:, None] + p[None, :, 2]]
+    dx = p[:, 0::2]
+    dy = p[:, 1::2]
+    # flat indexing would read a neighbouring row, not fail, off the plane
+    if (xs.min() + dx.min() < 0 or xs.max() + dx.max() >= w
+            or ys.min() + dy.min() < 0 or ys.max() + dy.max() >= h):
+        raise ValueError("descriptor pattern reaches outside the plane")
+    flat = sums.reshape(-1)
+    base = (ys * w + xs)[:, None]
+    a = flat[base + (p[:, 1] * w + p[:, 0])]
+    b = flat[base + (p[:, 3] * w + p[:, 2])]
     return np.packbits(a < b, axis=1)
 
 

@@ -13,6 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
+from ._kernels import MAX_FAST_THRESHOLD
 from .errors import ConfigError, decode_error_line
 from .stats import support_threshold
 
@@ -115,8 +116,9 @@ class PipelineConfig:
             raise ConfigError("search_margin must be positive and finite")
         if self.max_features < 1:
             raise ConfigError("max_features must be >= 1")
-        if self.fast_threshold < 1:
-            raise ConfigError("fast_threshold must be >= 1")
+        if not 1 <= self.fast_threshold <= MAX_FAST_THRESHOLD:
+            # on 8-bit pixels a larger threshold detects nothing
+            raise ConfigError(f"fast_threshold must be in 1..{MAX_FAST_THRESHOLD}")
         if self.input_mode not in _INPUT_MODES:
             raise ConfigError(f"input_mode must be one of {_INPUT_MODES}")
         if self.seed < 0:

@@ -119,8 +119,6 @@ def detect_corners(image: GrayImage, fast_threshold: int = DEFAULT_FAST_THRESHOL
     with row-major position as the tie-break, then truncated to
     ``max_features``.
     """
-    if fast_threshold < 1:
-        raise ValueError("fast_threshold must be >= 1")
     if max_features < 1:
         raise ValueError("max_features must be >= 1")
     resp = _kernels.fast_response_map(image.pixels, fast_threshold)
@@ -142,12 +140,15 @@ def detect_corners(image: GrayImage, fast_threshold: int = DEFAULT_FAST_THRESHOL
 # ---------------------------------------------------------------------------
 
 def _box_sums_5x5(pixels: np.ndarray) -> np.ndarray:
-    """Integer 5x5 block sums with replicated borders (exact, no division)."""
-    padded = np.pad(pixels.astype(np.int64), 2, mode="edge")
-    ii = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), np.int64)
-    np.cumsum(np.cumsum(padded, axis=0), axis=1, out=ii[1:, 1:])
+    """Integer 5x5 block sums with replicated borders (exact, no division).
+
+    Separable: five shifted row adds, then five column adds. int16 holds
+    every sum, the largest being 25 * 255 = 6375.
+    """
+    padded = np.pad(pixels.astype(np.int16), 2, mode="edge")
     h, w = pixels.shape
-    return ii[5:5 + h, 5:5 + w] - ii[:h, 5:5 + w] - ii[5:5 + h, :w] + ii[:h, :w]
+    rows = sum(padded[:, i:i + w] for i in range(5))
+    return sum(rows[i:i + h] for i in range(5))
 
 
 def descriptor_pattern(rng_seed: int, desc_bits: int = DEFAULT_DESC_BITS) -> np.ndarray:

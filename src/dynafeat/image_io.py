@@ -51,10 +51,10 @@ def load_pgm(path) -> GrayImage:
     if magic != b"P5":
         raise InputDataError(f"{path}: not a binary PGM (magic {magic!r})")
     fields = [token() for _ in range(3)]  # width, height, maxval
-    try:
-        width, height, maxval = map(int, fields)
-    except ValueError:
-        raise InputDataError(f"{path}: non-integer PGM header field") from None
+    # bytes.isdigit is ASCII-only; int alone would also take signs and "_"
+    if not all(f.isdigit() for f in fields):
+        raise InputDataError(f"{path}: non-integer PGM header field")
+    width, height, maxval = map(int, fields)
     if width < PATCH_MARGIN or height < PATCH_MARGIN:
         raise InputDataError(f"{path}: PGM size {width}x{height} is below the "
                              f"{PATCH_MARGIN}x{PATCH_MARGIN} minimum")

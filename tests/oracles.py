@@ -61,6 +61,21 @@ def fast_corners_reference(pixels: np.ndarray, threshold: int,
     return corners[:max_features]
 
 
+def box_sums_reference(pixels: np.ndarray) -> np.ndarray:
+    """Sum of the 5x5 block around each pixel; a block index outside the
+    image is clamped to the nearest border pixel."""
+    h, w = pixels.shape
+    out = np.zeros((h, w), int)
+    for y in range(h):
+        for x in range(w):
+            for dy in range(-2, 3):
+                for dx in range(-2, 3):
+                    yy = min(max(y + dy, 0), h - 1)
+                    xx = min(max(x + dx, 0), w - 1)
+                    out[y, x] += int(pixels[yy, xx])
+    return out
+
+
 def brief_reference(sums: np.ndarray, xs, ys, pattern: np.ndarray) -> np.ndarray:
     """Per-corner, per-bit comparison descriptors: bit k is set when
     sums[y + dy1, x + dx1] < sums[y + dy2, x + dx2]; bits are packed most

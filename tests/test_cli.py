@@ -395,6 +395,25 @@ def test_match_on_shifted_pgm_frames(tmp_path):
         assert (rows[:, 4:6] - rows[:, 2:4] == [3.0, 2.0]).all()
 
 
+@pytest.mark.parametrize("threshold,code", [("254", 0), ("255", 3), ("10000000000", 3)])
+def test_fast_threshold_that_detects_nothing_exits_3(tmp_path, capsys, threshold, code):
+    # on 8-bit pixels no ring pixel is brighter than c + 255 or darker than
+    # c - 255; 0/255 frames still have corners at 254
+    frames = []
+    for i, pixels in enumerate(_shifted_blob_frames((3, 2), 2)):
+        frames.append(str(tmp_path / f"frame_{i}.pgm"))
+        save_pgm(GrayImage.from_array((pixels > 127).astype(np.uint8) * 255), frames[-1])
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, output_dir=str(out), input_mode="images")
+    assert main(["match", str(cfg_path)] + frames + ["--fast-threshold", threshold]) == code
+    if code:
+        assert "fast_threshold must be in 1..254" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="fast_threshold"):
+            _config_from_text(f"fast_threshold={threshold}\n")
+    else:
+        assert np.loadtxt(out / "matches_000000_000001.txt", ndmin=2).shape[0] > 0
+
+
 def test_pgm_header_comment_is_skipped(tmp_path):
     pixels = np.arange(32 * 24).astype(np.uint8).reshape(24, 32)
     path = tmp_path / "commented.pgm"
@@ -414,9 +433,10 @@ _RASTER = bytes(range(256)) * 4  # 32x32 pixels
     ("frame.pgm", b"P5\n32 32\n255\n" + _RASTER[:-1], "PGM raster truncated"),
     ("frame.jpg", b"P5\n32 32\n255\n" + _RASTER, "unsupported image type '.jpg'"),
     ("frame.pgm", b"P5\n32", "truncated PGM header"),
-    ("frame.pgm", b"P5\nab 32\n255\n", "non-integer PGM header field")],
+    ("frame.pgm", b"P5\nab 32\n255\n", "non-integer PGM header field"),
+    ("frame.pgm", b"P5\n3_2 +32\n2_55\n" + _RASTER, "non-integer PGM header field")],
     ids=["magic-P2", "maxval-0", "maxval-256", "truncated-raster", "jpg", "truncated-header",
-         "non-integer-header"])
+         "non-integer-header", "underscore-sign-header"])
 def test_bad_image_exits_2(tmp_path, capsys, name, data, message):
     frames = [tmp_path / f"{i}_{name}" for i in range(2)]
     for path in frames:

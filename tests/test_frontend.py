@@ -10,7 +10,8 @@ from dynafeat.frontend import (FrameFeatures, GrayImage, describe, detect_corner
                                extract_frame, load_features, save_features)
 from dynafeat.image_io import load_image, rgb_to_luma
 
-from oracles import fast_corners_reference, fast_response_reference, hamming_reference
+from oracles import (RING, box_sums_reference, fast_corners_reference,
+                     fast_response_reference, hamming_reference)
 
 
 def _noise_image(seed, h=64, w=64):
@@ -62,6 +63,50 @@ def test_response_map_matches_reference_on_noise():
     img = _noise_image(5, 40, 44)
     assert np.array_equal(_kernels.fast_response_map(img.pixels, 9),
                           fast_response_reference(img.pixels, 9))
+    rng = np.random.default_rng(6)
+    # flat background with a few textured 5x5 blobs, like the image640 frames
+    blobs = np.full((40, 48), 128, np.uint8)
+    for y, x in rng.integers(0, 35, (6, 2)):
+        blobs[y:y + 5, x:x + 5] = rng.integers(0, 256, (5, 5))
+    cases = [(img.pixels, 1), (img.pixels, 254),
+             (rng.integers(0, 2, (30, 36)).astype(np.uint8) * 255, 254),
+             (blobs, 5),
+             (rng.integers(0, 256, (7, 9), dtype=np.uint8), 1),
+             (rng.integers(0, 256, (6, 40), dtype=np.uint8), 1)]
+    for pixels, threshold in cases:
+        got = _kernels.fast_response_map(pixels, threshold)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, fast_response_reference(pixels, threshold))
+    # 0/255 pixels still make corners at the largest threshold
+    assert (_kernels.fast_response_map(cases[2][0], 254) > 0).any()
+    assert (_kernels.fast_response_map(blobs, 5) > 0).any()
+
+
+@pytest.mark.parametrize("length", [8, 9, 16])
+def test_response_map_arc_wraps_around_the_ring(length):
+    # one ring arc of `length` slots from every start slot, so arcs that
+    # run from slot 15 on to slot 0 are covered
+    from dynafeat import _kernels
+    for start in range(16):
+        for value in (200, 0):
+            px = np.full((7, 7), 100, np.uint8)
+            for i in range(length):
+                dx, dy = RING[(start + i) % 16]
+                px[3 + dy, 3 + dx] = value
+            got = _kernels.fast_response_map(px, 20)
+            assert np.array_equal(got, fast_response_reference(px, 20))
+            assert (got[3, 3] > 0) == (length >= 9), (start, value)
+
+
+def test_response_map_rejects_threshold_that_detects_nothing():
+    from dynafeat import _kernels
+    pixels = _noise_image(5).pixels
+    for threshold in (0, 255, 10_000_000_000):
+        with pytest.raises(ValueError, match="1..254"):
+            _kernels.fast_response_map(pixels, threshold)
+    # the int16 arithmetic is exact for 8-bit pixels only
+    with pytest.raises(ValueError, match="uint8"):
+        _kernels.fast_response_map(pixels.astype(np.int32), 5)
 
 
 def test_nms_property_no_neighbor_exceeds():
@@ -98,6 +143,17 @@ def test_small_image_rejected():
 # ---------------------------------------------------------------------------
 # describe
 # ---------------------------------------------------------------------------
+
+def test_box_sums_match_reference():
+    from dynafeat.frontend import _box_sums_5x5
+    rng = np.random.default_rng(9)
+    for pixels in (rng.integers(0, 256, (17, 23), dtype=np.uint8),
+                   np.full((17, 23), 255, np.uint8)):
+        got = _box_sums_5x5(pixels)
+        assert np.array_equal(got, box_sums_reference(pixels))
+    # every sum of the all-255 image is the largest one, 25 * 255
+    assert got.dtype == np.int16 and (got == 6375).all()
+
 
 def test_identical_images_give_zero_distance():
     img = _noise_image(1)

@@ -16,11 +16,30 @@ def test_brief_matches_oracle():
     pattern = rng.integers(-15, 16, (256, 4)).astype(np.int64)
     xs = rng.integers(16, 103, 40)
     ys = rng.integers(16, 73, 40)
-    got = _kernels.brief_descriptors(sums, xs, ys, pattern)
-    assert got.dtype == np.uint8 and got.shape == (40, 32)
-    assert np.array_equal(got, brief_reference(sums, xs, ys, pattern))
+    # int16 holds every 5x5 box sum of 8-bit pixels
+    for plane in (sums, sums.astype(np.int16)):
+        got = _kernels.brief_descriptors(plane, xs, ys, pattern)
+        assert got.dtype == np.uint8 and got.shape == (40, 32)
+        assert np.array_equal(got, brief_reference(sums, xs, ys, pattern))
     none = _kernels.brief_descriptors(sums, xs[:0], ys[:0], pattern)
     assert none.dtype == np.uint8 and none.shape == (0, 32)
+
+
+def test_brief_rejects_pattern_outside_the_plane():
+    # flat indexing would read a neighbouring row off a side of the plane
+    from dynafeat.frontend import descriptor_pattern
+    pattern = descriptor_pattern(42)
+    sums = np.zeros((90, 120), np.int16)
+    with pytest.raises(ValueError, match="outside the plane"):
+        _kernels.brief_descriptors(sums, np.array([0]), np.array([0]), pattern)
+    # the corners nearest each side whose tests all stay on the plane, and
+    # one pixel further out
+    x_lo, y_lo = -pattern[:, 0::2].min(), -pattern[:, 1::2].min()
+    x_hi, y_hi = 119 - pattern[:, 0::2].max(), 89 - pattern[:, 1::2].max()
+    _kernels.brief_descriptors(sums, np.array([x_lo, x_hi]), np.array([y_lo, y_hi]), pattern)
+    for x, y in ((x_lo - 1, y_lo), (x_hi + 1, y_lo), (x_lo, y_lo - 1), (x_lo, y_hi + 1)):
+        with pytest.raises(ValueError, match="outside the plane"):
+            _kernels.brief_descriptors(sums, np.array([40, x]), np.array([40, y]), pattern)
 
 
 def _ragged_groups(rng, n_groups, n_rows):
