@@ -40,14 +40,25 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class GrayImage:
-    """8-bit grayscale frame; pixels stored row-major as (height, width)."""
+    """8-bit grayscale frame; pixels stored row-major as (height, width).
+
+    Pixels must be uint8 or integers in 0..255, which are stored as uint8;
+    any other array raises ValueError.
+    """
 
     width: int
     height: int
     pixels: np.ndarray
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, np.uint8)
+        pixels = np.asarray(self.pixels)
+        if pixels.dtype != np.uint8:
+            # a plain cast would wrap 300 to 44 and -1.5 to 255
+            if pixels.dtype.kind not in "iu" or (
+                    pixels.size and (pixels.min() < 0 or pixels.max() > 255)):
+                raise ValueError("pixels must be integers in 0..255")
+            pixels = pixels.astype(np.uint8)
+        self.pixels = pixels
         if self.width < PATCH_MARGIN or self.height < PATCH_MARGIN:
             raise InputDataError(
                 f"image must be at least {PATCH_MARGIN}x{PATCH_MARGIN}, "
@@ -57,7 +68,7 @@ class GrayImage:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "GrayImage":
-        arr = np.asarray(arr, np.uint8)
+        arr = np.asarray(arr)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D grayscale array")
         return cls(width=arr.shape[1], height=arr.shape[0], pixels=arr)

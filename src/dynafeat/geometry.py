@@ -24,6 +24,7 @@ from .errors import InsufficientDataError, UndefinedMetricError
 
 DEFAULT_SAMPSON_THRESHOLD = 1.0
 DEFAULT_RANSAC_ITERATIONS = 2000
+RANSAC_CONFIDENCE = 0.999         # adaptive stop: chance that some sample was all inliers
 MIN_CORRESPONDENCES = 8
 _RANK_TOL = 1e-10
 
@@ -246,8 +247,7 @@ def estimate_essential_ransac(points_prev: np.ndarray, points_curr: np.ndarray,
                               intrinsics: CameraIntrinsics,
                               inlier_threshold: float = DEFAULT_SAMPSON_THRESHOLD,
                               max_iterations: int = DEFAULT_RANSAC_ITERATIONS,
-                              rng_seed: int = 0, adaptive: bool = False,
-                              confidence: float = 0.999) -> PoseEstimate:
+                              rng_seed: int = 0, adaptive: bool = False) -> PoseEstimate:
     """Relative pose from pixel correspondences, deterministic per seed.
 
     Minimal samples whose linear system is rank-deficient (collinear or
@@ -255,7 +255,7 @@ def estimate_essential_ransac(points_prev: np.ndarray, points_curr: np.ndarray,
     which happens for a zero-baseline pair where any skew-symmetric matrix
     fits, a single fit on all correspondences still recovers the rotation.
     With ``adaptive`` the loop stops early once the inlier ratio makes a
-    better sample unlikely at the given confidence.
+    better sample unlikely at ``RANSAC_CONFIDENCE``.
     """
     pts_a = np.asarray(points_prev, np.float64).reshape(-1, 2)
     pts_b = np.asarray(points_curr, np.float64).reshape(-1, 2)
@@ -302,7 +302,7 @@ def estimate_essential_ransac(points_prev: np.ndarray, points_curr: np.ndarray,
                     needed = it
                 elif 1.0 - good < 1.0:
                     needed = min(max_iterations,
-                                 math.ceil(math.log(1.0 - confidence)
+                                 math.ceil(math.log(1.0 - RANSAC_CONFIDENCE)
                                            / math.log(1.0 - good)))
 
     if best_E is None:

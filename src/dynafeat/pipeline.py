@@ -16,7 +16,6 @@ InputDataError before any matching.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import statistics
@@ -38,7 +37,12 @@ from .synthetic import default_intrinsics, load_gt_pairs, load_gt_poses, relativ
 
 DEFAULT_POSE_THRESHOLDS = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 20.0, 30.0)
 
-STAGES = ("detection", "grouping", "matching", "filtering")
+# stage name -> its time column in RunStats rows
+STAGES = {"detection": "detect_ms", "grouping": "group_ms", "matching": "match_ms",
+          "filtering": "filter_ms"}
+# the stats.txt table columns after the frame number, one key per row
+COLUMNS = ("features", "groups", "candidates", "accepted", "inliers",
+           *STAGES.values(), "total_ms")
 
 
 def _stage_summary_lines(fps: float, median_ms: dict[str, float],
@@ -51,51 +55,27 @@ def _stage_summary_lines(fps: float, median_ms: dict[str, float],
 
 @dataclass
 class RunStats:
-    """Per-frame stage timings (ms) and pipeline counters."""
+    """One row per input frame: pipeline counters and stage timings (ms),
+    keyed by COLUMNS. A skipped frame's row is zero but for detect_ms and
+    total_ms."""
 
-    detection_ms: list[float] = field(default_factory=list)
-    grouping_ms: list[float] = field(default_factory=list)
-    matching_ms: list[float] = field(default_factory=list)
-    filtering_ms: list[float] = field(default_factory=list)
-    total_ms: list[float] = field(default_factory=list)
-    features: list[int] = field(default_factory=list)
-    groups: list[int] = field(default_factory=list)
-    candidate_pairs: list[int] = field(default_factory=list)
-    accepted_pairs: list[int] = field(default_factory=list)
-    inliers: list[int] = field(default_factory=list)
+    rows: list[dict] = field(default_factory=list)
+
+    def column(self, name: str) -> list:
+        return [row[name] for row in self.rows]
 
     @property
     def frame_count(self) -> int:
-        return len(self.total_ms)
+        return len(self.rows)
 
     @property
     def fps(self) -> float:
-        total = sum(self.total_ms)
+        total = sum(self.column("total_ms"))
         return self.frame_count * 1000.0 / total if total > 0 else 0.0
 
-    def record(self, detection_ms: float, total_ms: float, grouping_ms: float = 0.0,
-               matching_ms: float = 0.0, filtering_ms: float = 0.0, features: int = 0,
-               groups: int = 0, candidate_pairs: int = 0, accepted_pairs: int = 0,
-               inliers: int = 0) -> None:
-        """Append one frame's row; a skipped frame leaves the zero defaults."""
-        self.detection_ms.append(detection_ms)
-        self.grouping_ms.append(grouping_ms)
-        self.matching_ms.append(matching_ms)
-        self.filtering_ms.append(filtering_ms)
-        self.total_ms.append(total_ms)
-        self.features.append(features)
-        self.groups.append(groups)
-        self.candidate_pairs.append(candidate_pairs)
-        self.accepted_pairs.append(accepted_pairs)
-        self.inliers.append(inliers)
-
-    def stage_lists(self) -> dict[str, list[float]]:
-        return {"detection": self.detection_ms, "grouping": self.grouping_ms,
-                "matching": self.matching_ms, "filtering": self.filtering_ms}
-
     def median_stage_ms(self) -> dict[str, float]:
-        return {name: (statistics.median(vals) if vals else 0.0)
-                for name, vals in self.stage_lists().items()}
+        return {name: (statistics.median(self.column(col)) if self.rows else 0.0)
+                for name, col in STAGES.items()}
 
     def stage_percentages(self) -> dict[str, float]:
         med = self.median_stage_ms()
@@ -108,16 +88,10 @@ class RunStats:
         lines = ["format=dynafeat-stats-v1", f"frames={self.frame_count}"]
         lines += _stage_summary_lines(self.fps, self.median_stage_ms(),
                                       self.stage_percentages())
-        lines.append("table=frame features groups candidates accepted inliers "
-                     "detect_ms group_ms match_ms filter_ms total_ms")
-        for i in range(self.frame_count):
-            lines.append(" ".join([
-                str(i), str(self.features[i]), str(self.groups[i]),
-                str(self.candidate_pairs[i]), str(self.accepted_pairs[i]),
-                str(self.inliers[i]),
-                f"{self.detection_ms[i]:.4f}", f"{self.grouping_ms[i]:.4f}",
-                f"{self.matching_ms[i]:.4f}", f"{self.filtering_ms[i]:.4f}",
-                f"{self.total_ms[i]:.4f}"]))
+        lines.append(" ".join(("table=frame",) + COLUMNS))
+        for i, row in enumerate(self.rows):
+            lines.append(" ".join([str(i)] + [f"{row[c]:.4f}" if c.endswith("_ms")
+                                              else str(row[c]) for c in COLUMNS]))
         return "\n".join(lines) + "\n"
 
 
@@ -132,9 +106,8 @@ class PairMatches:
 class SequenceResult:
     pairs: list[PairMatches]
     stats: RunStats
-    # per processed frame: (groups, displacement (G, 2), age (G,))
+    # per processed frame: (frame index, groups, displacement (G, 2), age (G,))
     tracks: list[tuple]
-    frame_indices: list[int]       # frame index of each tracks entry
 
     @property
     def total_inliers(self) -> int:
@@ -166,7 +139,6 @@ def run_sequence(config: PipelineConfig, sources,
     stats = RunStats()
     result_pairs: list[PairMatches] = []
     tracks: list[tuple] = []
-    frame_indices: list[int] = []
     state: tracking.TrackState | None = None
     margin = config.search_margin
     skip_margin = margin
@@ -183,7 +155,8 @@ def run_sequence(config: PipelineConfig, sources,
 
         if feats.count == 0:
             warn(f"frame {idx}: no features, skipping (state preserved)")
-            stats.record((t1 - t0) * 1000.0, (time.perf_counter() - t0) * 1000.0)
+            stats.rows.append({**dict.fromkeys(COLUMNS, 0), "detect_ms": (t1 - t0) * 1000.0,
+                               "total_ms": (time.perf_counter() - t0) * 1000.0})
             if state is not None:
                 skip_margin *= 2.0
                 state = tracking.predict(state.features, state.groups, state.displacement,
@@ -213,16 +186,15 @@ def run_sequence(config: PipelineConfig, sources,
             t4 = time.perf_counter()
         skip_margin = margin
 
-        tracks.append((state.groups, state.displacement, state.age))
-        frame_indices.append(feats.frame_index)
+        tracks.append((feats.frame_index, state.groups, state.displacement, state.age))
+        stats.rows.append({
+            "features": feats.count, "groups": len(groups), "candidates": len(candidates),
+            "accepted": len(accepted), "inliers": inlier_count,
+            "detect_ms": (t1 - t0) * 1000.0, "group_ms": (t2 - t1) * 1000.0,
+            "match_ms": (t3 - t2) * 1000.0, "filter_ms": (t4 - t3) * 1000.0,
+            "total_ms": (time.perf_counter() - t0) * 1000.0})
 
-        stats.record((t1 - t0) * 1000.0, (time.perf_counter() - t0) * 1000.0,
-                     grouping_ms=(t2 - t1) * 1000.0, matching_ms=(t3 - t2) * 1000.0,
-                     filtering_ms=(t4 - t3) * 1000.0, features=feats.count,
-                     groups=len(groups), candidate_pairs=len(candidates),
-                     accepted_pairs=len(accepted), inliers=inlier_count)
-
-    return SequenceResult(result_pairs, stats, tracks, frame_indices)
+    return SequenceResult(result_pairs, stats, tracks)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +225,7 @@ def write_match_files(result: SequenceResult, out_dir) -> list[str]:
 
 def write_track_dump(result: SequenceResult, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for frame, (groups, displacement, age) in zip(result.frame_indices, result.tracks):
+        for frame, groups, displacement, age in result.tracks:
             for slot, (g, (dx, dy), a) in enumerate(zip(groups, displacement.tolist(),
                                                         age.tolist())):
                 cx, cy = g.centroid.tolist()
@@ -359,7 +331,7 @@ def run_eval(config: PipelineConfig, sources, gt_dir,
 
     repeat = repeat_norm = None
     if static and displacements_prev:
-        feats_per_frame = float(np.mean([c for c in result.stats.features if c > 0]))
+        feats_per_frame = float(np.mean([c for c in result.stats.column("features") if c > 0]))
         rep = reprojection_repeatability(np.vstack(displacements_prev),
                                          np.vstack(displacements_curr), feats_per_frame)
         repeat = rep.mean_l2
@@ -410,8 +382,7 @@ def bench(config: PipelineConfig, sources, repetitions: int = 3) -> BenchReport:
     pooled = RunStats()
     for _ in range(repetitions):
         last = run_sequence(config, sources).stats
-        for f in dataclasses.fields(RunStats):
-            getattr(pooled, f.name).extend(getattr(last, f.name))
+        pooled.rows += last.rows
     return BenchReport(repetitions=repetitions, median_stage_ms=pooled.median_stage_ms(),
                        stage_percentages=pooled.stage_percentages(), fps=last.fps,
                        last_stats=last)

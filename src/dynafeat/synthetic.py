@@ -48,6 +48,11 @@ class SyntheticScene:
             raise SceneValidationError("trajectory rotation/translation counts differ")
         if not (0 < self.intrinsics.cx < self.width and 0 < self.intrinsics.cy < self.height):
             raise SceneValidationError("principal point must be inside the image")
+        for name in ("jitter_px", "outlier_rate"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise SceneValidationError(f"{name} must be finite and >= 0")
+        if not 0 <= self.descriptor_bit_flips <= self.desc_bits:
+            raise SceneValidationError(f"descriptor_bit_flips must lie in 0..{self.desc_bits}")
         for f in range(self.rotations.shape[0]):
             R = self.rotations[f]
             if np.abs(R @ R.T - np.eye(3)).max() > 1e-9 or np.linalg.det(R) < 0:
@@ -185,6 +190,10 @@ def make_cluster_scene(seed: int, frames: int = 2, n_clusters: int = 30,
         raise ValueError("frames must be >= 1")
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
+    if not (math.isfinite(cluster_radius_px) and cluster_radius_px >= 0):
+        raise ValueError("cluster_radius_px must be finite and >= 0")
+    if not math.isfinite(step):
+        raise ValueError("step must be finite")
     rng = np.random.default_rng(seed)
     K = default_intrinsics(width, height)
     margin = PATCH_MARGIN + 30.0 if border_margin is None else border_margin

@@ -15,8 +15,8 @@ from dynafeat.errors import ConfigError, InputDataError
 from dynafeat.frontend import FrameFeatures, GrayImage, save_features
 from dynafeat.image_io import load_image, load_pgm, rgb_to_luma, save_pgm
 from dynafeat.matching import InlierColumns
-from dynafeat.pipeline import (PairMatches, RunStats, SequenceResult, bench, run_sequence,
-                               write_match_files)
+from dynafeat.pipeline import (COLUMNS, BenchReport, PairMatches, RunStats, SequenceResult,
+                               bench, run_sequence, write_match_files)
 from dynafeat.synthetic import (frame_filename, generate_sequence,
                                 make_cluster_scene, save_sequence)
 
@@ -511,7 +511,7 @@ def test_match_file_bytes_golden(tmp_path):
                           np.zeros((0, 2)), np.zeros(0), np.zeros(0, np.int64),
                           np.zeros(0, np.int64))
     result = SequenceResult([PairMatches(7, 12, cols), PairMatches(12, 13, empty)],
-                            RunStats(), [], [7, 12, 13])
+                            RunStats(), [])
     written = write_match_files(result, tmp_path / "out")
     assert [os.path.basename(p) for p in written] == ["matches_000007_000012.txt",
                                                       "matches_000012_000013.txt"]
@@ -783,6 +783,52 @@ def test_eval_malformed_gt_exits_2(tmp_path, synth_dir, capsys, name, line, edit
 
 
 # ---------------------------------------------------------------------------
+# stats.txt and bench.txt
+# ---------------------------------------------------------------------------
+
+_STATS_SUMMARY = (
+    b"fps=100.000\n"
+    b"median_detection_ms=7.1728\nmedian_grouping_ms=1.6250\n"
+    b"median_matching_ms=0.2500\nmedian_filtering_ms=0.5625\n"
+    b"pct_detection=74.64\npct_grouping=16.91\npct_matching=2.60\npct_filtering=5.85\n")
+_EMPTY_SUMMARY = (
+    b"fps=0.000\n"
+    b"median_detection_ms=0.0000\nmedian_grouping_ms=0.0000\n"
+    b"median_matching_ms=0.0000\nmedian_filtering_ms=0.0000\n"
+    b"pct_detection=0.00\npct_grouping=0.00\npct_matching=0.00\npct_filtering=0.00\n")
+_TABLE_HEADER = (b"table=frame features groups candidates accepted inliers "
+                 b"detect_ms group_ms match_ms filter_ms total_ms\n")
+
+
+def _report_bytes(stats, repetitions=None):
+    if repetitions is None:
+        text = stats.to_text()
+    else:
+        text = BenchReport(repetitions, stats.median_stage_ms(), stats.stage_percentages(),
+                           stats.fps, stats).to_text()
+    return text.encode("ascii")
+
+
+def test_stats_and_bench_bytes_golden():
+    # one processed frame, then one skipped frame (zero but for its detect
+    # and total times, as run_sequence records it)
+    processed = dict(zip(COLUMNS, (1234, 56, 78, 9, 321, 12.34567, 3.25, 0.5, 1.125, 17.5)))
+    skipped = {**dict.fromkeys(COLUMNS, 0), "detect_ms": 2.0, "total_ms": 2.5}
+    stats = RunStats([processed, skipped])
+    assert _report_bytes(stats) == (
+        b"format=dynafeat-stats-v1\nframes=2\n" + _STATS_SUMMARY + _TABLE_HEADER
+        + b"0 1234 56 78 9 321 12.3457 3.2500 0.5000 1.1250 17.5000\n"
+        + b"1 0 0 0 0 0 2.0000 0.0000 0.0000 0.0000 2.5000\n")
+    assert _report_bytes(stats, repetitions=2) == (
+        b"format=dynafeat-bench-v1\nrepetitions=2\n" + _STATS_SUMMARY)
+    # no frame, no time: every rate and share reads zero
+    assert _report_bytes(RunStats()) == (
+        b"format=dynafeat-stats-v1\nframes=0\n" + _EMPTY_SUMMARY + _TABLE_HEADER)
+    assert _report_bytes(RunStats(), repetitions=1) == (
+        b"format=dynafeat-bench-v1\nrepetitions=1\n" + _EMPTY_SUMMARY)
+
+
+# ---------------------------------------------------------------------------
 # bench verb
 # ---------------------------------------------------------------------------
 
@@ -796,6 +842,21 @@ def test_bench_single_rep_equals_single_run(tmp_path):
     assert report.median_stage_ms == med
 
 
+def test_bench_medians_pool_every_repetition(monkeypatch):
+    # one frame per run: the warmup takes 5 ms, the three repetitions 1, 2 and 9 ms
+    times = iter([5.0, 1.0, 2.0, 9.0])
+
+    def one_frame_run(config, sources):
+        ms = next(times)
+        row = {**dict.fromkeys(COLUMNS, 0), "detect_ms": ms, "total_ms": ms}
+        return SequenceResult([], RunStats([row]), [])
+
+    monkeypatch.setattr("dynafeat.pipeline.run_sequence", one_frame_run)
+    report = bench(PipelineConfig(), [], repetitions=3)
+    assert report.median_stage_ms["detection"] == 2.0   # neither the warmup nor one run
+    assert report.fps == 1000.0 / 9.0                   # the last repetition
+
+
 def test_bench_reads_an_iterator_like_a_list():
     # the warmup and every repetition read the same frames
     seq = generate_sequence(make_cluster_scene(seed=8, frames=3), seed=8)
@@ -803,9 +864,10 @@ def test_bench_reads_an_iterator_like_a_list():
                for frames in (seq.frames, iter(seq.frames))]
     assert [r.repetitions for r in reports] == [2, 2]
     want, got = (r.last_stats for r in reports)
-    for name in ("features", "groups", "candidate_pairs", "accepted_pairs", "inliers"):
-        assert getattr(got, name) == getattr(want, name), name
-    assert len(want.inliers) == 3 and all(want.inliers[1:])   # both transitions matched
+    for name in ("features", "groups", "candidates", "accepted", "inliers"):
+        assert got.column(name) == want.column(name), name
+    inliers = want.column("inliers")
+    assert len(inliers) == 3 and all(inliers[1:])   # both transitions matched
 
 
 def test_bench_percentages_sum_to_100(tmp_path, synth_dir):
@@ -888,8 +950,11 @@ def test_synth_bad_scene_key_exits_3(tmp_path):
     assert main(["synth", str(scene_cfg), "--out", str(tmp_path / "x")]) == 3
 
 
-@pytest.mark.parametrize("line", ["flat_depth=maybe", "trajectory=spiral",
-                                  "n_clusters=0", "frames=0"])
+@pytest.mark.parametrize("line", [
+    "flat_depth=maybe", "trajectory=spiral", "n_clusters=0", "frames=0",
+    # NaN, infinite, negative or out-of-range noise and geometry values
+    "outlier_rate=nan", "outlier_rate=inf", "outlier_rate=-0.5", "jitter_px=-1",
+    "descriptor_bit_flips=300", "cluster_radius_px=nan", "trajectory=translate_x\nstep=nan"])
 def test_synth_bad_scene_value_exits_3(tmp_path, capsys, line):
     scene_cfg = tmp_path / "scene.cfg"
     scene_cfg.write_text(f"seed=3\nframes=3\n{line}\n")
@@ -914,6 +979,12 @@ def test_zero_feature_frame_skipped_state_preserved(tmp_path, capsys):
     # the empty frame is bridged: the single pair joins frames 0 and 2
     assert [(p.frame_prev, p.frame_curr) for p in result.pairs] == [(0, 2)]
     assert len(result.pairs[0].columns) > 0
+    # the skipped frame keeps its stats row, zero but for its times, and no track entry
+    row = result.stats.rows[1]
+    assert tuple(row) == COLUMNS
+    assert all(row[c] == 0 for c in COLUMNS if c not in ("detect_ms", "total_ms"))
+    assert row["total_ms"] > 0
+    assert [t[0] for t in result.tracks] == [0, 2]
 
 
 def test_stats_counters_consistent(synth_dir):
@@ -921,12 +992,13 @@ def test_stats_counters_consistent(synth_dir):
                    if n.endswith(".feat"))
     result = run_sequence(PipelineConfig(), paths)
     s = result.stats
-    assert all(a <= c for a, c in zip(s.accepted_pairs, s.candidate_pairs))
-    assert all(i >= 0 for i in s.inliers)
+    accepted, inliers = s.column("accepted"), s.column("inliers")
+    assert all(a <= c for a, c in zip(accepted, s.column("candidates")))
+    assert all(i >= 0 for i in inliers)
     assert s.frame_count == len(paths)
     assert s.fps > 0
     # identity sequence sanity: every accepted pair scored at most n_eff
-    assert all(s.inliers[i] <= 35 * max(1, s.accepted_pairs[i]) for i in range(s.frame_count))
+    assert all(i <= 35 * max(1, a) for i, a in zip(inliers, accepted))
 
 
 def test_identical_frames_give_zero_displacement_matches():

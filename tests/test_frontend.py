@@ -140,6 +140,35 @@ def test_small_image_rejected():
         GrayImage.from_array(np.zeros((8, 8), np.uint8))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: GrayImage.from_array(np.full((16, 16), 300)),
+    lambda: GrayImage.from_array(np.full((16, 16), -1.5)),
+    lambda: GrayImage.from_array(np.full((16, 16), np.nan)),
+    lambda: GrayImage(16, 16, np.full((16, 16), 1000))],
+    ids=["300", "-1.5", "nan", "init-1000"])
+def test_pixels_outside_8_bits_rejected(make):
+    # a uint8 cast would wrap them (300 -> 44, -1.5 -> 255)
+    with pytest.raises(ValueError, match="pixels must be integers in 0..255"):
+        make()
+
+
+def test_integer_pixels_in_8_bits_accepted():
+    img = GrayImage.from_array(np.full((16, 16), 200, np.int64))
+    assert img.pixels.dtype == np.uint8 and (img.pixels == 200).all()
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: GrayImage(16, 16, np.zeros((16, 17), np.uint8)), "must be a \\(height, width\\)"),
+    (lambda: GrayImage.from_array(np.zeros((16, 16, 3), np.uint8)), "expected a 2-D"),
+    (lambda: FrameFeatures(0, 64, 64, np.zeros((2, 2)), np.zeros(3),
+                           np.zeros((2, 32), np.uint8)), "disagree on count"),
+    (lambda: detect_corners(_noise_image(0), 5, max_features=0), "max_features must be >= 1")],
+    ids=["pixels-shape", "from-array-3d", "feature-count", "max-features-0"])
+def test_frontend_validation_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # describe
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from dynafeat.errors import (InsufficientDataError, SceneValidationError,
                              UndefinedMetricError)
-from dynafeat.geometry import (PoseEstimate, direction_angle_deg,
+from dynafeat.geometry import (CameraIntrinsics, PoseEstimate, direction_angle_deg,
                                estimate_essential_ransac, pose_error,
                                pose_success_ratio, reprojection_repeatability,
                                rotation_angle_deg, _decompose_essential,
@@ -279,6 +279,39 @@ def test_scene_with_point_behind_camera_rejected():
         SyntheticScene(points=points, descriptors=desc,
                        rotations=np.eye(3)[None], translations=np.zeros((1, 3)),
                        intrinsics=K)
+
+
+def _scene_args(**overrides):
+    args = dict(points=np.array([[0.0, 0.0, 5.0]]), descriptors=np.zeros((1, 32), np.uint8),
+                rotations=np.eye(3)[None], translations=np.zeros((1, 3)),
+                intrinsics=default_intrinsics())
+    return {**args, **overrides}
+
+
+@pytest.mark.parametrize("overrides,match", [
+    ({"descriptors": np.zeros((1, 16), np.uint8)}, "descriptor table"),
+    ({"translations": np.zeros((2, 3))}, "counts differ"),
+    ({"width": 300}, "principal point"),
+    ({"rotations": 2 * np.eye(3)[None]}, "not orthonormal")],
+    ids=["descriptor-width", "trajectory-counts", "principal-point", "rotation"])
+def test_scene_validation_raises(overrides, match):
+    SyntheticScene(**_scene_args())
+    with pytest.raises(SceneValidationError, match=match):
+        SyntheticScene(**_scene_args(**overrides))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: CameraIntrinsics(0.0, 500.0, 320.0, 240.0), "focal lengths must be positive"),
+    (lambda: reprojection_repeatability(np.zeros((3, 2)), np.zeros((2, 2)), 100.0),
+     "matching shapes"),
+    (lambda: reprojection_repeatability(np.zeros((3, 2)), np.zeros((3, 2)), 0.0),
+     "features_per_frame must be positive"),
+    (lambda: estimate_essential_ransac(np.zeros((8, 2)), np.zeros((9, 2)),
+                                       default_intrinsics()), "equal length")],
+    ids=["focal-length", "repeatability-shapes", "features-per-frame", "unequal-matches"])
+def test_geometry_validation_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_generator_deterministic():

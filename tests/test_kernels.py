@@ -42,6 +42,13 @@ def test_brief_rejects_pattern_outside_the_plane():
             _kernels.brief_descriptors(sums, np.array([40, x]), np.array([40, y]), pattern)
 
 
+@pytest.mark.parametrize("nbits", [7, 12])
+def test_brief_rejects_bit_count_not_a_multiple_of_8(nbits):
+    pattern = np.zeros((nbits, 4), np.int64)
+    with pytest.raises(ValueError, match="multiple of 8"):
+        _kernels.brief_descriptors(np.zeros((8, 8), np.int16), [4], [4], pattern)
+
+
 def _ragged_groups(rng, n_groups, n_rows):
     cnt = rng.integers(1, 36, n_groups).astype(np.int64)
     cnt[rng.random(n_groups) < 0.1] = 0

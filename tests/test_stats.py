@@ -90,6 +90,17 @@ def test_parameter_validation():
         binomial_moments(0, 0.5)
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: p_true(0.5, -1, 10), "counts must be positive"),
+    (lambda: p_true(0.5, 0, 0), "counts must be positive"),
+    (lambda: p_false(1.5, 5, 10), "t must lie in"),
+    (lambda: binomial_moments(10, 1.5), "p must lie in")],
+    ids=["negative-count", "empty-pool", "p-false-t", "binomial-p"])
+def test_stats_validation_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # Identities and monotonicity
 # ---------------------------------------------------------------------------
