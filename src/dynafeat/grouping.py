@@ -14,6 +14,9 @@ Absorption semantics (kept identical in the test oracle): candidates of a
 popped member are taken in ascending feature-id order; a candidate that
 would stretch the bounding box past the side limit is skipped and stays
 unassigned, while reaching the member ceiling closes the group outright.
+
+The growth loop runs on Python lists and a bytearray rather than numpy
+arrays, because indexing a numpy scalar per candidate was most of its time.
 """
 
 from __future__ import annotations
@@ -65,55 +68,57 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
     pos = frame.positions
     radius = config.window / 2.0
     cell = config.window
+    max_group = config.max_group
+    max_side = config.max_bbox_side
 
+    xs = pos[:, 0].tolist()
+    ys = pos[:, 1].tolist()
+    cells = list(zip(np.floor(pos[:, 0] / cell).astype(np.int64).tolist(),
+                     np.floor(pos[:, 1] / cell).astype(np.int64).tolist()))
     grid: dict[tuple[int, int], list[int]] = {}
-    cell_x = np.floor(pos[:, 0] / cell).astype(np.int64)
-    cell_y = np.floor(pos[:, 1] / cell).astype(np.int64)
-    for i in range(n):
-        grid.setdefault((int(cell_x[i]), int(cell_y[i])), []).append(i)
+    for i, key in enumerate(cells):
+        grid.setdefault(key, []).append(i)
 
-    order = np.random.default_rng(config.seed).permutation(n)
-    assigned = np.zeros(n, bool)
+    order = np.random.default_rng(config.seed).permutation(n).tolist()
+    assigned = bytearray(n)
     labels = np.full(n, -1, np.int64)
     groups: list[FeatureGroup] = []
 
     for seed in order:
-        seed = int(seed)
         if assigned[seed]:
             continue
-        assigned[seed] = True
+        assigned[seed] = 1
         members = [seed]
-        min_x = max_x = pos[seed, 0]
-        min_y = max_y = pos[seed, 1]
+        min_x = max_x = xs[seed]
+        min_y = max_y = ys[seed]
         head = 0   # members doubles as the FIFO queue: absorption order is visit order
-        while head < len(members) and len(members) < config.max_group:
+        while head < len(members) and len(members) < max_group:
             f = members[head]
             head += 1
-            fx, fy = pos[f, 0], pos[f, 1]
+            fx, fy = xs[f], ys[f]
             cand = []
-            cfx, cfy = int(cell_x[f]), int(cell_y[f])
+            cfx, cfy = cells[f]
             for gx in (cfx - 1, cfx, cfx + 1):
                 for gy in (cfy - 1, cfy, cfy + 1):
                     bucket = grid.get((gx, gy))
                     if not bucket:
                         continue
                     for j in bucket:
-                        if not assigned[j] and abs(pos[j, 0] - fx) <= radius \
-                                and abs(pos[j, 1] - fy) <= radius:
+                        if not assigned[j] and abs(xs[j] - fx) <= radius \
+                                and abs(ys[j] - fy) <= radius:
                             cand.append(j)
             cand.sort()
             for j in cand:
-                if len(members) >= config.max_group:
+                if len(members) >= max_group:
                     break
-                jx, jy = pos[j, 0], pos[j, 1]
+                jx, jy = xs[j], ys[j]
                 nmin_x = min(min_x, jx)
                 nmax_x = max(max_x, jx)
                 nmin_y = min(min_y, jy)
                 nmax_y = max(max_y, jy)
-                if nmax_x - nmin_x > config.max_bbox_side \
-                        or nmax_y - nmin_y > config.max_bbox_side:
+                if nmax_x - nmin_x > max_side or nmax_y - nmin_y > max_side:
                     continue  # stays unassigned, may seed a later group
-                assigned[j] = True
+                assigned[j] = 1
                 members.append(j)
                 min_x, max_x, min_y, max_y = nmin_x, nmax_x, nmin_y, nmax_y
         if len(members) < config.min_group:

@@ -190,13 +190,19 @@ def make_cluster_scene(seed: int, frames: int = 2, n_clusters: int = 30,
         raise ValueError("frames must be >= 1")
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
+    if points_per_cluster < 1:
+        raise ValueError("points_per_cluster must be >= 1")
     if not (math.isfinite(cluster_radius_px) and cluster_radius_px >= 0):
         raise ValueError("cluster_radius_px must be finite and >= 0")
     if not math.isfinite(step):
         raise ValueError("step must be finite")
+    margin = PATCH_MARGIN + 30.0 if border_margin is None else border_margin
+    for side, size in (("width", width), ("height", height)):
+        if size - 1 - margin < margin:
+            raise ValueError(f"{side} {size} leaves no room for cluster centers "
+                             f"{margin:g} px from the border (need >= {2 * margin + 1:g})")
     rng = np.random.default_rng(seed)
     K = default_intrinsics(width, height)
-    margin = PATCH_MARGIN + 30.0 if border_margin is None else border_margin
     centers = np.column_stack([rng.uniform(margin, width - 1 - margin, n_clusters),
                                rng.uniform(margin, height - 1 - margin, n_clusters)])
     mid_depth = (depth_range[0] + depth_range[1]) / 2.0

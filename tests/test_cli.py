@@ -954,7 +954,9 @@ def test_synth_bad_scene_key_exits_3(tmp_path):
     "flat_depth=maybe", "trajectory=spiral", "n_clusters=0", "frames=0",
     # NaN, infinite, negative or out-of-range noise and geometry values
     "outlier_rate=nan", "outlier_rate=inf", "outlier_rate=-0.5", "jitter_px=-1",
-    "descriptor_bit_flips=300", "cluster_radius_px=nan", "trajectory=translate_x\nstep=nan"])
+    "descriptor_bit_flips=300", "cluster_radius_px=nan", "trajectory=translate_x\nstep=nan",
+    # scenes with no points, or frames too small for the border margin
+    "points_per_cluster=0", "points_per_cluster=-1", "width=20", "height=40"])
 def test_synth_bad_scene_value_exits_3(tmp_path, capsys, line):
     scene_cfg = tmp_path / "scene.cfg"
     scene_cfg.write_text(f"seed=3\nframes=3\n{line}\n")

@@ -6,6 +6,7 @@ import pytest
 from dynafeat.frontend import FrameFeatures
 from dynafeat.config import PipelineConfig
 from dynafeat.grouping import group_features
+from dynafeat.synthetic import generate_sequence, make_cluster_scene
 
 from oracles import region_grow_reference
 
@@ -99,6 +100,42 @@ def test_fuzz_caps_connectivity_and_oracle(seed):
                     reached.add(int(j))
                     frontier.append(int(j))
         assert len(reached) == g.n
+
+
+def test_dense_clusters_reach_cap_and_veto_like_oracle():
+    # Uniform frames never fill a 35-member group, so dense clusters feed
+    # the oracle here: at the default sizes every cluster closes at the
+    # member cap; at window 12 the 14 px clusters overflow a 12 px box, so
+    # absorptions are vetoed (and a few groups still close at the cap).
+    capped = vetoed = 0
+    for window, max_bbox_side in ((30.0, 90.0), (12.0, 12.0)):
+        for seed in range(3):
+            scene = make_cluster_scene(seed=seed, n_clusters=60, points_per_cluster=35,
+                                       cluster_radius_px=7.0)
+            frame = generate_sequence(scene, seed=seed).frames[0]
+            cfg = PipelineConfig(window=window, max_bbox_side=max_bbox_side, seed=seed)
+            result = group_features(frame, cfg)
+            ref = region_grow_reference(frame.positions, cfg.window, cfg.min_group,
+                                        cfg.max_group, cfg.max_bbox_side, cfg.seed)
+            assert [g.members.tolist() for g in result.groups] == ref
+
+            pos = frame.positions
+            for slot, g in enumerate(result.groups):
+                own = pos[g.members]
+                assert np.array_equal(g.bbox_min, own.min(axis=0))
+                assert np.array_equal(g.bbox_max, own.max(axis=0))
+                assert np.array_equal(g.centroid, own.mean(axis=0))
+                if g.n == cfg.max_group:
+                    capped += 1
+                    continue
+                # Below the cap the queue ran dry, so every member was popped:
+                # a feature of a later group within reach of a member was a
+                # candidate while this group grew, and the box vetoed it.
+                later = pos[result.labels > slot]
+                reach = np.abs(later[:, None] - own[None]).max(axis=2) <= cfg.window / 2.0
+                vetoed += int(reach.any(axis=1).sum())
+    assert capped > 0
+    assert vetoed > 0
 
 
 def test_grouping_deterministic():
