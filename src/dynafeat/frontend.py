@@ -228,24 +228,97 @@ def save_features(frame: FrameFeatures, path) -> None:
 
 def load_features(path, frame_index: int = 0,
                   max_features: int | None = DEFAULT_MAX_FEATURES) -> FrameFeatures:
-    """Parse a feature file, checking every feature line as it is read."""
+    """Parse a feature file, checking every feature line.
+
+    A file laid out as ``save_features`` writes it is parsed a whole
+    column at a time (``_parse_columns``). Any other layout, and any file
+    that fails a check there, is parsed line by line (``_parse_lines``),
+    which accepts every layout the format allows and names the line of the
+    first error. Both return the same arrays for a file both accept.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise FeatureFileError("non-ASCII byte", line=decode_error_line(exc)) from None
-    lines = text.splitlines()
-    if not lines:
-        raise FeatureFileError("empty file", line=1)
-    header = lines[0].split()
-    if len(header) != 6 or header[0] != FEATURE_FILE_MAGIC or header[1] != FEATURE_FILE_VERSION:
+    parsed = _parse_columns(text, max_features)
+    if parsed is None:
+        parsed = _parse_lines(text, max_features)
+    (width, height, desc_bits, seed), positions, responses, desc = parsed
+    return FrameFeatures(frame_index, width, height, positions, responses,
+                         desc.reshape(-1, _desc_bytes(desc_bits)),
+                         desc_bits=desc_bits, descriptor_seed=seed)
+
+
+def _parse_header(fields: list[str]) -> tuple[int, int, int, int]:
+    """(width, height, desc_bits, seed) from the header line's fields."""
+    if len(fields) != 6 or fields[0] != FEATURE_FILE_MAGIC or fields[1] != FEATURE_FILE_VERSION:
         raise FeatureFileError("bad header, expected 'DYNAFEAT v1 <w> <h> <bits> <seed>'", line=1)
     try:
-        width, height, desc_bits, seed = (int(v) for v in header[2:])
+        width, height, desc_bits, seed = (int(v) for v in fields[2:])
     except ValueError:
         raise FeatureFileError("non-integer header field", line=1) from None
     if width < PATCH_MARGIN or height < PATCH_MARGIN or desc_bits < 8 or desc_bits % 8:
         raise FeatureFileError("header dimensions out of range", line=1)
+    return width, height, desc_bits, seed
+
+
+def _parse_columns(text: str, max_features: int | None):
+    """Whole-column parse of a file in the writer's layout, else None.
+
+    The layout is pinned byte by byte before any field is read: the only
+    bytes below '!' are single spaces and newlines, the header line has six
+    fields, every later line five, and the file ends with a newline. So
+    ``text.split()`` yields exactly the fields ``_parse_lines`` would see,
+    line by line, and the header check shared with it raises what it would
+    raise first. Every other check runs on whole columns; a failure returns
+    None, so the line-by-line parse reports it.
+    """
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    seps = np.flatnonzero(data <= 32)
+    n, extra = divmod(seps.size - 6, 5)
+    if n < 0 or extra or seps[-1] != data.size - 1:
+        return None
+    newline = np.zeros(seps.size, bool)
+    newline[5::5] = True
+    if not (np.array_equal(data[seps], np.where(newline, 10, 32))
+            and (np.diff(seps, prepend=-1) > 1).all()):
+        return None
+    del data, newline
+    fields = text.split()
+    header = _parse_header(fields[:6])
+    if (max_features is not None and n > max_features) \
+            or (seps[10::5] - seps[9::5] - 1 != 2 * _desc_bytes(header[2])).any():
+        return None
+    del seps
+    try:
+        if list(map(int, fields[6::5])) != list(range(n)):
+            return None
+        x, y, responses = (np.fromiter(map(float, fields[k::5]), np.float64, n)
+                           for k in (7, 8, 9))
+        desc = np.frombuffer(bytearray.fromhex("".join(fields[10::5])), np.uint8)
+    except ValueError:
+        return None
+    del fields
+    positions = np.column_stack((x, y))
+    if not ((responses >= 0).all() and (responses < math.inf).all()):
+        return None
+    width, height = header[:2]
+    if n:
+        (x0, y0), (x1, y1) = positions.min(axis=0).tolist(), positions.max(axis=0).tolist()
+        if not (PATCH_MARGIN <= x0 and x1 <= width - 1 - PATCH_MARGIN
+                and PATCH_MARGIN <= y0 and y1 <= height - 1 - PATCH_MARGIN):
+            return None
+    return header, positions, responses, desc
+
+
+def _parse_lines(text: str, max_features: int | None):
+    """Line-by-line parse of any layout; raises on the first bad line."""
+    lines = text.splitlines()
+    if not lines:
+        raise FeatureFileError("empty file", line=1)
+    header = _parse_header(lines[0].split())
+    width, height, desc_bits = header[:3]
     raw = _desc_bytes(desc_bits)
     rows = []     # (x, y, response) per feature
     descs = []    # raw descriptor bytes per feature
@@ -282,7 +355,7 @@ def load_features(path, frame_index: int = 0,
         rows.append((x, y, response))
     if max_features is not None and len(rows) > max_features:
         raise FeatureFileError(f"{len(rows)} features exceed the cap of {max_features}")
+    del lines
     cols = np.array(rows, np.float64).reshape(-1, 3)
-    desc = np.frombuffer(bytearray().join(descs), np.uint8).reshape(-1, raw)
-    return FrameFeatures(frame_index, width, height, cols[:, :2], cols[:, 2], desc,
-                         desc_bits=desc_bits, descriptor_seed=seed)
+    return (header, cols[:, :2], cols[:, 2],
+            np.frombuffer(bytearray().join(descs), np.uint8))

@@ -15,6 +15,15 @@ popped member are taken in ascending feature-id order; a candidate that
 would stretch the bounding box past the side limit is skipped and stays
 unassigned, while reaching the member ceiling closes the group outright.
 
+Features are bucketed in a grid of window-sided cells. A window has the
+side of a cell, so it reaches a feature's own cell plus at most one
+neighbour column and one neighbour row: the ones on the side of the cell's
+centre line the feature sits on. Each feature scans those at most four
+buckets, not the nine around it; a feature within rounding of a centre
+line scans both neighbours on that axis. A feature's side per axis comes
+from its offset inside its cell, with array ops, and the list of its
+non-empty buckets is built once per (cell, side) key and shared.
+
 The growth loop runs on Python lists and a bytearray rather than numpy
 arrays, because indexing a numpy scalar per candidate was most of its time.
 """
@@ -27,6 +36,10 @@ import numpy as np
 
 from .config import PipelineConfig
 from .frontend import FrameFeatures
+
+# Neighbour cell steps along one axis, by the side of the cell's centre
+# line a feature sits on: below, above, or within rounding of it.
+_STEPS = ((-1, 0), (0, 1), (-1, 0, 1))
 
 
 @dataclass
@@ -67,17 +80,28 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
         return GroupingResult([], np.full(0, -1, np.int64))
     pos = frame.positions
     radius = config.window / 2.0
-    cell = config.window
     max_group = config.max_group
     max_side = config.max_bbox_side
 
     xs = pos[:, 0].tolist()
     ys = pos[:, 1].tolist()
-    cells = list(zip(np.floor(pos[:, 0] / cell).astype(np.int64).tolist(),
-                     np.floor(pos[:, 1] / cell).astype(np.int64).tolist()))
+    # Cells are window-sided, so a feature's window reaches its own cell
+    # and one neighbour per axis, on the side of the cell's centre line the
+    # feature sits on. In cell units an accepted candidate lies within
+    # 0.5 + e of the feature, where e ~ 2^-53 * (2|t| + 2) covers the
+    # rounding of the division and of the distance test; features within
+    # the (far larger) margin of the centre line reach both neighbours.
+    t = pos / config.window
+    c = np.floor(t)
+    u = t - c   # offset inside the cell, in [0, 1)
+    margin = 1e-12 * (1.0 + np.abs(t))
+    side = np.where(u < 0.5 - margin, 0, np.where(u >= 0.5 + margin, 1, 2))
+    cx, cy = c.astype(np.int64).T.tolist()
     grid: dict[tuple[int, int], list[int]] = {}
-    for i, key in enumerate(cells):
+    for i, key in enumerate(zip(cx, cy)):
         grid.setdefault(key, []).append(i)
+    keys = list(zip(cx, cy, *side.T.tolist()))
+    reaches: dict[tuple[int, int, int, int], list[list[int]]] = {}
 
     order = np.random.default_rng(config.seed).permutation(n).tolist()
     assigned = bytearray(n)
@@ -96,17 +120,19 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
             f = members[head]
             head += 1
             fx, fy = xs[f], ys[f]
+            key = keys[f]
+            reach = reaches.get(key)
+            if reach is None:
+                kx, ky, sx, sy = key
+                reach = reaches[key] = [
+                    bucket for bucket in (grid.get((kx + dx, ky + dy))
+                                          for dx in _STEPS[sx] for dy in _STEPS[sy]) if bucket]
             cand = []
-            cfx, cfy = cells[f]
-            for gx in (cfx - 1, cfx, cfx + 1):
-                for gy in (cfy - 1, cfy, cfy + 1):
-                    bucket = grid.get((gx, gy))
-                    if not bucket:
-                        continue
-                    for j in bucket:
-                        if not assigned[j] and abs(xs[j] - fx) <= radius \
-                                and abs(ys[j] - fy) <= radius:
-                            cand.append(j)
+            for bucket in reach:
+                for j in bucket:
+                    if not assigned[j] and abs(xs[j] - fx) <= radius \
+                            and abs(ys[j] - fy) <= radius:
+                        cand.append(j)
             cand.sort()
             for j in cand:
                 if len(members) >= max_group:

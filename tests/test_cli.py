@@ -332,8 +332,23 @@ def test_non_ascii_input_exits_2_or_3(tmp_path, synth_dir, capsys, kind, code, m
 
 
 # edits of frame 1's feature file (line 1 header, line 3 its second feature)
+def _set_field(lines, row, col, value):
+    """The lines with field ``col`` of line index ``row`` replaced by ``value``."""
+    fields = lines[row].split(" ")
+    fields[col] = value
+    return lines[:row] + [" ".join(fields)] + lines[row + 1:]
+
+
+def _pad_to_cap(lines, cap=PipelineConfig().max_features):
+    """The lines plus copies of the last feature, renumbered, one past the cap."""
+    tail = lines[-1].split(" ", 1)[1]
+    return lines + [f"{i} {tail}" for i in range(len(lines) - 1, cap + 1)]
+
+
 _FEATURE_FILE_EDITS = {
     "empty-file": (lambda lines: [], "line 1: empty file"),
+    "bad-header": (lambda lines: ["DYNAFEAT v2" + lines[0][11:]] + lines[1:],
+                   "line 1: bad header, expected 'DYNAFEAT v1 <w> <h> <bits> <seed>'"),
     "non-integer-header": (lambda lines: ["DYNAFEAT v1 640 wide 256 42"] + lines[1:],
                            "line 1: non-integer header field"),
     "header-out-of-range": (lambda lines: ["DYNAFEAT v1 640 480 12 42"] + lines[1:],
@@ -345,6 +360,18 @@ _FEATURE_FILE_EDITS = {
     "invalid-hex": (lambda lines: lines[:2] + [lines[2][:-2] + "zz"] + lines[3:],
                     "line 3: descriptor is not valid hex"),
     "blank-line": (lambda lines: lines[:2] + ["", "  "] + lines[2:], None),
+    "malformed-number": (lambda lines: _set_field(lines, 2, 2, "1.5e"),
+                         "line 3: malformed numeric field"),
+    "descriptor-length": (lambda lines: _set_field(lines, 2, 4, lines[2][-62:]),
+                          "line 3: descriptor length 248 bits does not match header 256"),
+    "negative-response": (lambda lines: _set_field(lines, 2, 3, "-0.5"),
+                          "line 3: response must be finite and non-negative"),
+    "patch-margin": (lambda lines: _set_field(lines, 2, 1, "15.5"),
+                     "line 3: position violates the descriptor patch margin"),
+    "feature-cap": (_pad_to_cap, "7001 features exceed the cap of 7000"),
+    # six fields then four: the field totals still fit five per line
+    "misaligned-fields": (lambda lines: lines[:1] + [lines[1] + " 1", lines[2].split(" ", 1)[1]]
+                          + lines[3:], "line 2: expected 5 fields, got 6"),
 }
 
 

@@ -1,5 +1,7 @@
 """Grouping: membership labels, caps and oracle equivalence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,57 @@ def test_dense_clusters_reach_cap_and_veto_like_oracle():
                 vetoed += int(reach.any(axis=1).sum())
     assert capped > 0
     assert vetoed > 0
+
+
+def _reach_edge_positions(window, shift):
+    """Features whose windows just reach into a neighbour cell.
+
+    Around anchor cells six windows apart, moved by ``shift`` cells: pairs
+    at the edge of the window test straddling a vertical edge, a horizontal
+    edge and a corner, entered from either side, and a feature on its
+    cell's centre lines with such a partner on all four sides. Near the
+    origin, whatever ``shift``: features on cell 0's centre line whose
+    partner sits a hair below 0, in cell -1, where only rounding makes
+    ``|dx| <= window/2`` hold.
+    """
+    radius = window / 2.0
+
+    def partner(p, step):
+        q = p + step * radius
+        while abs(q - p) > radius:   # one or two ulps at most
+            q = math.nextafter(q, p)
+        return q
+
+    pos = []
+    for a, (ox, oy) in enumerate([(0.75, 0.3), (0.9, 0.35), (0.3, 0.75), (0.35, 0.9),
+                                  (0.8, 0.8), (0.5, 0.5)]):
+        x = (shift + 6 * a + 3 + ox) * window
+        y = (shift + 6 * a + 5 + oy) * window
+        if a < 2:
+            pos += [(x, y), (partner(x, 1), y)]
+        elif a < 4:
+            pos += [(x, y), (x, partner(y, 1))]
+        elif a == 4:
+            pos += [(x, y), (partner(x, 1), partner(y, 1))]
+        else:
+            pos += [(x, y), (partner(x, -1), y), (partner(x, 1), y),
+                    (x, partner(y, -1)), (x, partner(y, 1))]
+    far = 200 * window
+    pos += [(radius, far), (-1e-17, far), (far, radius), (far, -1e-17)]
+    return pos
+
+
+@pytest.mark.parametrize("window, shift", [(30.0, 0), (30.0, -150), (7.3, 0), (7.3, -150),
+                                           (30.0, 10 ** 8), (7.3, 10 ** 8)])
+def test_reach_edges_match_oracle(window, shift):
+    frame = _frame(_reach_edge_positions(window, shift))
+    for seed in range(6):
+        cfg = PipelineConfig(window=window, min_group=2, max_bbox_side=window, seed=seed)
+        result = group_features(frame, cfg)
+        ref = region_grow_reference(frame.positions, cfg.window, cfg.min_group,
+                                    cfg.max_group, cfg.max_bbox_side, cfg.seed)
+        assert len(ref) == 8   # every pattern is one group: the edges were reached
+        assert [g.members.tolist() for g in result.groups] == ref
 
 
 def test_grouping_deterministic():

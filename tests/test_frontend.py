@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dynafeat.errors import FeatureFileError, InputDataError
-from dynafeat.frontend import (FrameFeatures, GrayImage, describe, detect_corners,
+from dynafeat.frontend import (DEFAULT_MAX_FEATURES, FrameFeatures, GrayImage,
+                               _parse_columns, _parse_lines, describe, detect_corners,
                                extract_frame, load_features, save_features)
 from dynafeat.image_io import load_image, rgb_to_luma
 
@@ -281,6 +282,51 @@ def test_feature_file_roundtrip_identity(tmp_path):
     path2 = tmp_path / "g.feat"
     save_features(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+_WRITER_TEXT = ("DYNAFEAT v1 64 64 256 42\n"
+                "0 17.5 20.25 1.5 " + "ab" * 32 + "\n"
+                "1 30.0 31.0 0.0 " + "0f" * 32 + "\n"
+                "2 47.0 16.0 2.0 " + "c3" * 32 + "\n")
+
+# Layouts the format accepts besides the writer's own; each loaded at the
+# parent of the whole-column parse.
+_ODD_LAYOUTS = {
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "tabs": lambda t: t.replace(" ", "\t"),
+    "double-spaces": lambda t: t.replace(" ", "  "),
+    "edge-whitespace": lambda t: "".join(f" {line}\t\n" for line in t.splitlines()),
+    "blank-lines": lambda t: t.replace("\n1 ", "\n  \n\t\n1 ").replace("\n2 ", "\n\f\n2 "),
+    "no-final-newline": lambda t: t[:-1],
+    "signed-ids": lambda t: t.replace("\n0 ", "\n+0 ").replace("\n1 ", "\n01 "),
+    "underscore-number": lambda t: t.replace("17.5", "1_7.5"),
+    "uppercase-hex": lambda t: t.replace("ab" * 32, "AB" * 32),
+    "negative-zero-response": lambda t: t.replace(" 0.0 ", " -0.0 "),
+    "header-only": lambda t: t.split("\n", 1)[0] + "\n",
+}
+
+
+def test_writer_layout_takes_the_column_parse(tmp_path):
+    assert _parse_columns(_WRITER_TEXT, DEFAULT_MAX_FEATURES) is not None
+    path = tmp_path / "f.feat"
+    save_features(extract_frame(_noise_image(30, 96, 128), 0), path)
+    assert _parse_columns(path.read_text(), DEFAULT_MAX_FEATURES) is not None
+
+
+@pytest.mark.parametrize("layout", sorted(_ODD_LAYOUTS))
+def test_odd_layouts_load_like_the_line_parse(tmp_path, layout):
+    text = _ODD_LAYOUTS[layout](_WRITER_TEXT)
+    assert text != _WRITER_TEXT
+    path = tmp_path / "odd.feat"
+    path.write_bytes(text.encode("ascii"))
+    frame = load_features(path)
+    header, positions, responses, desc = _parse_lines(text, DEFAULT_MAX_FEATURES)
+    assert (frame.width, frame.height, frame.desc_bits, frame.descriptor_seed) == header
+    assert frame.count == (0 if layout == "header-only" else 3)
+    # bytes, not values: -0.0 must stay -0.0
+    assert frame.positions.tobytes() == np.ascontiguousarray(positions).tobytes()
+    assert frame.responses.tobytes() == responses.tobytes()
+    assert frame.descriptors.tobytes() == desc.tobytes()
 
 
 def test_odd_width_descriptor_roundtrip(tmp_path):
