@@ -38,8 +38,8 @@ from .config import PipelineConfig
 from .frontend import FrameFeatures
 
 # Neighbour cell steps along one axis, by the side of the cell's centre
-# line a feature sits on: below, above, or within rounding of it.
-_STEPS = ((-1, 0), (0, 1), (-1, 0, 1))
+# line a feature sits on: 0 below it, 1 within rounding of it, 2 above it.
+_STEPS = ((-1, 0), (-1, 0, 1), (0, 1))
 
 
 @dataclass
@@ -93,14 +93,13 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
     # the (far larger) margin of the centre line reach both neighbours.
     t = pos / config.window
     c = np.floor(t)
-    u = t - c   # offset inside the cell, in [0, 1)
+    u = t - c   # offset inside the cell, in [0, 1]
     margin = 1e-12 * (1.0 + np.abs(t))
-    side = np.where(u < 0.5 - margin, 0, np.where(u >= 0.5 + margin, 1, 2))
+    sx, sy = ((u >= 0.5 - margin).astype(np.int8) + (u >= 0.5 + margin)).T.tolist()
     cx, cy = c.astype(np.int64).T.tolist()
     grid: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(zip(cx, cy)):
         grid.setdefault(key, []).append(i)
-    keys = list(zip(cx, cy, *side.T.tolist()))
     reaches: dict[tuple[int, int, int, int], list[list[int]]] = {}
 
     order = np.random.default_rng(config.seed).permutation(n).tolist()
@@ -120,13 +119,13 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
             f = members[head]
             head += 1
             fx, fy = xs[f], ys[f]
-            key = keys[f]
+            key = (cx[f], cy[f], sx[f], sy[f])
             reach = reaches.get(key)
             if reach is None:
-                kx, ky, sx, sy = key
                 reach = reaches[key] = [
-                    bucket for bucket in (grid.get((kx + dx, ky + dy))
-                                          for dx in _STEPS[sx] for dy in _STEPS[sy]) if bucket]
+                    bucket for bucket in (grid.get((key[0] + dx, key[1] + dy))
+                                          for dx in _STEPS[key[2]] for dy in _STEPS[key[3]])
+                    if bucket]
             cand = []
             for bucket in reach:
                 for j in bucket:
