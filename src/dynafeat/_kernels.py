@@ -211,6 +211,8 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
     pad_b = np.where(padding_b, pad_dist, 0).astype(dt)
     pos_b = np.arange(mb, dtype=dt)[None, :, None]
     low = dt((1 << shift) - 1)
+    # a tie count reaches the block side: uint8 would wrap 257 ties to 1
+    tie_dt = np.min_scalar_type(max(ma, mb))
     row_key = np.empty((ma, n_pairs), dt)
     ok = np.empty((ma, n_pairs), bool)
     step = max(1, _CHUNK_CELLS // (ma * mb))
@@ -234,8 +236,8 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
         r_min = rk >> shift
         r_arg = (rk & low).astype(np.intp)
         col_min = d.min(axis=0)
-        row_ties = (d == r_min[:, None]).sum(axis=1, dtype=np.uint8)
-        col_ties = (d == col_min[None]).sum(axis=0, dtype=np.uint8)
+        row_ties = (d == r_min[:, None]).sum(axis=1, dtype=tie_dt)
+        col_ties = (d == col_min[None]).sum(axis=0, dtype=tie_dt)
         cols = np.arange(e - s)
         # the unique minimum of column j = r_arg[i] sits in row i exactly
         # when it equals row i's minimum; a padding minimum means row i or

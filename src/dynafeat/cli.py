@@ -19,7 +19,7 @@ import os
 import sys
 
 from .config import CONFIG_CONVERTERS, PipelineConfig, parse_bool, read_key_values
-from .errors import ConfigError, FeatureFileError, InputDataError
+from .errors import ConfigError, InputDataError
 from .pipeline import (bench, run_eval, run_sequence, write_match_files,
                        write_stats, write_track_dump)
 from .synthetic import generate_sequence, make_cluster_scene, save_sequence
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InputDataError, FeatureFileError, FileNotFoundError, OSError) as exc:
+    except (InputDataError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - map anything else to the runtime code

@@ -1,7 +1,11 @@
 """Exception types shared across the package, plus the line number of a decode error."""
 
 
-class FeatureFileError(ValueError):
+class InputDataError(ValueError):
+    """Unusable input data (missing frames, misaligned ground truth, ...)."""
+
+
+class FeatureFileError(InputDataError):
     """Malformed feature file. Carries the 1-based line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -14,10 +18,6 @@ class FeatureFileError(ValueError):
 def decode_error_line(exc: UnicodeDecodeError) -> int:
     """1-based line of the byte a decode error stopped at."""
     return exc.object.count(b"\n", 0, exc.start) + 1
-
-
-class InputDataError(ValueError):
-    """Unusable input data (missing frames, misaligned ground truth, ...)."""
 
 
 class ConfigError(ValueError):

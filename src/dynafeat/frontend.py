@@ -108,9 +108,6 @@ class FrameFeatures:
     def count(self) -> int:
         return self.positions.shape[0]
 
-    def __len__(self) -> int:
-        return self.count
-
 
 def _desc_bytes(desc_bits: int) -> int:
     return (desc_bits + 7) // 8

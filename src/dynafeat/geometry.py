@@ -109,7 +109,6 @@ def pose_success_ratio(errors, thresholds) -> list[tuple[float, float]]:
 class RepeatabilityResult:
     mean_l2: float
     per_1000_features: float
-    match_count: int
 
 
 def reprojection_repeatability(prev_points: np.ndarray, curr_points: np.ndarray,
@@ -129,8 +128,7 @@ def reprojection_repeatability(prev_points: np.ndarray, curr_points: np.ndarray,
         raise ValueError("features_per_frame must be positive")
     mean = float(np.linalg.norm(curr_points - prev_points, axis=1).mean())
     return RepeatabilityResult(mean_l2=mean,
-                               per_1000_features=mean * 1000.0 / features_per_frame,
-                               match_count=prev_points.shape[0])
+                               per_1000_features=mean * 1000.0 / features_per_frame)
 
 
 # ---------------------------------------------------------------------------

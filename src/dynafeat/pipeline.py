@@ -95,23 +95,16 @@ class RunStats:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(eq=False)
-class PairMatches:
-    frame_prev: int
-    frame_curr: int
-    columns: matching.InlierColumns
-
-
 @dataclass
 class SequenceResult:
-    pairs: list[PairMatches]
+    pairs: list[matching.InlierColumns]
     stats: RunStats
     # per processed frame: (frame index, groups, displacement (G, 2), age (G,))
     tracks: list[tuple]
 
     @property
     def total_inliers(self) -> int:
-        return sum(len(p.columns) for p in self.pairs)
+        return sum(len(p) for p in self.pairs)
 
 
 def load_frame(config: PipelineConfig, path, index: int) -> FrameFeatures:
@@ -137,7 +130,7 @@ def run_sequence(config: PipelineConfig, sources,
         raise InputDataError("at least 2 frames are required")
 
     stats = RunStats()
-    result_pairs: list[PairMatches] = []
+    result_pairs: list[matching.InlierColumns] = []
     tracks: list[tuple] = []
     state: tracking.TrackState | None = None
     margin = config.search_margin
@@ -163,15 +156,12 @@ def run_sequence(config: PipelineConfig, sources,
                                          state.age, skip_margin)
             continue
 
-        grouping = group_features(feats, config)
-        groups = grouping.groups
+        groups = group_features(feats, config).groups
         t2 = time.perf_counter()
 
         if state is None:
             state = tracking.bootstrap(feats, groups, margin)
-            candidates = []
-            accepted = []
-            inlier_count = 0
+            candidates = accepted = columns = ()
             t3 = t4 = time.perf_counter()
         else:
             candidates = tracking.intersect_candidates(groups, state)
@@ -180,8 +170,7 @@ def run_sequence(config: PipelineConfig, sources,
                 k=config.k)
             t3 = time.perf_counter()
             columns = matching.dedup_inlier_columns(accepted, state.features, feats)
-            inlier_count = len(columns)
-            result_pairs.append(PairMatches(state.frame_index, feats.frame_index, columns))
+            result_pairs.append(columns)
             state = tracking.advance(state, feats, groups, accepted, margin)
             t4 = time.perf_counter()
         skip_margin = margin
@@ -189,7 +178,7 @@ def run_sequence(config: PipelineConfig, sources,
         tracks.append((feats.frame_index, state.groups, state.displacement, state.age))
         stats.rows.append({
             "features": feats.count, "groups": len(groups), "candidates": len(candidates),
-            "accepted": len(accepted), "inliers": inlier_count,
+            "accepted": len(accepted), "inliers": len(columns),
             "detect_ms": (t1 - t0) * 1000.0, "group_ms": (t2 - t1) * 1000.0,
             "match_ms": (t3 - t2) * 1000.0, "filter_ms": (t4 - t3) * 1000.0,
             "total_ms": (time.perf_counter() - t0) * 1000.0})
@@ -210,15 +199,14 @@ def write_match_files(result: SequenceResult, out_dir) -> list[str]:
     written = []
     for pair in result.pairs:
         path = os.path.join(out_dir, match_filename(pair.frame_prev, pair.frame_curr))
-        c = pair.columns
         head = f"{pair.frame_prev} {pair.frame_curr}"
         # repr of a Python float is _fmt; the columns are float64 and int64
         with open(path, "w", encoding="ascii") as fh:
             fh.writelines(f"{head} {x1!r} {y1!r} {x2!r} {y2!r} {d!r} {gp} {gc}\n"
                           for (x1, y1), (x2, y2), d, gp, gc
-                          in zip(c.pos_prev.tolist(), c.pos_curr.tolist(),
-                                 c.distance.tolist(), c.group_prev.tolist(),
-                                 c.group_curr.tolist()))
+                          in zip(pair.pos_prev.tolist(), pair.pos_curr.tolist(),
+                                 pair.distance.tolist(), pair.group_prev.tolist(),
+                                 pair.group_curr.tolist()))
         written.append(path)
     return written
 
@@ -310,19 +298,18 @@ def run_eval(config: PipelineConfig, sources, gt_dir,
         except FileNotFoundError:
             raise InputDataError(f"missing ground-truth pair file for frames {a}-{b}") from None
         gt_set = {(int(i), int(j)) for i, j in gt}
-        cols = pair.columns
-        total += len(cols)
-        correct += sum(ids in gt_set for ids in zip(cols.feature_prev.tolist(),
-                                                     cols.feature_curr.tolist()))
-        if len(cols):
-            displacements_prev.append(cols.pos_prev)
-            displacements_curr.append(cols.pos_curr)
+        total += len(pair)
+        correct += sum(ids in gt_set for ids in zip(pair.feature_prev.tolist(),
+                                                     pair.feature_curr.tolist()))
+        if len(pair):
+            displacements_prev.append(pair.pos_prev)
+            displacements_curr.append(pair.pos_curr)
         R_rel, t_rel = relative_pose(rotations[a], translations[a],
                                      rotations[b], translations[b])
         if rotation_angle_deg(R_rel) > 1e-9 or np.linalg.norm(t_rel) > 1e-12:
             static = False
-        if len(cols) >= 8:
-            est = estimate_essential_ransac(cols.pos_prev, cols.pos_curr, intrinsics,
+        if len(pair) >= 8:
+            est = estimate_essential_ransac(pair.pos_prev, pair.pos_curr, intrinsics,
                                             rng_seed=config.seed, adaptive=True)
             pose_errors.append(pose_error(est, R_rel, t_rel))
             inlier_ratios.append(est.inlier_ratio)
@@ -356,15 +343,13 @@ def run_eval(config: PipelineConfig, sources, gt_dir,
 @dataclass
 class BenchReport:
     repetitions: int
-    median_stage_ms: dict[str, float]
-    stage_percentages: dict[str, float]
-    fps: float
-    last_stats: RunStats
+    pooled_stats: RunStats   # every repetition's rows: the stage medians and shares
+    last_stats: RunStats     # the last repetition: the fps
 
     def to_text(self) -> str:
         lines = ["format=dynafeat-bench-v1", f"repetitions={self.repetitions}"]
-        lines += _stage_summary_lines(self.fps, self.median_stage_ms,
-                                      self.stage_percentages)
+        lines += _stage_summary_lines(self.last_stats.fps, self.pooled_stats.median_stage_ms(),
+                                      self.pooled_stats.stage_percentages())
         return "\n".join(lines) + "\n"
 
 
@@ -383,6 +368,4 @@ def bench(config: PipelineConfig, sources, repetitions: int = 3) -> BenchReport:
     for _ in range(repetitions):
         last = run_sequence(config, sources).stats
         pooled.rows += last.rows
-    return BenchReport(repetitions=repetitions, median_stage_ms=pooled.median_stage_ms(),
-                       stage_percentages=pooled.stage_percentages(), fps=last.fps,
-                       last_stats=last)
+    return BenchReport(repetitions, pooled, last)

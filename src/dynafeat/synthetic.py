@@ -75,14 +75,6 @@ class GeneratedSequence:
     clean_positions: list[np.ndarray]    # per frame: jitter-free pixel positions
     gt_pairs: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
-    @property
-    def rotations(self) -> np.ndarray:
-        return self.scene.rotations
-
-    @property
-    def translations(self) -> np.ndarray:
-        return self.scene.translations
-
 
 def _project(scene: SyntheticScene, frame: int) -> np.ndarray:
     cam = scene.points @ scene.rotations[frame].T + scene.translations[frame]
@@ -310,8 +302,8 @@ def save_sequence(seq: GeneratedSequence, out_dir) -> None:
                 fh.write(f"{a} {b} {ia} {ib}\n")
     with open(os.path.join(gt_dir, "poses.txt"), "w", encoding="ascii") as fh:
         for f in range(seq.scene.frame_count):
-            vals = [str(f)] + [_fmt(v) for v in seq.rotations[f].ravel()] \
-                + [_fmt(v) for v in seq.translations[f]]
+            vals = [str(f)] + [_fmt(v) for v in seq.scene.rotations[f].ravel()] \
+                + [_fmt(v) for v in seq.scene.translations[f]]
             fh.write(" ".join(vals) + "\n")
 
 

@@ -35,10 +35,6 @@ class TrackState:
     region_hi: np.ndarray      # (G, 2)
 
     @property
-    def frame_index(self) -> int:
-        return self.features.frame_index
-
-    @property
     def proxies(self) -> np.ndarray:
         """Slots of the groups that carry a motion proxy (continued tracks)."""
         return np.flatnonzero(self.age)

@@ -139,8 +139,8 @@ def _pipeline_displacements(seq):
     prev = []
     curr = []
     for pair in result.pairs:
-        prev.extend(pair.columns.pos_prev.tolist())
-        curr.extend(pair.columns.pos_curr.tolist())
+        prev.extend(pair.pos_prev.tolist())
+        curr.extend(pair.pos_curr.tolist())
     return np.array(prev), np.array(curr), result
 
 
@@ -209,10 +209,9 @@ def test_criterion_07_filtering_benefit():
         for pair in result.pairs:
             gt = {(int(i), int(j))
                   for i, j in seq.gt_pairs[(pair.frame_prev, pair.frame_curr)]}
-            cols = pair.columns
-            total += len(cols)
-            correct += sum(ids in gt for ids in zip(cols.feature_prev.tolist(),
-                                                    cols.feature_curr.tolist()))
+            total += len(pair)
+            correct += sum(ids in gt for ids in zip(pair.feature_prev.tolist(),
+                                                    pair.feature_curr.tolist()))
             ia, ib, _ = mutual_nn_match(seq.frames[pair.frame_prev].descriptors,
                                         seq.frames[pair.frame_curr].descriptors)
             raw_total += len(ia)
@@ -279,8 +278,10 @@ def test_criterion_09_performance_smoke():
     seq = generate_sequence(scene, seed=900)
     counts = [f.count for f in seq.frames]
     report = bench(PipelineConfig(), seq.frames, repetitions=3)
-    hot = report.median_stage_ms["matching"] + report.median_stage_ms["filtering"]
-    breakdown = " ".join(f"{name}={report.stage_percentages[name]:.0f}%"
+    med = report.pooled_stats.median_stage_ms()
+    hot = med["matching"] + med["filtering"]
+    pct = report.pooled_stats.stage_percentages()
+    breakdown = " ".join(f"{name}={pct[name]:.0f}%"
                          for name in ("detection", "grouping", "matching", "filtering"))
     print(f"[criterion 09] stage breakdown: {breakdown}; "
           f"features/frame ~{int(np.mean(counts))}; backend={_kernels.active_backend()}",

@@ -15,8 +15,8 @@ from dynafeat.errors import ConfigError, InputDataError
 from dynafeat.frontend import FrameFeatures, GrayImage, save_features
 from dynafeat.image_io import load_image, load_pgm, rgb_to_luma, save_pgm
 from dynafeat.matching import InlierColumns
-from dynafeat.pipeline import (COLUMNS, BenchReport, PairMatches, RunStats, SequenceResult,
-                               bench, run_sequence, write_match_files)
+from dynafeat.pipeline import (COLUMNS, BenchReport, RunStats, SequenceResult, bench,
+                               run_sequence, write_match_files)
 from dynafeat.synthetic import (frame_filename, generate_sequence,
                                 make_cluster_scene, save_sequence)
 
@@ -529,16 +529,16 @@ def test_rgb_png_loads_as_luma(monkeypatch):
 def test_match_file_bytes_golden(tmp_path):
     # shortest-repr floats, integer-valued distances and multi-digit group ids
     cols = InlierColumns(
+        frame_prev=7, frame_curr=12,
         feature_prev=np.array([0, 5, 12]), feature_curr=np.array([1, 2, 30]),
         pos_prev=np.array([[0.1 + 0.2, 1e-05], [639.9999999999999, 16.0], [100.5, 479.0]]),
         pos_curr=np.array([[17.25, 3e-05], [623.0, 16.000000000000004], [1e+16, 2.5e-07]]),
         distance=np.array([3.0, 0.0, 17.0]),
         group_prev=np.array([12, 0, 105]), group_curr=np.array([9, 10, 2048]))
-    empty = InlierColumns(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((0, 2)),
-                          np.zeros((0, 2)), np.zeros(0), np.zeros(0, np.int64),
-                          np.zeros(0, np.int64))
-    result = SequenceResult([PairMatches(7, 12, cols), PairMatches(12, 13, empty)],
-                            RunStats(), [])
+    empty = InlierColumns(12, 13, np.zeros(0, np.int64), np.zeros(0, np.int64),
+                          np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0),
+                          np.zeros(0, np.int64), np.zeros(0, np.int64))
+    result = SequenceResult([cols, empty], RunStats(), [])
     written = write_match_files(result, tmp_path / "out")
     assert [os.path.basename(p) for p in written] == ["matches_000007_000012.txt",
                                                       "matches_000012_000013.txt"]
@@ -831,8 +831,7 @@ def _report_bytes(stats, repetitions=None):
     if repetitions is None:
         text = stats.to_text()
     else:
-        text = BenchReport(repetitions, stats.median_stage_ms(), stats.stage_percentages(),
-                           stats.fps, stats).to_text()
+        text = BenchReport(repetitions, stats, stats).to_text()
     return text.encode("ascii")
 
 
@@ -866,7 +865,7 @@ def test_bench_single_rep_equals_single_run(tmp_path):
     report = bench(cfg, seq.frames, repetitions=1)
     assert report.repetitions == 1
     med = report.last_stats.median_stage_ms()
-    assert report.median_stage_ms == med
+    assert report.pooled_stats.median_stage_ms() == med
 
 
 def test_bench_medians_pool_every_repetition(monkeypatch):
@@ -880,8 +879,11 @@ def test_bench_medians_pool_every_repetition(monkeypatch):
 
     monkeypatch.setattr("dynafeat.pipeline.run_sequence", one_frame_run)
     report = bench(PipelineConfig(), [], repetitions=3)
-    assert report.median_stage_ms["detection"] == 2.0   # neither the warmup nor one run
-    assert report.fps == 1000.0 / 9.0                   # the last repetition
+    # neither the warmup nor one run
+    assert report.pooled_stats.median_stage_ms()["detection"] == 2.0
+    assert report.last_stats.fps == 1000.0 / 9.0        # the last repetition
+    text = report.to_text()
+    assert "\nfps=111.111\n" in text and "\nmedian_detection_ms=2.0000\n" in text
 
 
 def test_bench_reads_an_iterator_like_a_list():
@@ -938,6 +940,29 @@ def test_perfbench_tracer_counts_every_layer(tmp_path, synth_dir, monkeypatch):
     for s in advanced:
         assert s["counts"]["continued"] + s["counts"]["born"] == groups[s["frame"]]
         assert s["counts"]["continued"] > 0
+
+
+# Match files of the benchmark workloads at seed 301: sha256 prefixes over
+# file names and bytes. Inputs and pipeline are both seeded, so a moved
+# digest means changed outputs, a finding to explain rather than re-pin.
+WORKLOAD_DIGESTS = {"dense7k": "e01b5e07426ef9e4", "sparse300": "1f06f3b17a02c807",
+                    "image640": "4046c5cb6c9506d6"}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_DIGESTS))
+def test_benchmark_workload_match_files_unchanged(tmp_path, monkeypatch, workload):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    import measure
+    import workloads
+    wl = workloads.WORKLOADS[workload]
+    workloads.generate(wl, 301, str(tmp_path / "in"))
+    cfg_path = tmp_path / "pipeline.cfg"
+    PipelineConfig(input_mode=wl.input_mode).save(cfg_path)
+    out = tmp_path / "out"
+    assert main(["match", str(cfg_path), str(tmp_path / "in"), "--output-dir", str(out)]) == 0
+    digest, files = measure._match_outputs(str(out))
+    assert len(files) == wl.frames - 1
+    assert digest[:16] == WORKLOAD_DIGESTS[workload]
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +1032,7 @@ def test_zero_feature_frame_skipped_state_preserved(tmp_path, capsys):
     assert any("skipping" in w for w in warnings)
     # the empty frame is bridged: the single pair joins frames 0 and 2
     assert [(p.frame_prev, p.frame_curr) for p in result.pairs] == [(0, 2)]
-    assert len(result.pairs[0].columns) > 0
+    assert len(result.pairs[0]) > 0
     # the skipped frame keeps its stats row, zero but for its times, and no track entry
     row = result.stats.rows[1]
     assert tuple(row) == COLUMNS
@@ -1034,7 +1059,7 @@ def test_identical_frames_give_zero_displacement_matches():
     scene = make_cluster_scene(seed=10, frames=2, trajectory="static")
     seq = generate_sequence(scene, seed=10)
     result = run_sequence(PipelineConfig(), seq.frames)
-    inliers = result.pairs[0].columns
+    inliers = result.pairs[0]
     assert len(inliers)
     for p, q, d in zip(inliers.pos_prev.tolist(), inliers.pos_curr.tolist(),
                        inliers.distance.tolist()):

@@ -240,7 +240,7 @@ def test_same_seed_same_pattern_across_frames():
 def test_border_corners_filtered_not_errored():
     img = _noise_image(22)
     feats = describe(img, np.array([[2, 2], [32, 32], [63, 63]]), 42)
-    assert len(feats) == 1
+    assert feats.count == 1
     # feature ids are row indices: the survivor is feature 0
     assert tuple(feats.positions[0].tolist()) == (32.0, 32.0)
 

@@ -96,17 +96,62 @@ def test_batch_mutual_nn_numpy_matches_oracle(monkeypatch, chunk_cells):
         for p in range(n_pairs):
             rows_a = mem_a[off_a[pair_a[p]]:][:cnt_a[pair_a[p]]]
             rows_b = mem_b[off_b[pair_b[p]]:][:cnt_b[pair_b[p]]]
-            want = [(int(rows_a[i]), int(rows_b[j]), m)
-                    for i, j, m in mutual_nn_reference(desc_a[rows_a], desc_b[rows_b])
-                    ] if rows_a.size and rows_b.size else []
-            start = int(out_off[p])
-            got = list(zip(ia[start:start + scores[p]].tolist(),
-                           ib[start:start + scores[p]].tolist(),
-                           dist[start:start + scores[p]].tolist()))
-            assert got == want, (trial, p)
+            assert _supports(scores, out_off, ia, ib, dist, p) == \
+                _oracle_supports(desc_a, desc_b, rows_a, rows_b), (trial, p)
             empty_pairs += scores[p] == 0
             full_pairs += scores[p] > 0
     assert empty_pairs > 0 and full_pairs > 0
+
+
+def _supports(scores, out_off, ia, ib, dist, p):
+    """Pair p's (row a, row b, distance) supports from the kernel's packed output."""
+    s = slice(int(out_off[p]), int(out_off[p] + scores[p]))
+    return list(zip(ia[s].tolist(), ib[s].tolist(), dist[s].tolist()))
+
+
+def _oracle_supports(desc_a, desc_b, rows_a, rows_b):
+    """The oracle's supports of the group pair with member rows rows_a, rows_b."""
+    if not (rows_a.size and rows_b.size):
+        return []
+    return [(int(rows_a[i]), int(rows_b[j]), m)
+            for i, j, m in mutual_nn_reference(desc_a[rows_a], desc_b[rows_b])]
+
+
+def _tied_rows(ties):
+    """``ties`` copies of row x, then one row y: x's matches tie ``ties`` ways."""
+    rng = np.random.default_rng(ties)
+    x, y = rng.integers(0, 256, (2, 1, 32), dtype=np.uint8)
+    return np.concatenate([np.repeat(x, ties, axis=0), y])
+
+
+@pytest.mark.parametrize("ties", [255, 256, 257, 513])
+def test_batch_mutual_nn_counts_every_tie(ties):
+    # a minimum tied any number of ways is no unique minimum, on either side,
+    # so only y keeps its match; uint8 tie counts read 257 and 513 ties as one
+    tied = _tied_rows(ties)
+    pair = tied[-2:]     # x, y
+    for desc_a, desc_b in ((pair, tied), (tied, pair)):
+        out = _kernels.batch_mutual_nn(desc_a, desc_b, *_one_pair(len(desc_a), len(desc_b)))
+        want = _oracle_supports(desc_a, desc_b, np.arange(len(desc_a)), np.arange(len(desc_b)))
+        assert _supports(*out, 0) == want
+        assert len(want) == 1
+
+
+def test_batch_mutual_nn_counts_ties_in_a_large_group():
+    # groups of 258 (257 tied rows and y), 2 (x, y) and 10 random rows per side,
+    # every pairing in one call
+    rng = np.random.default_rng(257)
+    tied = _tied_rows(257)
+    desc = np.concatenate([tied, rng.integers(0, 256, (10, 32), dtype=np.uint8)])
+    mem = np.concatenate([np.arange(258), [256, 257], np.arange(258, 268)]).astype(np.int64)
+    cnt = np.array([258, 2, 10], np.int64)
+    off = np.array([0, 258, 260], np.int64)
+    pair_a, pair_b = (g.ravel().astype(np.int64) for g in np.indices((3, 3)))
+    out = _kernels.batch_mutual_nn(desc, desc, mem, off, cnt, mem, off, cnt, pair_a, pair_b)
+    for p, (ga, gb) in enumerate(zip(pair_a.tolist(), pair_b.tolist())):
+        rows_a = mem[off[ga]:off[ga] + cnt[ga]]
+        rows_b = mem[off[gb]:off[gb] + cnt[gb]]
+        assert _supports(*out, p) == _oracle_supports(desc, desc, rows_a, rows_b), (ga, gb)
 
 
 def test_claim_first_numpy_matches_greedy():

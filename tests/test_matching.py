@@ -302,6 +302,14 @@ def test_identity_groups_fully_match():
     assert all(d == 0.0 for d in inliers.distance.tolist())
 
 
+def test_inlier_columns_name_their_frames():
+    gp, prev, gc, curr = _paired_groups(10, 10, 10)
+    prev.frame_index, curr.frame_index = 4, 9
+    for pairs, count in (([], 0), ([[0, 0]], 10)):
+        _, inliers = _match_pairs([gp], prev, [gc], curr, pairs)
+        assert (inliers.frame_prev, inliers.frame_curr, len(inliers)) == (4, 9, count)
+
+
 def test_unknown_candidate_pair_rejected():
     gp, prev, gc, curr = _paired_groups(10, 10, 10)
     for pair in ((99, 0), (0, 99), (-1, 0), (0, -1)):
@@ -357,4 +365,4 @@ def test_odd_width_sequence_equals_zero_extended_rows():
     assert narrow_run.total_inliers > 100
     for a, b in zip(narrow_run.pairs, wide_run.pairs):
         for name in InlierColumns.__dataclass_fields__:
-            assert np.array_equal(getattr(a.columns, name), getattr(b.columns, name)), name
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name

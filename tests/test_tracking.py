@@ -188,7 +188,7 @@ def test_advance_is_deterministic():
     a = advance(state, _dummy_features(1), curr, [_match(0, 0)])
     b = advance(state, _dummy_features(1), curr, [_match(0, 0)])
     assert np.allclose(a.displacement, b.displacement)
-    assert a.frame_index == b.frame_index == 1
+    assert a.features.frame_index == b.features.frame_index == 1
 
 
 def _random_groups(rng, count):
