@@ -16,8 +16,8 @@ class FeatureFileError(InputDataError):
 
 
 def decode_error_line(exc: UnicodeDecodeError) -> int:
-    """1-based line of the byte a decode error stopped at."""
-    return exc.object.count(b"\n", 0, exc.start) + 1
+    """1-based line of the byte a decode error stopped at, as ``str.splitlines`` numbers lines."""
+    return len((exc.object[:exc.start].decode(exc.encoding) + "x").splitlines())
 
 
 class ConfigError(ValueError):

@@ -78,7 +78,7 @@ class GrayImage:
 class FrameFeatures:
     """All features of one frame, stored as column arrays.
 
-    ``descriptors`` rows hold ``ceil(desc_bits / 8)`` bytes, unpadded; the
+    ``descriptors`` rows hold ``desc_bits / 8`` bytes, unpadded; the
     matching kernel pads them to whole 64-bit words itself. Feature ids
     are the row indices 0..count-1.
     """
@@ -95,6 +95,9 @@ class FrameFeatures:
     def __post_init__(self):
         if self.frame_index < 0:
             raise ValueError("frame_index must be non-negative")
+        if not _dimensions_in_range(self.width, self.height, self.desc_bits):
+            raise ValueError("a feature file cannot hold the frame: width or height "
+                             f"below {PATCH_MARGIN}, or desc_bits not a positive multiple of 8")
         self.positions = np.ascontiguousarray(self.positions, np.float64).reshape(-1, 2)
         self.responses = np.ascontiguousarray(self.responses, np.float64).reshape(-1)
         self.descriptors = np.ascontiguousarray(self.descriptors, np.uint8)
@@ -111,6 +114,11 @@ class FrameFeatures:
 
 def _desc_bytes(desc_bits: int) -> int:
     return (desc_bits + 7) // 8
+
+
+def _dimensions_in_range(width: int, height: int, desc_bits: int) -> bool:
+    """The feature-file header rule: room for a patch, whole descriptor bytes."""
+    return min(width, height) >= PATCH_MARGIN and desc_bits >= 8 and desc_bits % 8 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +235,73 @@ def load_features(path, frame_index: int = 0,
                   max_features: int | None = DEFAULT_MAX_FEATURES) -> FrameFeatures:
     """Parse a feature file, checking every feature line.
 
-    A file laid out as ``save_features`` writes it is parsed a whole
-    column at a time (``_parse_columns``). Any other layout, and any file
-    that fails a check there, is parsed line by line (``_parse_lines``),
-    which accepts every layout the format allows and names the line of the
-    first error. Both return the same arrays for a file both accept.
+    Every layout takes one path. Each line's fields are counted once, at
+    the byte level, every field comes from one ``text.split()``, and each
+    rule then runs over a whole column. After the header's rules, a file
+    fails on its first bad line, with the first rule that line breaks in
+    the order field count, numeric fields, id sequence, descriptor length,
+    descriptor hex, response range, patch margin. The cap comes last.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # \r\n ends one line, as \n does
+        data = data.replace(b"\r\n", b"\n")
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise FeatureFileError("non-ASCII byte", line=decode_error_line(exc)) from None
-    parsed = _parse_columns(text, max_features)
-    if parsed is None:
-        parsed = _parse_lines(text, max_features)
-    (width, height, desc_bits, seed), positions, responses, desc = parsed
-    return FrameFeatures(frame_index, width, height, positions, responses,
+    if not text:
+        raise FeatureFileError("empty file", line=1)
+    counts, lengths = _count_fields(np.frombuffer(data, np.uint8))
+    del data
+    fields = text.split()
+    del text
+    width, height, desc_bits, seed = _parse_header(fields[:counts[0]])
+    per_row = counts[1:][counts[1:] > 0]  # fields on each non-blank feature line
+    n, error = per_row.size, None
+
+    def fail(row: int, message: str, values=None) -> None:
+        """Keep a failure of row ``row`` (``values[row]`` fills the message)
+        if it comes first; later rules check only the rows before it."""
+        nonlocal n, error
+        if row < n:
+            n, error = row, message if values is None else message.format(values[row])
+
+    def column(k: int) -> list[str]:
+        """Field k (0..4) of the first n rows."""
+        return fields[6 + k:6 + 5 * n:5]
+
+    def numeric():
+        """The ids as ints and x, y and response as float arrays."""
+        return (list(map(int, column(0))),
+                *(np.fromiter(map(float, column(k)), np.float64, n) for k in (1, 2, 3)))
+
+    fail(_first(per_row != 5), "expected 5 fields, got {}", per_row)
+    try:
+        ids, x, y, responses = numeric()
+    except ValueError:
+        fail(min(_first_rejected(float if k else int, column(k)) for k in range(4)),
+             "malformed numeric field")
+        ids, x, y, responses = numeric()
+    if ids != list(range(n)):
+        fail(next(k for k, fid in enumerate(ids) if fid != k), "feature id {} out of sequence", ids)
+    bits = lengths[10:6 + 5 * n:5] * 4
+    fail(_first(bits != desc_bits),
+         f"descriptor length {{}} bits does not match header {desc_bits}", bits)
+    try:
+        desc = np.frombuffer(bytearray.fromhex("".join(column(4))), np.uint8)
+    except ValueError:
+        fail(_first_rejected(bytes.fromhex, column(4)), "descriptor is not valid hex")
+    fail(_first(~((responses[:n] >= 0) & (responses[:n] < math.inf))),
+         "response must be finite and non-negative")
+    fail(_first(~((PATCH_MARGIN <= x[:n]) & (x[:n] <= width - 1 - PATCH_MARGIN)
+                  & (PATCH_MARGIN <= y[:n]) & (y[:n] <= height - 1 - PATCH_MARGIN))),
+         "position violates the descriptor patch margin")
+    if error:  # row n is the bad line's row
+        raise FeatureFileError(error, line=int(np.flatnonzero(counts[1:])[n]) + 2)
+    if max_features is not None and n > max_features:
+        raise FeatureFileError(f"{n} features exceed the cap of {max_features}")
+    return FrameFeatures(frame_index, width, height, np.column_stack((x, y)), responses,
                          desc.reshape(-1, _desc_bytes(desc_bits)),
                          desc_bits=desc_bits, descriptor_seed=seed)
 
@@ -255,104 +314,43 @@ def _parse_header(fields: list[str]) -> tuple[int, int, int, int]:
         width, height, desc_bits, seed = (int(v) for v in fields[2:])
     except ValueError:
         raise FeatureFileError("non-integer header field", line=1) from None
-    if width < PATCH_MARGIN or height < PATCH_MARGIN or desc_bits < 8 or desc_bits % 8:
+    if not _dimensions_in_range(width, height, desc_bits):
         raise FeatureFileError("header dimensions out of range", line=1)
     return width, height, desc_bits, seed
 
 
-def _parse_columns(text: str, max_features: int | None):
-    """Whole-column parse of a file in the writer's layout, else None.
+# 1 for an ASCII byte str.split() separates fields at, 2 for one that
+# str.splitlines() also ends a line at
+_BYTE_KIND = np.array([chr(b).isspace() + (len(f"a{chr(b)}a".splitlines()) > 1)
+                       for b in range(128)] + [0] * 128, np.uint8)
 
-    The layout is pinned byte by byte before any field is read: the only
-    bytes below '!' are single spaces and newlines, the header line has six
-    fields, every later line five, and the file ends with a newline. So
-    ``text.split()`` yields exactly the fields ``_parse_lines`` would see,
-    line by line, and the header check shared with it raises what it would
-    raise first. Every other check runs on whole columns; a failure returns
-    None, so the line-by-line parse reports it.
-    """
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
+
+def _count_fields(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fields on each line of ASCII text without ``\\r\\n`` up to its last
+    field, and the length of every field, as ``str.splitlines`` and
+    ``str.split`` see them: ten whitespace bytes separate fields, and seven
+    of them also end a line."""
     seps = np.flatnonzero(data <= 32)
-    n, extra = divmod(seps.size - 6, 5)
-    if n < 0 or extra or seps[-1] != data.size - 1:
-        return None
-    newline = np.zeros(seps.size, bool)
-    newline[5::5] = True
-    if not (np.array_equal(data[seps], np.where(newline, 10, 32))
-            and (np.diff(seps, prepend=-1) > 1).all()):
-        return None
-    del data, newline
-    fields = text.split()
-    header = _parse_header(fields[:6])
-    if (max_features is not None and n > max_features) \
-            or (seps[10::5] - seps[9::5] - 1 != 2 * _desc_bytes(header[2])).any():
-        return None
-    del seps
-    try:
-        if list(map(int, fields[6::5])) != list(range(n)):
-            return None
-        x, y, responses = (np.fromiter(map(float, fields[k::5]), np.float64, n)
-                           for k in (7, 8, 9))
-        desc = np.frombuffer(bytearray.fromhex("".join(fields[10::5])), np.uint8)
-    except ValueError:
-        return None
-    del fields
-    positions = np.column_stack((x, y))
-    if not ((responses >= 0).all() and (responses < math.inf).all()):
-        return None
-    width, height = header[:2]
-    if n:
-        (x0, y0), (x1, y1) = positions.min(axis=0).tolist(), positions.max(axis=0).tolist()
-        if not (PATCH_MARGIN <= x0 and x1 <= width - 1 - PATCH_MARGIN
-                and PATCH_MARGIN <= y0 and y1 <= height - 1 - PATCH_MARGIN):
-            return None
-    return header, positions, responses, desc
+    kind = _BYTE_KIND[data[seps]]
+    if not kind.all():  # control bytes that are not whitespace belong to fields
+        seps, kind = seps[kind > 0], kind[kind > 0]
+    bounds = np.concatenate(([-1], seps, [data.size]))
+    gaps = bounds[1:] - bounds[:-1] - 1  # bytes between separators: a field if > 0
+    starts = gaps > 0
+    line = np.concatenate(([0], (kind == 2).cumsum()))  # the line each gap lies on
+    return np.bincount(line[starts], minlength=1), gaps[starts]
 
 
-def _parse_lines(text: str, max_features: int | None):
-    """Line-by-line parse of any layout; raises on the first bad line."""
-    lines = text.splitlines()
-    if not lines:
-        raise FeatureFileError("empty file", line=1)
-    header = _parse_header(lines[0].split())
-    width, height, desc_bits = header[:3]
-    raw = _desc_bytes(desc_bits)
-    rows = []     # (x, y, response) per feature
-    descs = []    # raw descriptor bytes per feature
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise FeatureFileError(f"expected 5 fields, got {len(parts)}", line=lineno)
+def _first(flags: np.ndarray) -> int:
+    """Index of the first true flag, else len(flags)."""
+    return int(flags.argmax()) if flags.any() else flags.size
+
+
+def _first_rejected(convert, values: list) -> int:
+    """Index of the first value ``convert`` raises ValueError on, else len(values)."""
+    for k, value in enumerate(values):
         try:
-            fid = int(parts[0])
-            x = float(parts[1])
-            y = float(parts[2])
-            response = float(parts[3])
+            convert(value)
         except ValueError:
-            raise FeatureFileError("malformed numeric field", line=lineno) from None
-        if fid != len(rows):
-            raise FeatureFileError(f"feature id {fid} out of sequence", line=lineno)
-        hexdesc = parts[4]
-        if len(hexdesc) != raw * 2:
-            raise FeatureFileError(
-                f"descriptor length {len(hexdesc) * 4} bits does not match header "
-                f"{desc_bits}", line=lineno)
-        try:
-            descs.append(bytes.fromhex(hexdesc))
-        except ValueError:
-            raise FeatureFileError("descriptor is not valid hex", line=lineno) from None
-        if not 0 <= response < math.inf:
-            raise FeatureFileError("response must be finite and non-negative", line=lineno)
-        if not (PATCH_MARGIN <= x <= width - 1 - PATCH_MARGIN
-                and PATCH_MARGIN <= y <= height - 1 - PATCH_MARGIN):
-            raise FeatureFileError("position violates the descriptor patch margin",
-                                   line=lineno)
-        rows.append((x, y, response))
-    if max_features is not None and len(rows) > max_features:
-        raise FeatureFileError(f"{len(rows)} features exceed the cap of {max_features}")
-    del lines
-    cols = np.array(rows, np.float64).reshape(-1, 3)
-    return (header, cols[:, :2], cols[:, 2],
-            np.frombuffer(bytearray().join(descs), np.uint8))
+            return k
+    return len(values)

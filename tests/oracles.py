@@ -230,3 +230,68 @@ def triangulate_depths_reference(R, t, xa, xb):
             z1[i] = X[2]
             z2[i] = (R @ X + t)[2]
     return z1, z2
+
+
+class FeatureFileRejected(Exception):
+    """The reference reader's verdict on a bad feature file."""
+
+    def __init__(self, line, message):
+        super().__init__(message)
+        self.line = line          # 1-based, or None for the feature cap
+        self.message = message
+
+
+def feature_file_reference(text: str, max_features):
+    """Line-by-line feature-file reader.
+
+    Returns ((width, height, desc_bits, seed), positions (n, 2), responses
+    (n,), descriptor bytes) or raises FeatureFileRejected at the first bad
+    line, checking each line's rules in order: field count, numeric fields,
+    id sequence, descriptor length, descriptor hex, response range, patch
+    margin (16 px). The header is the first line even when it is blank;
+    later blank lines are skipped. The feature cap is checked last.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise FeatureFileRejected(1, "empty file")
+    header = lines[0].split()
+    if len(header) != 6 or header[0] != "DYNAFEAT" or header[1] != "v1":
+        raise FeatureFileRejected(1, "bad header, expected 'DYNAFEAT v1 <w> <h> <bits> <seed>'")
+    try:
+        width, height, bits, seed = [int(v) for v in header[2:]]
+    except ValueError:
+        raise FeatureFileRejected(1, "non-integer header field") from None
+    if width < 16 or height < 16 or bits < 8 or bits % 8 != 0:
+        raise FeatureFileRejected(1, "header dimensions out of range")
+    rows = []
+    descriptors = b""
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 5:
+            raise FeatureFileRejected(lineno, f"expected 5 fields, got {len(parts)}")
+        try:
+            fid = int(parts[0])
+            x, y, response = float(parts[1]), float(parts[2]), float(parts[3])
+        except ValueError:
+            raise FeatureFileRejected(lineno, "malformed numeric field") from None
+        if fid != len(rows):
+            raise FeatureFileRejected(lineno, f"feature id {fid} out of sequence")
+        if len(parts[4]) * 4 != bits:
+            raise FeatureFileRejected(
+                lineno, f"descriptor length {len(parts[4]) * 4} bits does not match header {bits}")
+        try:
+            descriptors += bytes.fromhex(parts[4])
+        except ValueError:
+            raise FeatureFileRejected(lineno, "descriptor is not valid hex") from None
+        if not (response >= 0 and response != float("inf")):
+            raise FeatureFileRejected(lineno, "response must be finite and non-negative")
+        if not (16 <= x <= width - 17 and 16 <= y <= height - 17):
+            raise FeatureFileRejected(lineno, "position violates the descriptor patch margin")
+        rows.append((x, y, response))
+    if max_features is not None and len(rows) > max_features:
+        raise FeatureFileRejected(None, f"{len(rows)} features exceed the cap of {max_features}")
+    positions = np.array([(x, y) for x, y, _ in rows], np.float64).reshape(-1, 2)
+    responses = np.array([r for _, _, r in rows], np.float64)
+    return (width, height, bits, seed), positions, responses, descriptors

@@ -303,17 +303,19 @@ def _non_ascii_input(tmp_path, synth_dir, kind):
     if kind == "pipeline-config":
         cfg_path.write_bytes(cfg_path.read_bytes().replace(b"window=30.0", b"window=3\xc3\xa9"))
         return ["match", str(cfg_path), str(synth_dir)]
-    if kind == "scene-config":
+    # a "-cr" kind ends its lines with a lone \r
+    end = b"\r" if kind.endswith("-cr") else b"\n"
+    if kind.startswith("scene-config"):
         scene = tmp_path / "scene.cfg"
-        scene.write_bytes(b"seed=3\ntrajectory=st\xc3\xa4tic\n")
+        scene.write_bytes(b"seed=3" + end + b"trajectory=st\xc3\xa4tic" + end)
         return ["synth", str(scene), "--out", str(tmp_path / "gen")]
     src = tmp_path / "copy"
     shutil.copytree(synth_dir, src)
-    if kind == "feature-line":
+    if kind.startswith("feature-line"):
         path = src / frame_filename(1)
         lines = path.read_bytes().split(b"\n")
         lines[2] = lines[2].replace(b" ", b" \xc3\xa9", 1)
-        path.write_bytes(b"\n".join(lines))
+        path.write_bytes(end.join(lines))
         return ["match", str(cfg_path), str(src)]
     with open(src / "gt" / "poses.txt", "ab") as fh:
         fh.write(b"\xff\xfe")
@@ -323,9 +325,12 @@ def _non_ascii_input(tmp_path, synth_dir, kind):
 @pytest.mark.parametrize("kind,code,message", [
     ("pipeline-config", 3, "line 1: non-ASCII byte"),
     ("scene-config", 3, "line 2: non-ASCII byte"),
+    ("scene-config-cr", 3, "line 2: non-ASCII byte"),
     ("feature-line", 2, "line 3: non-ASCII byte"),
+    ("feature-line-cr", 2, "line 3: non-ASCII byte"),
     ("gt-poses", 2, "poses.txt: line 5: non-ASCII byte")],
-    ids=["pipeline-config", "scene-config", "feature-line", "gt-poses"])
+    ids=["pipeline-config", "scene-config", "scene-config-cr", "feature-line",
+         "feature-line-cr", "gt-poses"])
 def test_non_ascii_input_exits_2_or_3(tmp_path, synth_dir, capsys, kind, code, message):
     assert main(_non_ascii_input(tmp_path, synth_dir, kind)) == code
     assert message in capsys.readouterr().err
@@ -372,6 +377,17 @@ _FEATURE_FILE_EDITS = {
     # six fields then four: the field totals still fit five per line
     "misaligned-fields": (lambda lines: lines[:1] + [lines[1] + " 1", lines[2].split(" ", 1)[1]]
                           + lines[3:], "line 2: expected 5 fields, got 6"),
+    # which error wins: the first bad line, then the first rule it breaks
+    "hex-before-field-count": (lambda lines: lines[:2] + [lines[2][:-2] + "zz",
+                                                          lines[3].rsplit(" ", 1)[0]] + lines[4:],
+                               "line 3: descriptor is not valid hex"),
+    "number-before-length": (lambda lines: _set_field(_set_field(lines, 2, 4, lines[2][-62:]),
+                                                      2, 2, "1.5e"),
+                             "line 3: malformed numeric field"),
+    # CRLF line ends: the blank and whitespace-only lines still count
+    "crlf-blank-lines": (lambda lines: [line + "\r" for line in lines[:2] + ["", " \t"]
+                                        + ["7" + lines[2][1:]] + lines[3:]],
+                         "line 5: feature id 7 out of sequence"),
 }
 
 

@@ -1,5 +1,7 @@
 """Detector, descriptor and feature-file tests."""
 
+import random
+import re
 import sys
 
 import numpy as np
@@ -7,12 +9,12 @@ import pytest
 
 from dynafeat.errors import FeatureFileError, InputDataError
 from dynafeat.frontend import (DEFAULT_MAX_FEATURES, FrameFeatures, GrayImage,
-                               _parse_columns, _parse_lines, describe, detect_corners,
-                               extract_frame, load_features, save_features)
+                               describe, detect_corners, extract_frame, load_features,
+                               save_features)
 from dynafeat.image_io import load_image, rgb_to_luma
 
-from oracles import (RING, box_sums_reference, fast_corners_reference,
-                     fast_response_reference, hamming_reference)
+from oracles import (RING, FeatureFileRejected, box_sums_reference, fast_corners_reference,
+                     fast_response_reference, feature_file_reference, hamming_reference)
 
 
 def _noise_image(seed, h=64, w=64):
@@ -163,8 +165,16 @@ def test_integer_pixels_in_8_bits_accepted():
     (lambda: GrayImage.from_array(np.zeros((16, 16, 3), np.uint8)), "expected a 2-D"),
     (lambda: FrameFeatures(0, 64, 64, np.zeros((2, 2)), np.zeros(3),
                            np.zeros((2, 32), np.uint8)), "disagree on count"),
-    (lambda: detect_corners(_noise_image(0), 5, max_features=0), "max_features must be >= 1")],
-    ids=["pixels-shape", "from-array-3d", "feature-count", "max-features-0"])
+    (lambda: detect_corners(_noise_image(0), 5, max_features=0), "max_features must be >= 1"),
+    # frames the feature file cannot hold
+    (lambda: FrameFeatures(0, 64, 64, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2), np.uint8),
+                           desc_bits=12), "desc_bits not a positive multiple of 8"),
+    (lambda: FrameFeatures(0, 8, 64, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 32), np.uint8)),
+     "width or height below 16"),
+    (lambda: FrameFeatures(0, 64, 8, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 32), np.uint8)),
+     "width or height below 16")],
+    ids=["pixels-shape", "from-array-3d", "feature-count", "max-features-0",
+         "desc-bits-12", "width-8", "height-8"])
 def test_frontend_validation_raises(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -289,10 +299,15 @@ _WRITER_TEXT = ("DYNAFEAT v1 64 64 256 42\n"
                 "1 30.0 31.0 0.0 " + "0f" * 32 + "\n"
                 "2 47.0 16.0 2.0 " + "c3" * 32 + "\n")
 
-# Layouts the format accepts besides the writer's own; each loaded at the
-# parent of the whole-column parse.
+# Layouts the format accepts besides the writer's own.
 _ODD_LAYOUTS = {
     "crlf": lambda t: t.replace("\n", "\r\n"),
+    "cr-cr-lf": lambda t: t.replace("\n", "\r\r\n"),
+    "cr": lambda t: t.replace("\n", "\r"),
+    "vertical-tab": lambda t: t.replace("\n", "\x0b"),
+    "form-feed": lambda t: t.replace("\n", "\x0c"),
+    "file-separator": lambda t: t.replace("\n", "\x1c"),
+    "unit-separator": lambda t: t.replace(" ", "\x1f"),
     "tabs": lambda t: t.replace(" ", "\t"),
     "double-spaces": lambda t: t.replace(" ", "  "),
     "edge-whitespace": lambda t: "".join(f" {line}\t\n" for line in t.splitlines()),
@@ -306,13 +321,6 @@ _ODD_LAYOUTS = {
 }
 
 
-def test_writer_layout_takes_the_column_parse(tmp_path):
-    assert _parse_columns(_WRITER_TEXT, DEFAULT_MAX_FEATURES) is not None
-    path = tmp_path / "f.feat"
-    save_features(extract_frame(_noise_image(30, 96, 128), 0), path)
-    assert _parse_columns(path.read_text(), DEFAULT_MAX_FEATURES) is not None
-
-
 @pytest.mark.parametrize("layout", sorted(_ODD_LAYOUTS))
 def test_odd_layouts_load_like_the_line_parse(tmp_path, layout):
     text = _ODD_LAYOUTS[layout](_WRITER_TEXT)
@@ -320,13 +328,72 @@ def test_odd_layouts_load_like_the_line_parse(tmp_path, layout):
     path = tmp_path / "odd.feat"
     path.write_bytes(text.encode("ascii"))
     frame = load_features(path)
-    header, positions, responses, desc = _parse_lines(text, DEFAULT_MAX_FEATURES)
-    assert (frame.width, frame.height, frame.desc_bits, frame.descriptor_seed) == header
     assert frame.count == (0 if layout == "header-only" else 3)
+    _assert_loads_like_reference(frame, feature_file_reference(text, DEFAULT_MAX_FEATURES))
+
+
+def _assert_loads_like_reference(frame, reference):
+    header, positions, responses, desc = reference
+    assert (frame.width, frame.height, frame.desc_bits, frame.descriptor_seed) == header
     # bytes, not values: -0.0 must stay -0.0
-    assert frame.positions.tobytes() == np.ascontiguousarray(positions).tobytes()
+    assert frame.positions.tobytes() == positions.tobytes()
     assert frame.responses.tobytes() == responses.tobytes()
-    assert frame.descriptors.tobytes() == desc.tobytes()
+    assert frame.descriptors.tobytes() == desc
+
+
+# what a mutation inserts or puts in place of a byte: every ASCII
+# whitespace byte, \r\n, control bytes that are not whitespace, and pieces
+# of numbers and hex
+_MUTATION_TOKENS = (list("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ") + ["\r\n", "\x00", "\x1b"]
+                    + list("0123456789+-_.e") + ["nan", "inf"] + list("abcdefABCDEFgxzG"))
+
+
+def _mutate(text, rng, start=0):
+    """``text`` after 1 to 4 random inserts, deletes or replacements, none
+    of them before index ``start``."""
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(start, len(text) + 1)
+        edit = rng.choice(("insert", "delete", "replace"))
+        token = rng.choice(_MUTATION_TOKENS) if edit != "delete" else ""
+        text = text[:at] + token + text[at + (edit != "insert"):]
+    return text
+
+
+def test_mutated_files_load_like_the_reference(tmp_path):
+    # a small writer-layout file: 8-bit descriptors, so that a mutation
+    # often lands in another field, and values at or near the range ends
+    # (x and y in 16..23; 1e3080 is infinite)
+    header = "DYNAFEAT v1 40 40 8 42\n"
+    base = header + ("0 16 23 1e308 0c\n1 17.5 20.25 0.5 1c\n"
+                     "2 23.0 16.0 -0.0 2c\n3 18.5 19 7e-5 3c\n")
+    rng = random.Random(19)
+    path = tmp_path / "mutated.feat"
+    outcomes = set()
+    with open(path, "wb") as fh:
+        for _ in range(2000):
+            # one case in eight may edit the header too
+            text = _mutate(base, rng, 0 if rng.random() < 0.125 else len(header))
+            cap = rng.choice((None, 7000, 2, 3))
+            fh.seek(0)
+            fh.write(text.encode("ascii"))
+            fh.truncate()
+            fh.flush()
+            try:
+                reference = feature_file_reference(text, cap)
+            except FeatureFileRejected as rejected:
+                with pytest.raises(FeatureFileError) as caught:
+                    load_features(path, max_features=cap)
+                assert type(caught.value) is FeatureFileError, repr(text)
+                assert caught.value.line == rejected.line, repr(text)
+                prefix = "" if rejected.line is None else f"line {rejected.line}: "
+                assert str(caught.value) == prefix + rejected.message, repr(text)
+                outcomes.add(re.sub(r"-?\d+", "N", rejected.message))
+            else:
+                _assert_loads_like_reference(load_features(path, max_features=cap), reference)
+                outcomes.add("loaded")
+    # every header and line rule fails somewhere, so do the cap, and some
+    # files load
+    assert len(outcomes) == 12, outcomes
 
 
 def test_odd_width_descriptor_roundtrip(tmp_path):
