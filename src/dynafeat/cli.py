@@ -15,13 +15,14 @@ Exit codes: 0 ok, 2 bad input, 3 bad config, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
 from .config import CONFIG_CONVERTERS, PipelineConfig, parse_bool, read_key_values
 from .errors import ConfigError, InputDataError
-from .pipeline import (bench, run_eval, run_sequence, write_match_files,
-                       write_stats, write_track_dump)
+from .pipeline import (RunStats, bench, run_eval, run_sequence, write_match_files,
+                       write_stats, write_tracks)
 from .synthetic import generate_sequence, make_cluster_scene, save_sequence
 
 EXIT_OK = 0
@@ -73,16 +74,21 @@ def _expand_inputs(inputs: list[str]) -> list[str]:
 def _cmd_match(args) -> int:
     config = _load_config(args)
     inputs = _expand_inputs(args.inputs)
-    result = run_sequence(config, inputs)
     out_dir = config.output_dir
-    written = write_match_files(result, out_dir)
-    if args.dump_tracks:
-        write_track_dump(result, os.path.join(out_dir, "tracks.txt"))
+    os.makedirs(out_dir, exist_ok=True)
+    stats, files = RunStats(), 0
+    with (open(os.path.join(out_dir, "tracks.txt"), "w", encoding="ascii")
+          if args.dump_tracks else contextlib.nullcontext()) as tracks:
+        for row, pair, track in run_sequence(config, inputs):
+            stats.rows.append(row)
+            if pair is not None:
+                files += len(write_match_files([pair], out_dir))
+            if tracks is not None and track is not None:
+                write_tracks(tracks, track)
     if config.timing:
-        write_stats(result.stats, os.path.join(out_dir, "stats.txt"))
-    print(f"matched {len(result.pairs)} frame pairs, "
-          f"{result.total_inliers} inlier matches, "
-          f"{result.stats.fps:.1f} fps -> {out_dir} ({len(written)} files)")
+        write_stats(stats, os.path.join(out_dir, "stats.txt"))
+    print(f"matched {files} frame pairs, {sum(stats.column('inliers'))} inlier matches, "
+          f"{stats.fps:.1f} fps -> {out_dir} ({files} files)")
     return EXIT_OK
 
 

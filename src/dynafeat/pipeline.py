@@ -7,11 +7,16 @@ keeps pairs whose support count clears the threshold, emits the surviving
 feature matches and carries the group state forward. Stage wall times are
 taken with a monotonic clock.
 
+The run is a stream: ``run_sequence`` yields each frame's records as soon
+as the frame is done and keeps only the tracking state the next frame
+needs, so memory does not grow with the sequence length. The ``match``,
+``eval`` and ``bench`` verbs each consume that one stream as it arrives.
+
 Frames that yield zero features are skipped with a warning; the previous
 state is kept and its regions re-dilated with a doubled margin so the
 next usable frame can still be matched. Every frame must carry descriptors
 of the first frame's bit width; a frame that differs stops the run with
-InputDataError before any matching.
+InputDataError at that frame.
 """
 
 from __future__ import annotations
@@ -95,43 +100,34 @@ class RunStats:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class SequenceResult:
-    pairs: list[matching.InlierColumns]
-    stats: RunStats
-    # per processed frame: (frame index, groups, displacement (G, 2), age (G,))
-    tracks: list[tuple]
-
-    @property
-    def total_inliers(self) -> int:
-        return sum(len(p) for p in self.pairs)
-
-
 def load_frame(config: PipelineConfig, path, index: int) -> FrameFeatures:
-    if config.input_mode == "images":
-        image = load_image(path)
-        return extract_frame(image, index, fast_threshold=config.fast_threshold,
-                             max_features=config.max_features, rng_seed=config.seed)
     try:
+        if config.input_mode == "images":
+            image = load_image(path)
+            return extract_frame(image, index, fast_threshold=config.fast_threshold,
+                                 max_features=config.max_features, rng_seed=config.seed)
         return load_features(path, frame_index=index, max_features=config.max_features)
     except OSError as exc:
         raise InputDataError(f"cannot read frame {index} ({path}): {exc}") from None
+    except InputDataError as exc:
+        exc.args = (f"{exc} (frame {index}: {path})",)
+        raise
 
 
 def run_sequence(config: PipelineConfig, sources,
-                 warn=lambda msg: print(msg, file=sys.stderr)) -> SequenceResult:
-    """Run the matching pipeline over ordered frame sources.
+                 warn=lambda msg: print(msg, file=sys.stderr)):
+    """Run the matching pipeline over ordered frame sources, one frame at a time.
 
     Each source is a FrameFeatures record or a file path read per
-    ``config.input_mode``. At least two frames are required.
+    ``config.input_mode``. At least two frames are required. Yields one
+    ``(row, pair, track)`` per source once that frame is done: its RunStats
+    row, the InlierColumns of the transition it ends or None, and
+    ``(frame index, groups, displacement (G, 2), age (G,))`` or None if skipped.
     """
     sources = list(sources)
     if len(sources) < 2:
         raise InputDataError("at least 2 frames are required")
 
-    stats = RunStats()
-    result_pairs: list[matching.InlierColumns] = []
-    tracks: list[tuple] = []
     state: tracking.TrackState | None = None
     margin = config.search_margin
     skip_margin = margin
@@ -148,12 +144,12 @@ def run_sequence(config: PipelineConfig, sources,
 
         if feats.count == 0:
             warn(f"frame {idx}: no features, skipping (state preserved)")
-            stats.rows.append({**dict.fromkeys(COLUMNS, 0), "detect_ms": (t1 - t0) * 1000.0,
-                               "total_ms": (time.perf_counter() - t0) * 1000.0})
             if state is not None:
                 skip_margin *= 2.0
                 state = tracking.predict(state.features, state.groups, state.displacement,
                                          state.age, skip_margin)
+            yield ({**dict.fromkeys(COLUMNS, 0), "detect_ms": (t1 - t0) * 1000.0,
+                    "total_ms": (time.perf_counter() - t0) * 1000.0}, None, None)
             continue
 
         groups = group_features(feats, config).groups
@@ -161,7 +157,7 @@ def run_sequence(config: PipelineConfig, sources,
 
         if state is None:
             state = tracking.bootstrap(feats, groups, margin)
-            candidates = accepted = columns = ()
+            candidates, accepted, pair = (), (), None
             t3 = t4 = time.perf_counter()
         else:
             candidates = tracking.intersect_candidates(groups, state)
@@ -169,21 +165,17 @@ def run_sequence(config: PipelineConfig, sources,
                 state.groups, state.features, groups, feats, candidates,
                 k=config.k)
             t3 = time.perf_counter()
-            columns = matching.dedup_inlier_columns(accepted, state.features, feats)
-            result_pairs.append(columns)
+            pair = matching.dedup_inlier_columns(accepted, state.features, feats)
             state = tracking.advance(state, feats, groups, accepted, margin)
             t4 = time.perf_counter()
         skip_margin = margin
 
-        tracks.append((feats.frame_index, state.groups, state.displacement, state.age))
-        stats.rows.append({
-            "features": feats.count, "groups": len(groups), "candidates": len(candidates),
-            "accepted": len(accepted), "inliers": len(columns),
-            "detect_ms": (t1 - t0) * 1000.0, "group_ms": (t2 - t1) * 1000.0,
-            "match_ms": (t3 - t2) * 1000.0, "filter_ms": (t4 - t3) * 1000.0,
-            "total_ms": (time.perf_counter() - t0) * 1000.0})
-
-    return SequenceResult(result_pairs, stats, tracks)
+        row = {"features": feats.count, "groups": len(groups), "candidates": len(candidates),
+               "accepted": len(accepted), "inliers": 0 if pair is None else len(pair),
+               "detect_ms": (t1 - t0) * 1000.0, "group_ms": (t2 - t1) * 1000.0,
+               "match_ms": (t3 - t2) * 1000.0, "filter_ms": (t4 - t3) * 1000.0,
+               "total_ms": (time.perf_counter() - t0) * 1000.0}
+        yield row, pair, (feats.frame_index, state.groups, state.displacement, state.age)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +186,10 @@ def match_filename(a: int, b: int) -> str:
     return f"matches_{a:06d}_{b:06d}.txt"
 
 
-def write_match_files(result: SequenceResult, out_dir) -> list[str]:
+def write_match_files(pairs, out_dir) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for pair in result.pairs:
+    for pair in pairs:
         path = os.path.join(out_dir, match_filename(pair.frame_prev, pair.frame_curr))
         head = f"{pair.frame_prev} {pair.frame_curr}"
         # repr of a Python float is _fmt; the columns are float64 and int64
@@ -211,14 +203,11 @@ def write_match_files(result: SequenceResult, out_dir) -> list[str]:
     return written
 
 
-def write_track_dump(result: SequenceResult, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for frame, groups, displacement, age in result.tracks:
-            for slot, (g, (dx, dy), a) in enumerate(zip(groups, displacement.tolist(),
-                                                        age.tolist())):
-                cx, cy = g.centroid.tolist()
-                fh.write(f"{frame} {slot} {_fmt(cx)} {_fmt(cy)} {_fmt(dx)} {_fmt(dy)} "
-                         f"{a} {g.n}\n")
+def write_tracks(fh, track) -> None:
+    frame, groups, displacement, age = track
+    for slot, (g, (dx, dy), a) in enumerate(zip(groups, displacement.tolist(), age.tolist())):
+        cx, cy = g.centroid.tolist()
+        fh.write(f"{frame} {slot} {_fmt(cx)} {_fmt(cy)} {_fmt(dx)} {_fmt(dy)} {a} {g.n}\n")
 
 
 def write_stats(stats: RunStats, path) -> None:
@@ -276,22 +265,26 @@ def run_eval(config: PipelineConfig, sources, gt_dir,
     Pose estimation assumes the synthetic generator's default intrinsics
     (the same camera the ground-truth poses were rendered with).
     """
-    result = run_sequence(config, sources)
+    sources = list(sources)
     rotations, translations = load_gt_poses(gt_dir)
-    if rotations.shape[0] < result.stats.frame_count:
+    if rotations.shape[0] < len(sources):
         raise InputDataError(
-            f"ground truth has {rotations.shape[0]} poses for {result.stats.frame_count} frames")
+            f"ground truth has {rotations.shape[0]} poses for {len(sources)} frames")
 
     intrinsics = default_intrinsics()
     pose_errors: list[float] = []
     inlier_ratios: list[float] = []
     correct = 0
     total = 0
-    displacements_prev = []
+    displacements_prev = []   # collected while the scene is static, for repeatability
     displacements_curr = []
     static = True
+    stats = RunStats()
 
-    for pair in result.pairs:
+    for row, pair, _ in run_sequence(config, sources):
+        stats.rows.append(row)
+        if pair is None:
+            continue
         a, b = pair.frame_prev, pair.frame_curr
         try:
             gt = load_gt_pairs(gt_dir, a, b)
@@ -301,13 +294,13 @@ def run_eval(config: PipelineConfig, sources, gt_dir,
         total += len(pair)
         correct += sum(ids in gt_set for ids in zip(pair.feature_prev.tolist(),
                                                      pair.feature_curr.tolist()))
-        if len(pair):
-            displacements_prev.append(pair.pos_prev)
-            displacements_curr.append(pair.pos_curr)
         R_rel, t_rel = relative_pose(rotations[a], translations[a],
                                      rotations[b], translations[b])
         if rotation_angle_deg(R_rel) > 1e-9 or np.linalg.norm(t_rel) > 1e-12:
             static = False
+        if static and len(pair):
+            displacements_prev.append(pair.pos_prev)
+            displacements_curr.append(pair.pos_curr)
         if len(pair) >= 8:
             est = estimate_essential_ransac(pair.pos_prev, pair.pos_curr, intrinsics,
                                             rng_seed=config.seed, adaptive=True)
@@ -318,7 +311,7 @@ def run_eval(config: PipelineConfig, sources, gt_dir,
 
     repeat = repeat_norm = None
     if static and displacements_prev:
-        feats_per_frame = float(np.mean([c for c in result.stats.column("features") if c > 0]))
+        feats_per_frame = float(np.mean([c for c in stats.column("features") if c > 0]))
         rep = reprojection_repeatability(np.vstack(displacements_prev),
                                          np.vstack(displacements_curr), feats_per_frame)
         repeat = rep.mean_l2
@@ -328,12 +321,12 @@ def run_eval(config: PipelineConfig, sources, gt_dir,
         curve = pose_success_ratio(pose_errors, thresholds)
     except UndefinedMetricError:
         curve = []
-    return EvalReport(pair_count=len(result.pairs), match_count=total,
+    return EvalReport(pair_count=len(pose_errors), match_count=total,
                       precision=(correct / total if total else None),
                       mean_inlier_ratio=(float(np.mean(inlier_ratios)) if inlier_ratios else 0.0),
                       pose_errors=pose_errors, success_curve=curve,
                       repeatability=repeat, repeatability_per_1000=repeat_norm,
-                      static_scene=static, stats=result.stats)
+                      static_scene=static, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +356,10 @@ def bench(config: PipelineConfig, sources, repetitions: int = 3) -> BenchReport:
     if repetitions < 1:
         raise InputDataError("repetitions must be >= 1")
     sources = list(sources)   # every run reads them again
-    run_sequence(config, sources)  # warmup
+    for _ in run_sequence(config, sources):  # warmup
+        pass
     pooled = RunStats()
     for _ in range(repetitions):
-        last = run_sequence(config, sources).stats
+        last = RunStats([row for row, _, _ in run_sequence(config, sources)])
         pooled.rows += last.rows
     return BenchReport(repetitions, pooled, last)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputDataError, SceneValidationError, decode_error_line
-from .frontend import (DEFAULT_DESC_BITS, PATCH_MARGIN, FrameFeatures, _desc_bytes, _fmt,
-                       save_features)
+from .frontend import (DEFAULT_DESC_BITS, PATCH_MARGIN, FrameFeatures, _desc_bytes,
+                       _dimensions_in_range, _fmt, save_features)
 from .geometry import CameraIntrinsics
 
 _BORDER_BUFFER = 2.0  # keeps jittered positions inside the patch margin
@@ -42,6 +42,10 @@ class SyntheticScene:
         self.descriptors = np.asarray(self.descriptors, np.uint8)
         self.rotations = np.asarray(self.rotations, np.float64).reshape(-1, 3, 3)
         self.translations = np.asarray(self.translations, np.float64).reshape(-1, 3)
+        if not _dimensions_in_range(self.width, self.height, self.desc_bits):
+            raise SceneValidationError(f"a feature file cannot hold its frames: width or height "
+                                       f"below {PATCH_MARGIN}, or desc_bits not a positive "
+                                       "multiple of 8")
         if self.descriptors.shape != (self.points.shape[0], _desc_bytes(self.desc_bits)):
             raise SceneValidationError("descriptor table does not match the point count")
         if self.rotations.shape[0] != self.translations.shape[0]:

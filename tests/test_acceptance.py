@@ -135,26 +135,26 @@ def test_criterion_04_mutual_nn_oracle_equivalence():
 
 
 def _pipeline_displacements(seq):
-    result = run_sequence(PipelineConfig(), seq.frames)
     prev = []
     curr = []
-    for pair in result.pairs:
-        prev.extend(pair.pos_prev.tolist())
-        curr.extend(pair.pos_curr.tolist())
-    return np.array(prev), np.array(curr), result
+    for _, pair, _ in run_sequence(PipelineConfig(), seq.frames):
+        if pair is not None:
+            prev.extend(pair.pos_prev.tolist())
+            curr.extend(pair.pos_curr.tolist())
+    return np.array(prev), np.array(curr)
 
 
 def test_criterion_05_static_repeatability():
     started = time.perf_counter()
     clean = generate_sequence(make_cluster_scene(seed=50, frames=10,
                                                  trajectory="static"), seed=50)
-    prev, curr, _ = _pipeline_displacements(clean)
+    prev, curr = _pipeline_displacements(clean)
     zero_ok = len(prev) > 0 and float(np.linalg.norm(curr - prev, axis=1).mean()) == 0.0
 
     jittered = generate_sequence(make_cluster_scene(seed=51, frames=10,
                                                     trajectory="static",
                                                     jitter_px=0.1), seed=51)
-    prev_j, curr_j, _ = _pipeline_displacements(jittered)
+    prev_j, curr_j = _pipeline_displacements(jittered)
     mean_j = float(np.linalg.norm(curr_j - prev_j, axis=1).mean())
     band_ok = 0.1 <= mean_j <= 0.25  # Rayleigh mean = 0.1 * sqrt(pi) ~ 0.177
     elapsed_ok = time.perf_counter() - started < 60.0
@@ -201,12 +201,13 @@ def test_criterion_07_filtering_benefit():
                                    step=0.1, jitter_px=0.1,
                                    descriptor_bit_flips=8, outlier_rate=0.2)
         seq = generate_sequence(scene, seed=seed + 300)
-        result = run_sequence(PipelineConfig(), seq.frames)
         correct = 0
         total = 0
         raw_correct = 0
         raw_total = 0
-        for pair in result.pairs:
+        for _, pair, _ in run_sequence(PipelineConfig(), seq.frames):
+            if pair is None:
+                continue
             gt = {(int(i), int(j))
                   for i, j in seq.gt_pairs[(pair.frame_prev, pair.frame_curr)]}
             total += len(pair)

@@ -3,7 +3,9 @@
 import json
 import os
 import shutil
+import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -15,8 +17,8 @@ from dynafeat.errors import ConfigError, InputDataError
 from dynafeat.frontend import FrameFeatures, GrayImage, save_features
 from dynafeat.image_io import load_image, load_pgm, rgb_to_luma, save_pgm
 from dynafeat.matching import InlierColumns
-from dynafeat.pipeline import (COLUMNS, BenchReport, RunStats, SequenceResult, bench,
-                               run_sequence, write_match_files)
+from dynafeat.pipeline import (COLUMNS, BenchReport, RunStats, bench, run_sequence,
+                               write_match_files)
 from dynafeat.synthetic import (frame_filename, generate_sequence,
                                 make_cluster_scene, save_sequence)
 
@@ -407,6 +409,39 @@ def test_feature_file_errors_name_their_line(tmp_path, synth_dir, capsys, edit):
     assert f"input error: {message}" in capsys.readouterr().err
 
 
+def test_bad_frame_stops_the_run_after_its_predecessors(tmp_path, synth_dir, capsys):
+    # the error names the frame; the run leaves the match files of the
+    # transitions before it and the track lines of the frames before it,
+    # each as a clean run writes it, and no stats.txt
+    clean = tmp_path / "clean"
+    cfg_path = _write_config(tmp_path, output_dir=str(clean))
+    assert main(["match", str(cfg_path), str(synth_dir), "--dump-tracks"]) == 0
+    src = tmp_path / "copy"
+    shutil.copytree(synth_dir, src)
+    path = src / frame_filename(2)
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line + "\n" for line in lines[:3] + [lines[3] + " 1"] + lines[4:]))
+    out = tmp_path / "out"
+    assert main(["match", str(cfg_path), str(src), "--dump-tracks",
+                 "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: line 4: expected 5 fields, got 6" in err
+    assert f"(frame 2: {path})" in err
+    assert sorted(os.listdir(out)) == ["matches_000000_000001.txt", "tracks.txt"]
+    assert (out / "matches_000000_000001.txt").read_bytes() == \
+        (clean / "matches_000000_000001.txt").read_bytes()
+    clean_tracks = (clean / "tracks.txt").read_text().splitlines(keepends=True)
+    assert (out / "tracks.txt").read_text() == "".join(
+        line for line in clean_tracks if line.split(" ", 1)[0] in ("0", "1"))
+    assert (clean / "stats.txt").exists()
+
+
+def test_one_frame_input_exits_2(tmp_path, synth_dir, capsys):
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    assert main(["match", str(cfg_path), str(synth_dir / frame_filename(0))]) == 2
+    assert "input error: at least 2 frames are required" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # image input
 # ---------------------------------------------------------------------------
@@ -554,8 +589,7 @@ def test_match_file_bytes_golden(tmp_path):
     empty = InlierColumns(12, 13, np.zeros(0, np.int64), np.zeros(0, np.int64),
                           np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0),
                           np.zeros(0, np.int64), np.zeros(0, np.int64))
-    result = SequenceResult([cols, empty], RunStats(), [])
-    written = write_match_files(result, tmp_path / "out")
+    written = write_match_files([cols, empty], tmp_path / "out")
     assert [os.path.basename(p) for p in written] == ["matches_000007_000012.txt",
                                                       "matches_000012_000013.txt"]
     with open(written[0], "rb") as fh:
@@ -788,7 +822,7 @@ def test_eval_without_transitions_has_no_curve(tmp_path):
 def test_missing_frame_path_names_the_frame(tmp_path, synth_dir):
     paths = [str(synth_dir / frame_filename(0)), str(tmp_path / "gone.feat")]
     with pytest.raises(InputDataError, match="cannot read frame 1 "):
-        run_sequence(PipelineConfig(), paths)
+        list(run_sequence(PipelineConfig(), paths))
 
 
 def test_eval_misaligned_gt_exits_2(tmp_path, synth_dir):
@@ -891,7 +925,7 @@ def test_bench_medians_pool_every_repetition(monkeypatch):
     def one_frame_run(config, sources):
         ms = next(times)
         row = {**dict.fromkeys(COLUMNS, 0), "detect_ms": ms, "total_ms": ms}
-        return SequenceResult([], RunStats([row]), [])
+        yield row, None, None
 
     monkeypatch.setattr("dynafeat.pipeline.run_sequence", one_frame_run)
     report = bench(PipelineConfig(), [], repetitions=3)
@@ -956,6 +990,17 @@ def test_perfbench_tracer_counts_every_layer(tmp_path, synth_dir, monkeypatch):
     for s in advanced:
         assert s["counts"]["continued"] + s["counts"]["born"] == groups[s["frame"]]
         assert s["counts"]["continued"] > 0
+
+
+def test_perfbench_setup_probe_stops_at_the_first_frame(tmp_path, synth_dir):
+    # perfbench's setup_s probe replaces cli.run_sequence and needs the match
+    # verb to call it through that module global before anything else runs
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    proc = subprocess.run([sys.executable, os.path.join(root, "perfbench", "setup_probe.py"),
+                           os.path.join(root, "src"), str(cfg_path), str(synth_dir),
+                           str(tmp_path / "out")], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # Match files of the benchmark workloads at seed 301: sha256 prefixes over
@@ -1043,25 +1088,25 @@ def test_zero_feature_frame_skipped_state_preserved(tmp_path, capsys):
                           np.zeros((0, 32), np.uint8))
     frames = [seq.frames[0], empty, seq.frames[2]]
     warnings = []
-    result = run_sequence(PipelineConfig(), frames,
-                          warn=warnings.append)
+    rows, pairs, tracks = zip(*run_sequence(PipelineConfig(), frames,
+                                            warn=warnings.append))
     assert any("skipping" in w for w in warnings)
     # the empty frame is bridged: the single pair joins frames 0 and 2
-    assert [(p.frame_prev, p.frame_curr) for p in result.pairs] == [(0, 2)]
-    assert len(result.pairs[0]) > 0
+    pairs = [p for p in pairs if p is not None]
+    assert [(p.frame_prev, p.frame_curr) for p in pairs] == [(0, 2)]
+    assert len(pairs[0]) > 0
     # the skipped frame keeps its stats row, zero but for its times, and no track entry
-    row = result.stats.rows[1]
+    row = rows[1]
     assert tuple(row) == COLUMNS
     assert all(row[c] == 0 for c in COLUMNS if c not in ("detect_ms", "total_ms"))
     assert row["total_ms"] > 0
-    assert [t[0] for t in result.tracks] == [0, 2]
+    assert [t[0] for t in tracks if t is not None] == [0, 2]
 
 
 def test_stats_counters_consistent(synth_dir):
     paths = sorted(str(synth_dir / n) for n in os.listdir(synth_dir)
                    if n.endswith(".feat"))
-    result = run_sequence(PipelineConfig(), paths)
-    s = result.stats
+    s = RunStats([row for row, _, _ in run_sequence(PipelineConfig(), paths)])
     accepted, inliers = s.column("accepted"), s.column("inliers")
     assert all(a <= c for a, c in zip(accepted, s.column("candidates")))
     assert all(i >= 0 for i in inliers)
@@ -1071,11 +1116,33 @@ def test_stats_counters_consistent(synth_dir):
     assert all(i <= 35 * max(1, a) for i, a in zip(inliers, accepted))
 
 
+def test_run_memory_does_not_grow_with_frame_count():
+    # the run keeps only what the next frame needs: 40 frames peak no higher
+    # than 5 but for the extra stats rows the caller keeps (~1 KB each)
+    def frames(count):
+        return generate_sequence(make_cluster_scene(seed=1, frames=count,
+                                                    trajectory="translate_x", step=0.02),
+                                 seed=1).frames
+
+    def peak(sources):
+        tracemalloc.start()
+        try:
+            rows = [row for row, _, _ in run_sequence(PipelineConfig(), sources)]
+            size = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(sources)
+        return size
+
+    short, long = frames(5), frames(40)
+    peak(short)   # warmup: first-call allocations are not charged to either run
+    assert peak(long) - peak(short) < 256 * 1024
+
+
 def test_identical_frames_give_zero_displacement_matches():
     scene = make_cluster_scene(seed=10, frames=2, trajectory="static")
     seq = generate_sequence(scene, seed=10)
-    result = run_sequence(PipelineConfig(), seq.frames)
-    inliers = result.pairs[0]
+    inliers = [p for _, p, _ in run_sequence(PipelineConfig(), seq.frames) if p is not None][0]
     assert len(inliers)
     for p, q, d in zip(inliers.pos_prev.tolist(), inliers.pos_curr.tolist(),
                        inliers.distance.tolist()):

@@ -300,6 +300,12 @@ def test_scene_validation_raises(overrides, match):
         SyntheticScene(**_scene_args(**overrides))
 
 
+@pytest.mark.parametrize("desc_bits", [12, 0, 4])
+def test_scene_rejects_desc_bits_its_frames_cannot_hold(desc_bits):
+    with pytest.raises(SceneValidationError, match="desc_bits not a positive multiple of 8"):
+        make_cluster_scene(3, desc_bits=desc_bits)
+
+
 @pytest.mark.parametrize("call,match", [
     (lambda: CameraIntrinsics(0.0, 500.0, 320.0, 240.0), "focal lengths must be positive"),
     (lambda: reprojection_repeatability(np.zeros((3, 2)), np.zeros((2, 2)), 100.0),
