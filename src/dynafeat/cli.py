@@ -79,12 +79,12 @@ def _cmd_match(args) -> int:
     stats, files = RunStats(), 0
     with (open(os.path.join(out_dir, "tracks.txt"), "w", encoding="ascii")
           if args.dump_tracks else contextlib.nullcontext()) as tracks:
-        for row, pair, track in run_sequence(config, inputs):
+        for row, pair, state in run_sequence(config, inputs):
             stats.rows.append(row)
             if pair is not None:
                 files += len(write_match_files([pair], out_dir))
-            if tracks is not None and track is not None:
-                write_tracks(tracks, track)
+            if tracks is not None and state is not None:
+                write_tracks(tracks, state)
     if config.timing:
         write_stats(stats, os.path.join(out_dir, "stats.txt"))
     print(f"matched {files} frame pairs, {sum(stats.column('inliers'))} inlier matches, "

@@ -58,14 +58,6 @@ class GroupingResult:
     groups: list[FeatureGroup]
     labels: np.ndarray             # (n,) group id per feature, -1 when ungrouped
 
-    def group_id_of(self, feature_id: int) -> int | None:
-        """Group id of the feature, or None if it belongs to no group."""
-        if not 0 <= feature_id < self.labels.shape[0]:
-            raise ValueError(f"feature id {feature_id} out of range "
-                             f"[0, {self.labels.shape[0]})")
-        gid = int(self.labels[feature_id])
-        return gid if gid >= 0 else None
-
 
 def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResult:
     """Partition the frame's features into local groups (see module docs).

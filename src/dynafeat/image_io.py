@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from .errors import InputDataError
-from .frontend import PATCH_MARGIN, GrayImage
+from .frontend import GrayImage
 
 
 def rgb_to_luma(rgb: np.ndarray) -> np.ndarray:
@@ -55,9 +55,6 @@ def load_pgm(path) -> GrayImage:
     if not all(f.isdigit() for f in fields):
         raise InputDataError(f"{path}: non-integer PGM header field")
     width, height, maxval = map(int, fields)
-    if width < PATCH_MARGIN or height < PATCH_MARGIN:
-        raise InputDataError(f"{path}: PGM size {width}x{height} is below the "
-                             f"{PATCH_MARGIN}x{PATCH_MARGIN} minimum")
     if maxval <= 0 or maxval > 255:
         raise InputDataError(f"{path}: PGM maxval {maxval} unsupported (need <= 255)")
     pos += 1  # single whitespace byte after maxval

@@ -12,9 +12,9 @@ as the frame is done and keeps only the tracking state the next frame
 needs, so memory does not grow with the sequence length. The ``match``,
 ``eval`` and ``bench`` verbs each consume that one stream as it arrives.
 
-Frames that yield zero features are skipped with a warning; the previous
-state is kept and its regions re-dilated with a doubled margin so the
-next usable frame can still be matched. Every frame must carry descriptors
+Frames that yield zero features are skipped with a warning on stderr; the
+previous state is kept with its search margin doubled so the next usable
+frame can still be matched. Every frame must carry descriptors
 of the first frame's bit width; a frame that differs stops the run with
 InputDataError at that frame.
 """
@@ -26,7 +26,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,15 +114,14 @@ def load_frame(config: PipelineConfig, path, index: int) -> FrameFeatures:
         raise
 
 
-def run_sequence(config: PipelineConfig, sources,
-                 warn=lambda msg: print(msg, file=sys.stderr)):
+def run_sequence(config: PipelineConfig, sources):
     """Run the matching pipeline over ordered frame sources, one frame at a time.
 
     Each source is a FrameFeatures record or a file path read per
     ``config.input_mode``. At least two frames are required. Yields one
-    ``(row, pair, track)`` per source once that frame is done: its RunStats
-    row, the InlierColumns of the transition it ends or None, and
-    ``(frame index, groups, displacement (G, 2), age (G,))`` or None if skipped.
+    ``(row, pair, state)`` per source once that frame is done: its RunStats
+    row, the InlierColumns of the transition it ends or None, and the
+    TrackState it leaves, or None if the frame was skipped.
     """
     sources = list(sources)
     if len(sources) < 2:
@@ -143,11 +142,10 @@ def run_sequence(config: PipelineConfig, sources,
                                  f"frame 0 has {desc_bits}-bit ones")
 
         if feats.count == 0:
-            warn(f"frame {idx}: no features, skipping (state preserved)")
+            print(f"frame {idx}: no features, skipping (state preserved)", file=sys.stderr)
             if state is not None:
                 skip_margin *= 2.0
-                state = tracking.predict(state.features, state.groups, state.displacement,
-                                         state.age, skip_margin)
+                state = replace(state, margin=skip_margin)
             yield ({**dict.fromkeys(COLUMNS, 0), "detect_ms": (t1 - t0) * 1000.0,
                     "total_ms": (time.perf_counter() - t0) * 1000.0}, None, None)
             continue
@@ -175,7 +173,7 @@ def run_sequence(config: PipelineConfig, sources,
                "detect_ms": (t1 - t0) * 1000.0, "group_ms": (t2 - t1) * 1000.0,
                "match_ms": (t3 - t2) * 1000.0, "filter_ms": (t4 - t3) * 1000.0,
                "total_ms": (time.perf_counter() - t0) * 1000.0}
-        yield row, pair, (feats.frame_index, state.groups, state.displacement, state.age)
+        yield row, pair, state
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +201,10 @@ def write_match_files(pairs, out_dir) -> list[str]:
     return written
 
 
-def write_tracks(fh, track) -> None:
-    frame, groups, displacement, age = track
-    for slot, (g, (dx, dy), a) in enumerate(zip(groups, displacement.tolist(), age.tolist())):
+def write_tracks(fh, state: tracking.TrackState) -> None:
+    frame = state.features.frame_index
+    for slot, (g, (dx, dy), a) in enumerate(zip(state.groups, state.displacement.tolist(),
+                                                 state.age.tolist())):
         cx, cy = g.centroid.tolist()
         fh.write(f"{frame} {slot} {_fmt(cx)} {_fmt(cy)} {_fmt(dx)} {_fmt(dy)} {a} {g.n}\n")
 

@@ -2,13 +2,14 @@
 
 A group's id is its position (slot) in its frame's group list, and the
 track state keeps one row per slot: the displacement of the group's
-centroid between the last two frames (its motion proxy), the number of
-frames it was tracked continuously, and its search region, the bounding
-box shifted by the displacement and dilated by a margin. Current-frame
-groups whose bounding box overlaps a search region become matching
-candidates, which is what keeps per-frame matching cheap. Groups without
-an accepted match are dropped; newly appearing groups start with zero
-displacement and age 0 and predict from a standing centroid.
+centroid between the last two frames (its motion proxy) and the number of
+frames it was tracked continuously, plus the one margin its search regions
+use. A search region is derived where it is read: the bounding box shifted
+by the displacement and dilated by the margin. Current-frame groups whose
+bounding box overlaps a search region become matching candidates, which is
+what keeps per-frame matching cheap. Groups without an accepted match are
+dropped; newly appearing groups start with zero displacement and age 0 and
+search around a standing centroid.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ class TrackState:
     groups: list[FeatureGroup]
     displacement: np.ndarray   # (G, 2) px per frame, zero for a newborn group
     age: np.ndarray            # (G,) frames tracked continuously, 0 for a newborn group
-    region_lo: np.ndarray      # (G, 2) search region corners
-    region_hi: np.ndarray      # (G, 2)
+    margin: float              # px added to each half side of a search region
+
+    def __post_init__(self):
+        if self.margin <= 0:
+            raise ValueError("margin must be positive")
 
     @property
     def proxies(self) -> np.ndarray:
@@ -44,32 +48,25 @@ def _rows(groups: list[FeatureGroup], name: str) -> np.ndarray:
     return np.array([getattr(g, name) for g in groups], np.float64).reshape(-1, 2)
 
 
-def predict(features: FrameFeatures, groups: list[FeatureGroup], displacement: np.ndarray,
-            age: np.ndarray, margin: float) -> TrackState:
-    """State with constant-velocity search regions: each centroid shifted by
-    its displacement, bounding-box half sizes dilated by the margin."""
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    center = _rows(groups, "centroid") + displacement
-    half = (_rows(groups, "bbox_max") - _rows(groups, "bbox_min")) / 2.0 + margin
-    return TrackState(features=features, groups=list(groups), displacement=displacement,
-                      age=age, region_lo=center - half, region_hi=center + half)
-
-
 def bootstrap(features: FrameFeatures, groups: list[FeatureGroup],
               margin: float = DEFAULT_SEARCH_MARGIN) -> TrackState:
     """First-frame state: no proxies yet, so regions get a doubled margin
     to make up for the missing motion prior."""
-    return predict(features, groups, np.zeros((len(groups), 2)),
-                   np.zeros(len(groups), np.int64), margin * BOOTSTRAP_MARGIN_SCALE)
+    return TrackState(features, list(groups), np.zeros((len(groups), 2)),
+                      np.zeros(len(groups), np.int64), margin * BOOTSTRAP_MARGIN_SCALE)
 
 
 def intersect_candidates(groups_curr: list[FeatureGroup], state: TrackState) -> np.ndarray:
     """(prev_slot, curr_slot) rows, in row-major order, whose search region
-    and bounding box overlap (closed intervals on both axes)."""
+    and bounding box overlap (closed intervals on both axes). A search
+    region assumes constant velocity: the previous centroid shifted by its
+    displacement, the bounding-box half sizes dilated by the margin."""
+    prev = state.groups
+    center = _rows(prev, "centroid") + state.displacement
+    half = (_rows(prev, "bbox_max") - _rows(prev, "bbox_min")) / 2.0 + state.margin
+    lo, hi = center - half, center + half
     bmin = _rows(groups_curr, "bbox_min")
     bmax = _rows(groups_curr, "bbox_max")
-    lo, hi = state.region_lo, state.region_hi
     overlap = ((bmin[None, :, 0] <= hi[:, None, 0]) & (bmax[None, :, 0] >= lo[:, None, 0])
                & (bmin[None, :, 1] <= hi[:, None, 1]) & (bmax[None, :, 1] >= lo[:, None, 1]))
     return np.argwhere(overlap)
@@ -97,4 +94,4 @@ def advance(state: TrackState, features_curr: FrameFeatures,
                             - _rows(state.groups, "centroid")[cont_p])
     age = np.zeros(len(groups_curr), np.int64)
     age[cont_c] = state.age[cont_p] + 1
-    return predict(features_curr, groups_curr, displacement, age, margin)
+    return TrackState(features_curr, list(groups_curr), displacement, age, margin)

@@ -253,9 +253,9 @@ def test_criterion_08_temporal_recall():
             gt = seq.gt_pairs[(f - 1, f)]
             true_pairs = set()
             for i_prev, i_curr in gt:
-                gp = groupings[f - 1].group_id_of(int(i_prev))
-                gc = groupings[f].group_id_of(int(i_curr))
-                if gp is not None and gc is not None:
+                gp = int(groupings[f - 1].labels[i_prev])
+                gc = int(groupings[f].labels[i_curr])
+                if gp >= 0 and gc >= 0:
                     true_pairs.add((gp, gc))
             if not true_pairs <= candidates:
                 failures += 1

@@ -272,6 +272,13 @@ def test_too_small_pgm_exits_2(tmp_path, capsys, size):
     assert "input error" in capsys.readouterr().err
 
 
+def test_too_small_pgm_raises_input_data_error(tmp_path):
+    path = tmp_path / "small.pgm"
+    path.write_bytes(b"P5\n8 8\n255\n" + bytes(64))
+    with pytest.raises(InputDataError, match="16x16"):
+        load_pgm(path)
+
+
 def test_missing_config_exits_3(tmp_path, synth_dir):
     assert main(["match", str(tmp_path / "absent.cfg"), str(synth_dir)]) == 3
 
@@ -1087,20 +1094,54 @@ def test_zero_feature_frame_skipped_state_preserved(tmp_path, capsys):
     empty = FrameFeatures(1, 640, 480, np.zeros((0, 2)), np.zeros(0),
                           np.zeros((0, 32), np.uint8))
     frames = [seq.frames[0], empty, seq.frames[2]]
-    warnings = []
-    rows, pairs, tracks = zip(*run_sequence(PipelineConfig(), frames,
-                                            warn=warnings.append))
-    assert any("skipping" in w for w in warnings)
+    rows, pairs, states = zip(*run_sequence(PipelineConfig(), frames))
+    assert "skipping" in capsys.readouterr().err
     # the empty frame is bridged: the single pair joins frames 0 and 2
     pairs = [p for p in pairs if p is not None]
     assert [(p.frame_prev, p.frame_curr) for p in pairs] == [(0, 2)]
     assert len(pairs[0]) > 0
-    # the skipped frame keeps its stats row, zero but for its times, and no track entry
+    # the skipped frame keeps its stats row, zero but for its times, and no state
     row = rows[1]
     assert tuple(row) == COLUMNS
     assert all(row[c] == 0 for c in COLUMNS if c not in ("detect_ms", "total_ms"))
     assert row["total_ms"] > 0
-    assert [t[0] for t in tracks if t is not None] == [0, 2]
+    assert [t.features.frame_index for t in states if t is not None] == [0, 2]
+
+
+# One 6-feature group with a box 8 px wide; None is a frame with no features.
+# The first frame's regions use 2 x search_margin (30), so its box reaches
+# 64 px from the centroid. The k-th consecutive skip widens the margin to
+# 2**k x search_margin, except the first skip right after the first frame,
+# which keeps the 60 px it already has.
+@pytest.mark.parametrize("centers,candidates", [
+    ((200, None, 300), 0),               # margin 60: reaches x 264
+    ((200, None, None, 300), 1),         # margin 120: reaches x 324
+    ((200, 200, None, 300), 0),          # margin 60
+    ((200, 200, None, 260), 1),          # margin 60: box edge 256 <= 264
+    ((200, 200, None, None, 300), 1),    # margin 120
+    ((200, 200, 260), 0),                # margin 30: reaches x 234
+])
+def test_skipped_frames_widen_the_search_margin(centers, candidates):
+    offsets = np.array([[-4, -2], [-2, 0], [0, 2], [2, 0], [4, -2], [0, -4]], float)
+    desc = np.random.default_rng(0).integers(0, 256, (6, 32), dtype=np.uint8)
+    frames = [FrameFeatures(i, 640, 480, np.zeros((0, 2)), np.zeros(0),
+                            np.zeros((0, 32), np.uint8)) if x is None else
+              FrameFeatures(i, 640, 480, offsets + [x, 240.0], np.zeros(6), desc)
+              for i, x in enumerate(centers)]
+    rows = [row for row, _, _ in run_sequence(PipelineConfig(), frames)]
+    assert rows[-1]["groups"] == 1
+    assert rows[-1]["candidates"] == candidates
+
+
+def test_readme_library_use_runs(capsys):
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out.count("\n") >= 9   # 4 pairs and 5 states
 
 
 def test_stats_counters_consistent(synth_dir):

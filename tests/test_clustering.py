@@ -46,7 +46,7 @@ def test_below_min_group_discarded():
     result = group_features(frame, PipelineConfig())
     assert result.groups == []
     assert result.labels.tolist() == [-1] * 4
-    assert all(result.group_id_of(i) is None for i in range(4))
+    assert all(result.labels[i] == -1 for i in range(4))
 
 
 def test_empty_frame_gives_empty_output():
@@ -208,19 +208,10 @@ def test_group_of_retained_and_discarded():
     assert len(result.groups) == 1
     g = result.groups[0]
     assert (result.labels[g.members] == 0).all()
-    assert {result.group_id_of(int(i)) for i in g.members} == {0}
+    assert {int(result.labels[i]) for i in g.members} == {0}
     # the discarded pair is consumed but labelled ungrouped
     assert result.labels[len(cluster):].tolist() == [-1, -1]
-    assert result.group_id_of(len(cluster)) is None
-
-
-def test_out_of_range_ids_rejected():
-    result = group_features(_frame([(50.0, 50.0), (51.0, 50.0), (52.0, 53.0)]),
-                            PipelineConfig(min_group=1))
-    assert result.group_id_of(2) is not None
-    for bad in (3, 999, -1):
-        with pytest.raises(ValueError):
-            result.group_id_of(bad)
+    assert result.labels[len(cluster)] == -1
 
 
 def test_set_size_matches_membership():

@@ -1,4 +1,6 @@
-"""Search-region prediction, candidate intersection and state advance."""
+"""Search regions, candidate intersection and state advance."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from dynafeat.errors import FeatureFileError
 from dynafeat.frontend import FrameFeatures, load_features
 from dynafeat.grouping import FeatureGroup
 from dynafeat.matching import GroupMatch
-from dynafeat.tracking import advance, bootstrap, intersect_candidates, predict
+from dynafeat.tracking import TrackState, advance, bootstrap, intersect_candidates
 
 from oracles import advance_reference, overlap_pairs_reference
 
@@ -29,44 +31,48 @@ def _state(groups, frame_index=0, margin=30.0):
     return bootstrap(_dummy_features(frame_index), groups, margin)
 
 
-def _predict_one(group, displacement, age, margin=30.0):
-    return predict(_dummy_features(), [group], np.array([displacement], float),
-                   np.array([age]), margin)
+def _one_group_state(group, displacement, age, margin=30.0):
+    return TrackState(_dummy_features(), [group], np.array([displacement], float),
+                      np.array([age]), margin)
 
 
-def _center_half(state, slot=0):
-    lo, hi = state.region_lo[slot], state.region_hi[slot]
-    return (lo + hi) / 2.0, (hi - lo) / 2.0
+def _assert_region(state, lo, hi):
+    """Slot 0's search region is exactly the closed box [lo, hi]: a point
+    on each edge is a candidate, a point 1e-9 px beyond it is not."""
+    center = [(a + b) / 2.0 for a, b in zip(lo, hi)]
+    for axis in (0, 1):
+        for edge, step in ((lo[axis], -1e-9), (hi[axis], 1e-9)):
+            for probe, want in ((edge, [[0, 0]]), (edge + step, [])):
+                x, y = [probe if a == axis else center[a] for a in (0, 1)]
+                assert intersect_candidates([_group(x, y, 0.0, 0.0)], state).tolist() == want
 
 
 # ---------------------------------------------------------------------------
-# predict
+# search regions
 # ---------------------------------------------------------------------------
 
 def test_static_group_region_is_bbox_plus_margin():
-    state = _predict_one(_group(100.0, 100.0, 15.0, 15.0), [0.0, 0.0], age=1, margin=30.0)
-    center, half = _center_half(state)
-    assert np.allclose(center, [100.0, 100.0])
-    assert np.allclose(half, [45.0, 45.0])
+    state = _one_group_state(_group(100.0, 100.0, 15.0, 15.0), [0.0, 0.0], age=1, margin=30.0)
+    # centre (100, 100), half extent 45
+    _assert_region(state, [55.0, 55.0], [145.0, 145.0])
 
 
 def test_proxy_shifts_region_center():
-    state = _predict_one(_group(100.0, 100.0, 15.0, 15.0), [12.0, -3.0], age=2)
-    center, _ = _center_half(state)
-    assert np.allclose(center, [112.0, 97.0])
+    state = _one_group_state(_group(100.0, 100.0, 15.0, 15.0), [12.0, -3.0], age=2)
+    # centre (112, 97)
+    _assert_region(state, [67.0, 52.0], [157.0, 142.0])
 
 
 def test_missing_proxy_predicts_standing_still():
-    state = _predict_one(_group(250.0, 120.0, 10.0, 8.0), [0.0, 0.0], age=0, margin=30.0)
-    center, half = _center_half(state)
-    assert np.allclose(center, [250.0, 120.0])
-    assert np.allclose(half, [40.0, 38.0])
+    state = _one_group_state(_group(250.0, 120.0, 10.0, 8.0), [0.0, 0.0], age=0, margin=30.0)
+    # centre (250, 120), half extents 40 and 38
+    _assert_region(state, [210.0, 82.0], [290.0, 158.0])
     assert state.proxies.size == 0
 
 
 def test_region_validation(tmp_path):
     with pytest.raises(ValueError):
-        _predict_one(_group(0, 0, 5, 5), [0.0, 0.0], age=0, margin=0.0)
+        bootstrap(_dummy_features(), [_group(0, 0, 5, 5)], margin=0.0)
     # displacements are centroid differences, finite because a non-finite
     # position fails at load time
     path = tmp_path / "nan.feat"
@@ -109,8 +115,12 @@ def test_random_instances_match_overlap_oracle(seed):
         curr_groups.append(_group(cx, cy, hw, hh))
     got = intersect_candidates(curr_groups, state).tolist()
     assert got == sorted(got)
-    regions = [tuple(lo) + tuple(hi)
-               for lo, hi in zip(state.region_lo.tolist(), state.region_hi.tolist())]
+    regions = []
+    for g, (dx, dy) in zip(state.groups, state.displacement.tolist()):
+        cx, cy = g.centroid[0] + dx, g.centroid[1] + dy
+        hx = (g.bbox_max[0] - g.bbox_min[0]) / 2.0 + state.margin
+        hy = (g.bbox_max[1] - g.bbox_min[1]) / 2.0 + state.margin
+        regions.append((cx - hx, cy - hy, cx + hx, cy + hy))
     boxes = [(g.bbox_min[0], g.bbox_min[1], g.bbox_max[0], g.bbox_max[1])
              for g in curr_groups]
     assert set(map(tuple, got)) == overlap_pairs_reference(regions, boxes)
@@ -140,7 +150,8 @@ def test_no_accepted_matches_means_full_rebirth():
     nxt = advance(state, _dummy_features(1), curr, [])
     assert nxt.proxies.size == 0
     assert len(nxt.groups) == 1
-    assert nxt.region_lo.shape == nxt.region_hi.shape == (1, 2)
+    # the newborn group searches around its standing centroid (300, 50)
+    _assert_region(nxt, [255.0, 5.0], [345.0, 95.0])
     assert nxt.displacement.tolist() == [[0.0, 0.0]] and nxt.age.tolist() == [0]
 
 
@@ -222,19 +233,23 @@ def test_advance_matches_reference_loop(seed):
 
 def test_bootstrap_empty_frame():
     state = bootstrap(_dummy_features(0, count=0), [])
-    assert state.groups == [] and state.region_lo.shape == (0, 2)
+    assert state.groups == []
+    assert intersect_candidates([_group(100.0, 100.0, 15.0, 15.0)], state).shape == (0, 2)
     assert state.proxies.size == 0
 
 
 def test_bootstrap_doubles_margin():
     state = bootstrap(_dummy_features(0), [_group(100.0, 100.0, 15.0, 15.0)], margin=30.0)
-    assert np.allclose(_center_half(state)[1], [75.0, 75.0])
+    # half extent 15 + 2 * 30 = 75
+    _assert_region(state, [25.0, 25.0], [175.0, 175.0])
 
 
 def test_bootstrap_one_region_per_group():
     groups = [_group(50.0 * i + 50.0, 100.0, 10.0, 10.0) for i in range(6)]
     state = bootstrap(_dummy_features(0), groups)
-    assert state.region_lo.shape == state.region_hi.shape == (len(groups), 2)
+    # every slot has a region, and it reaches its own box
+    pairs = set(map(tuple, intersect_candidates(groups, state).tolist()))
+    assert {(slot, slot) for slot in range(len(groups))} <= pairs
     assert state.displacement.shape == (len(groups), 2) and state.age.shape == (len(groups),)
 
 
@@ -259,7 +274,7 @@ def test_candidate_count_stays_small_on_uniform_scenes():
         if not groups[0] or not groups[1]:
             continue
         first = bootstrap(frames[0], groups[0])
-        state = predict(first.features, first.groups, first.displacement, first.age, 30.0)
+        state = replace(first, margin=30.0)
         pairs = intersect_candidates(groups[1], state)
         assert len(pairs) <= len(groups[0]) * len(groups[1])
         ratios.append(len(pairs) / len(groups[1]))
