@@ -4,22 +4,29 @@ Features are clustered into local groups by seeded region growing;
 group pairs between consecutive frames are accepted when their mutual
 nearest-neighbor support count beats a binomial-statistics threshold, and
 accepted group motion narrows the search space of the next frame.
+
+The geometry and synthetic names in ``__all__`` load on first use (PEP 562).
 """
+
+import importlib
 
 from ._kernels import active_backend
 from .config import PipelineConfig
 from .frontend import (FrameFeatures, GrayImage, describe, detect_corners,
                        extract_frame, load_features, save_features)
-from .geometry import (CameraIntrinsics, PoseEstimate, estimate_essential_ransac,
-                       pose_error, pose_success_ratio, reprojection_repeatability)
 from .grouping import FeatureGroup, GroupingResult, group_features
 from .matching import GroupMatch, mutual_nn_match
 from .stats import (BinomialMoments, binomial_moments, p_false, p_false_crosscheck,
                     p_true, p_true_crosscheck, support_threshold)
-from .synthetic import SyntheticScene, generate_sequence, make_cluster_scene
 from .tracking import TrackState, advance, bootstrap, intersect_candidates
 
 __version__ = "0.1.0"
+
+_LAZY = {"CameraIntrinsics": "geometry", "PoseEstimate": "geometry",
+         "estimate_essential_ransac": "geometry", "pose_error": "geometry",
+         "pose_success_ratio": "geometry", "reprojection_repeatability": "geometry",
+         "SyntheticScene": "synthetic", "make_cluster_scene": "synthetic",
+         "generate_sequence": "synthetic"}
 
 __all__ = [
     "FrameFeatures", "GrayImage", "detect_corners", "describe",
@@ -36,3 +43,9 @@ __all__ = [
     "active_backend",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)

@@ -21,9 +21,7 @@ import sys
 
 from .config import CONFIG_CONVERTERS, PipelineConfig, parse_bool, read_key_values
 from .errors import ConfigError, InputDataError
-from .pipeline import (RunStats, bench, run_eval, run_sequence, write_match_files,
-                       write_stats, write_tracks)
-from .synthetic import generate_sequence, make_cluster_scene, save_sequence
+from .pipeline import RunStats, bench, run_sequence, write_match_files, write_stats, write_tracks
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -93,6 +91,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .synthetic import run_eval   # eval and synth alone load synthetic and geometry
     config = _load_config(args)
     inputs = _expand_inputs(args.inputs)
     report = run_eval(config, inputs, args.gt)
@@ -120,6 +119,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synthetic import generate_sequence, make_cluster_scene, save_sequence
     values = read_key_values(args.scene_config, _SCENE_CONVERTERS)
     if args.seed is not None:
         values["seed"] = args.seed

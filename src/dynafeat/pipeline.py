@@ -7,40 +7,35 @@ keeps pairs whose support count clears the threshold, emits the surviving
 feature matches and carries the group state forward. Stage wall times are
 taken with a monotonic clock.
 
-The run is a stream: ``run_sequence`` yields each frame's records as soon
-as the frame is done and keeps only the tracking state the next frame
-needs, so memory does not grow with the sequence length. The ``match``,
-``eval`` and ``bench`` verbs each consume that one stream as it arrives.
+The run is a stream: ``run_sequence`` pulls each source as its frame comes
+up, yields the frame's records as soon as it is done and keeps only the
+tracking state the next frame needs, so memory does not grow with the
+sequence length. The ``match``, ``eval`` and ``bench`` verbs each consume
+that stream; ``eval``'s scorer lives in ``synthetic``, not here, so a
+``match`` run loads neither the ground truth nor ``geometry``.
 
 Frames that yield zero features are skipped with a warning on stderr; the
-previous state is kept with its search margin doubled so the next usable
-frame can still be matched. Every frame must carry descriptors
-of the first frame's bit width; a frame that differs stops the run with
-InputDataError at that frame.
+previous state, if there is one yet, is kept with its search margin
+doubled so the next usable frame can still be matched. Every frame must
+carry descriptors of the first frame's bit width; a frame that differs
+stops the run with InputDataError at that frame.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import os
 import statistics
 import sys
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import matching, tracking
 from .config import PipelineConfig
-from .errors import InputDataError, UndefinedMetricError
+from .errors import InputDataError
 from .frontend import FrameFeatures, _fmt, extract_frame, load_features
-from .geometry import (estimate_essential_ransac, pose_error, pose_success_ratio,
-                       reprojection_repeatability, rotation_angle_deg)
 from .grouping import group_features
 from .image_io import load_image
-from .synthetic import default_intrinsics, load_gt_pairs, load_gt_poses, relative_pose
-
-DEFAULT_POSE_THRESHOLDS = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 20.0, 30.0)
 
 # stage name -> its time column in RunStats rows
 STAGES = {"detection": "detect_ms", "grouping": "group_ms", "matching": "match_ms",
@@ -118,20 +113,22 @@ def run_sequence(config: PipelineConfig, sources):
     """Run the matching pipeline over ordered frame sources, one frame at a time.
 
     Each source is a FrameFeatures record or a file path read per
-    ``config.input_mode``. At least two frames are required. Yields one
+    ``config.input_mode``. At least two frames are required. Sources are
+    pulled one at a time, at most one past the frame in progress. Yields one
     ``(row, pair, state)`` per source once that frame is done: its RunStats
     row, the InlierColumns of the transition it ends or None, and the
     TrackState it leaves, or None if the frame was skipped.
     """
-    sources = list(sources)
-    if len(sources) < 2:
+    sources = iter(sources)
+    head = list(itertools.islice(sources, 2))
+    if len(head) < 2:
         raise InputDataError("at least 2 frames are required")
 
     state: tracking.TrackState | None = None
     margin = config.search_margin
     skip_margin = margin
 
-    for idx, source in enumerate(sources):
+    for idx, source in enumerate(itertools.chain(head, sources)):
         t0 = time.perf_counter()
         feats = source if isinstance(source, FrameFeatures) else load_frame(config, source, idx)
         t1 = time.perf_counter()
@@ -142,7 +139,8 @@ def run_sequence(config: PipelineConfig, sources):
                                  f"frame 0 has {desc_bits}-bit ones")
 
         if feats.count == 0:
-            print(f"frame {idx}: no features, skipping (state preserved)", file=sys.stderr)
+            kept = "no state yet" if state is None else "state preserved"
+            print(f"frame {idx}: no features, skipping ({kept})", file=sys.stderr)
             if state is not None:
                 skip_margin *= 2.0
                 state = replace(state, margin=skip_margin)
@@ -180,15 +178,11 @@ def run_sequence(config: PipelineConfig, sources):
 # Output files
 # ---------------------------------------------------------------------------
 
-def match_filename(a: int, b: int) -> str:
-    return f"matches_{a:06d}_{b:06d}.txt"
-
-
 def write_match_files(pairs, out_dir) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for pair in pairs:
-        path = os.path.join(out_dir, match_filename(pair.frame_prev, pair.frame_curr))
+        path = os.path.join(out_dir, f"matches_{pair.frame_prev:06d}_{pair.frame_curr:06d}.txt")
         head = f"{pair.frame_prev} {pair.frame_curr}"
         # repr of a Python float is _fmt; the columns are float64 and int64
         with open(path, "w", encoding="ascii") as fh:
@@ -212,120 +206,6 @@ def write_tracks(fh, state: tracking.TrackState) -> None:
 def write_stats(stats: RunStats, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(stats.to_text())
-
-
-# ---------------------------------------------------------------------------
-# Evaluation against ground truth
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EvalReport:
-    pair_count: int
-    match_count: int
-    precision: float | None
-    mean_inlier_ratio: float
-    pose_errors: list[float]
-    success_curve: list[tuple[float, float]]
-    repeatability: float | None
-    repeatability_per_1000: float | None
-    static_scene: bool
-    stats: RunStats
-
-    def summary_text(self) -> str:
-        lines = ["format=dynafeat-eval-v1",
-                 f"pairs={self.pair_count}",
-                 f"matches={self.match_count}"]
-        if self.precision is not None:
-            lines.append(f"precision={self.precision:.6f}")
-        lines.append(f"mean_inlier_ratio={self.mean_inlier_ratio:.6f}")
-        finite = [e for e in self.pose_errors if math.isfinite(e)]
-        lines.append(f"pose_pairs_evaluated={len(self.pose_errors)}")
-        lines.append(f"pose_errors_finite={len(finite)}")
-        if self.static_scene and self.repeatability is not None:
-            lines.append(f"repeatability_px={_fmt(self.repeatability)}")
-            lines.append(f"repeatability_per_1000={_fmt(self.repeatability_per_1000)}")
-        else:
-            lines.append("repeatability_px=n/a")
-        for th, ratio in self.success_curve:
-            lines.append(f"success@{_fmt(th)}={ratio:.6f}")
-        return "\n".join(lines) + "\n"
-
-    def curve_text(self) -> str:
-        lines = ["# threshold_deg success_ratio"]
-        for th, ratio in self.success_curve:
-            lines.append(f"{_fmt(th)} {ratio:.6f}")
-        return "\n".join(lines) + "\n"
-
-
-def run_eval(config: PipelineConfig, sources, gt_dir,
-             thresholds=DEFAULT_POSE_THRESHOLDS) -> EvalReport:
-    """Match the sequence and score it against generator ground truth.
-
-    Pose estimation assumes the synthetic generator's default intrinsics
-    (the same camera the ground-truth poses were rendered with).
-    """
-    sources = list(sources)
-    rotations, translations = load_gt_poses(gt_dir)
-    if rotations.shape[0] < len(sources):
-        raise InputDataError(
-            f"ground truth has {rotations.shape[0]} poses for {len(sources)} frames")
-
-    intrinsics = default_intrinsics()
-    pose_errors: list[float] = []
-    inlier_ratios: list[float] = []
-    correct = 0
-    total = 0
-    displacements_prev = []   # collected while the scene is static, for repeatability
-    displacements_curr = []
-    static = True
-    stats = RunStats()
-
-    for row, pair, _ in run_sequence(config, sources):
-        stats.rows.append(row)
-        if pair is None:
-            continue
-        a, b = pair.frame_prev, pair.frame_curr
-        try:
-            gt = load_gt_pairs(gt_dir, a, b)
-        except FileNotFoundError:
-            raise InputDataError(f"missing ground-truth pair file for frames {a}-{b}") from None
-        gt_set = {(int(i), int(j)) for i, j in gt}
-        total += len(pair)
-        correct += sum(ids in gt_set for ids in zip(pair.feature_prev.tolist(),
-                                                     pair.feature_curr.tolist()))
-        R_rel, t_rel = relative_pose(rotations[a], translations[a],
-                                     rotations[b], translations[b])
-        if rotation_angle_deg(R_rel) > 1e-9 or np.linalg.norm(t_rel) > 1e-12:
-            static = False
-        if static and len(pair):
-            displacements_prev.append(pair.pos_prev)
-            displacements_curr.append(pair.pos_curr)
-        if len(pair) >= 8:
-            est = estimate_essential_ransac(pair.pos_prev, pair.pos_curr, intrinsics,
-                                            rng_seed=config.seed, adaptive=True)
-            pose_errors.append(pose_error(est, R_rel, t_rel))
-            inlier_ratios.append(est.inlier_ratio)
-        else:
-            pose_errors.append(math.inf)
-
-    repeat = repeat_norm = None
-    if static and displacements_prev:
-        feats_per_frame = float(np.mean([c for c in stats.column("features") if c > 0]))
-        rep = reprojection_repeatability(np.vstack(displacements_prev),
-                                         np.vstack(displacements_curr), feats_per_frame)
-        repeat = rep.mean_l2
-        repeat_norm = rep.per_1000_features
-
-    try:
-        curve = pose_success_ratio(pose_errors, thresholds)
-    except UndefinedMetricError:
-        curve = []
-    return EvalReport(pair_count=len(pose_errors), match_count=total,
-                      precision=(correct / total if total else None),
-                      mean_inlier_ratio=(float(np.mean(inlier_ratios)) if inlier_ratios else 0.0),
-                      pose_errors=pose_errors, success_curve=curve,
-                      repeatability=repeat, repeatability_per_1000=repeat_norm,
-                      static_scene=static, stats=stats)
 
 
 # ---------------------------------------------------------------------------

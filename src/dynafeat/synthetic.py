@@ -1,10 +1,14 @@
-"""Synthetic scenes with exact ground truth for the evaluation harness.
+"""Synthetic scenes with exact ground truth, and the evaluator that reads it.
 
 A scene is a cloud of 3-D points, one descriptor per point, a camera
 trajectory and a noise model. Rendering a frame projects the visible
 points, jitters positions, flips descriptor bits and injects outlier
 features; every frame also records which feature id belongs to which
 point, so correspondences and relative poses are known exactly.
+
+``save_sequence`` writes the ground-truth directory, ``load_gt_*`` read it
+and ``run_eval`` scores a run against it with ``geometry``'s pose solver.
+The ``match`` verb imports neither this module nor ``geometry``.
 """
 
 from __future__ import annotations
@@ -15,10 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import InputDataError, SceneValidationError, decode_error_line
 from .frontend import (DEFAULT_DESC_BITS, PATCH_MARGIN, FrameFeatures, _desc_bytes,
                        _dimensions_in_range, _fmt, save_features)
-from .geometry import CameraIntrinsics
+from .geometry import (CameraIntrinsics, RepeatabilityResult, estimate_essential_ransac,
+                       pose_error, pose_success_ratio, reprojection_repeatability,
+                       rotation_angle_deg)
+from .pipeline import RunStats, run_sequence
 
 _BORDER_BUFFER = 2.0  # keeps jittered positions inside the patch margin
 
@@ -351,3 +359,102 @@ def relative_pose(rot_a: np.ndarray, t_a: np.ndarray,
     R = rot_b @ rot_a.T
     t = t_b - R @ t_a
     return R, t
+
+
+# ---------------------------------------------------------------------------
+# Evaluation against ground truth
+# ---------------------------------------------------------------------------
+
+DEFAULT_POSE_THRESHOLDS = (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0, 15.0, 20.0, 30.0)
+
+
+@dataclass
+class EvalReport:
+    match_count: int
+    precision: float | None
+    mean_inlier_ratio: float
+    pose_errors: list[float]     # one per matched frame pair
+    success_curve: list[tuple[float, float]]
+    repeatability: RepeatabilityResult | None   # None unless the scene is static
+    stats: RunStats
+
+    def summary_text(self) -> str:
+        lines = ["format=dynafeat-eval-v1",
+                 f"pairs={len(self.pose_errors)}",
+                 f"matches={self.match_count}"]
+        if self.precision is not None:
+            lines.append(f"precision={self.precision:.6f}")
+        lines.append(f"mean_inlier_ratio={self.mean_inlier_ratio:.6f}")
+        finite = [e for e in self.pose_errors if math.isfinite(e)]
+        lines.append(f"pose_pairs_evaluated={len(self.pose_errors)}")
+        lines.append(f"pose_errors_finite={len(finite)}")
+        if self.repeatability is None:
+            lines.append("repeatability_px=n/a")
+        else:
+            lines += [f"repeatability_px={_fmt(self.repeatability.mean_l2)}",
+                      f"repeatability_per_1000={_fmt(self.repeatability.per_1000_features)}"]
+        for th, ratio in self.success_curve:
+            lines.append(f"success@{_fmt(th)}={ratio:.6f}")
+        return "\n".join(lines) + "\n"
+
+    def curve_text(self) -> str:
+        lines = ["# threshold_deg success_ratio"]
+        for th, ratio in self.success_curve:
+            lines.append(f"{_fmt(th)} {ratio:.6f}")
+        return "\n".join(lines) + "\n"
+
+
+def run_eval(config: PipelineConfig, sources, gt_dir) -> EvalReport:
+    """Match the sequence and score it against generator ground truth.
+
+    Pose estimation assumes the synthetic generator's default intrinsics
+    (the same camera the ground-truth poses were rendered with).
+    """
+    sources = list(sources)   # counted against the poses before the run
+    rotations, translations = load_gt_poses(gt_dir)
+    if rotations.shape[0] < len(sources):
+        raise InputDataError(
+            f"ground truth has {rotations.shape[0]} poses for {len(sources)} frames")
+
+    pose_errors, inlier_ratios = [], []
+    correct = total = 0
+    static, moved_prev, moved_curr = True, [], []   # match positions while static
+    stats = RunStats()
+
+    for row, pair, _ in run_sequence(config, sources):
+        stats.rows.append(row)
+        if pair is None:
+            continue
+        a, b = pair.frame_prev, pair.frame_curr
+        try:
+            gt = load_gt_pairs(gt_dir, a, b)
+        except FileNotFoundError:
+            raise InputDataError(f"missing ground-truth pair file for frames {a}-{b}") from None
+        gt_set = {(int(i), int(j)) for i, j in gt}
+        total += len(pair)
+        correct += sum(ids in gt_set for ids in zip(pair.feature_prev.tolist(),
+                                                     pair.feature_curr.tolist()))
+        R_rel, t_rel = relative_pose(rotations[a], translations[a],
+                                     rotations[b], translations[b])
+        static &= not (rotation_angle_deg(R_rel) > 1e-9 or np.linalg.norm(t_rel) > 1e-12)
+        if static and len(pair):
+            moved_prev.append(pair.pos_prev)
+            moved_curr.append(pair.pos_curr)
+        if len(pair) >= 8:
+            est = estimate_essential_ransac(pair.pos_prev, pair.pos_curr, default_intrinsics(),
+                                            rng_seed=config.seed, adaptive=True)
+            pose_errors.append(pose_error(est, R_rel, t_rel))
+            inlier_ratios.append(est.inlier_ratio)
+        else:
+            pose_errors.append(math.inf)
+
+    repeat = None
+    if static and moved_prev:
+        feats_per_frame = float(np.mean([c for c in stats.column("features") if c > 0]))
+        repeat = reprojection_repeatability(np.vstack(moved_prev), np.vstack(moved_curr),
+                                            feats_per_frame)
+    curve = pose_success_ratio(pose_errors, DEFAULT_POSE_THRESHOLDS) if pose_errors else []
+    return EvalReport(match_count=total, precision=(correct / total if total else None),
+                      mean_inlier_ratio=(float(np.mean(inlier_ratios)) if inlier_ratios else 0.0),
+                      pose_errors=pose_errors, success_curve=curve, repeatability=repeat,
+                      stats=stats)

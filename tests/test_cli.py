@@ -1,7 +1,9 @@
 """End-to-end CLI verbs, file formats, exit codes and determinism."""
 
+import importlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -1010,6 +1012,51 @@ def test_perfbench_setup_probe_stops_at_the_first_frame(tmp_path, synth_dir):
     assert proc.returncode == 0, proc.stderr
 
 
+# the package root names that load on first use, with their submodule
+LAZY_ROOT_NAMES = {"CameraIntrinsics": "geometry", "PoseEstimate": "geometry",
+                   "estimate_essential_ransac": "geometry", "pose_error": "geometry",
+                   "pose_success_ratio": "geometry", "reprojection_repeatability": "geometry",
+                   "SyntheticScene": "synthetic", "make_cluster_scene": "synthetic",
+                   "generate_sequence": "synthetic"}
+ROOT_ALL = [
+    "FrameFeatures", "GrayImage", "detect_corners", "describe",
+    "extract_frame", "load_features", "save_features",
+    "FeatureGroup", "GroupingResult", "group_features",
+    "BinomialMoments", "p_true", "p_false", "p_true_crosscheck",
+    "p_false_crosscheck", "binomial_moments", "support_threshold",
+    "GroupMatch", "mutual_nn_match",
+    "TrackState", "intersect_candidates", "advance", "bootstrap",
+    "CameraIntrinsics", "PoseEstimate", "estimate_essential_ransac", "pose_error",
+    "pose_success_ratio", "reprojection_repeatability",
+    "SyntheticScene", "make_cluster_scene", "generate_sequence",
+    "PipelineConfig", "active_backend", "__version__"]
+
+
+def test_match_run_imports_neither_geometry_nor_synthetic(tmp_path, synth_dir):
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    code = ("import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from dynafeat import cli\n"
+            "rc = cli.main(['match', *sys.argv[2:]])\n"
+            "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('dynafeat'))]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, os.path.join(root, "src"),
+                           str(cfg_path), str(synth_dir)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    assert "dynafeat.pipeline" in loaded
+    assert "dynafeat.geometry" not in loaded and "dynafeat.synthetic" not in loaded
+    import dynafeat
+    assert dynafeat.__all__ == ROOT_ALL
+    for name, module in LAZY_ROOT_NAMES.items():
+        assert getattr(dynafeat, name) is getattr(importlib.import_module(f"dynafeat.{module}"),
+                                                  name)
+    with pytest.raises(AttributeError):
+        dynafeat.no_such_name
+
+
 # Match files of the benchmark workloads at seed 301: sha256 prefixes over
 # file names and bytes. Inputs and pipeline are both seeded, so a moved
 # digest means changed outputs, a finding to explain rather than re-pin.
@@ -1108,6 +1155,35 @@ def test_zero_feature_frame_skipped_state_preserved(tmp_path, capsys):
     assert [t.features.frame_index for t in states if t is not None] == [0, 2]
 
 
+@pytest.mark.parametrize("empty_at,message", [
+    (0, "frame 0: no features, skipping (no state yet)"),
+    (1, "frame 1: no features, skipping (state preserved)")])
+def test_empty_frame_warning_says_whether_a_state_exists(capsys, empty_at, message):
+    frames = generate_sequence(make_cluster_scene(seed=9, frames=3), seed=9).frames
+    frames[empty_at] = FrameFeatures(empty_at, 640, 480, np.zeros((0, 2)), np.zeros(0),
+                                     np.zeros((0, 32), np.uint8))
+    for _ in run_sequence(PipelineConfig(), frames):
+        pass
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_run_sequence_pulls_sources_as_their_frames_come_up():
+    frames = generate_sequence(make_cluster_scene(seed=9, frames=6), seed=9).frames
+    pulled = []
+
+    def sources(frames):
+        for frame in frames:
+            pulled.append(frame.frame_index)
+            yield frame
+
+    for idx, _ in enumerate(run_sequence(PipelineConfig(), sources(frames))):
+        # the first two are pulled up front for the two-frame check
+        assert len(pulled) == max(idx + 1, 2)
+    assert pulled == list(range(6))
+    with pytest.raises(InputDataError, match="at least 2 frames are required"):
+        next(run_sequence(PipelineConfig(), sources(frames[:1])))
+
+
 # One 6-feature group with a box 8 px wide; None is a frame with no features.
 # The first frame's regions use 2 x search_margin (30), so its box reaches
 # 64 px from the centroid. The k-th consecutive skip widens the margin to
@@ -1142,6 +1218,23 @@ def test_readme_library_use_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     out = capsys.readouterr().out
     assert out.count("\n") >= 9   # 4 pairs and 5 states
+
+
+def test_readme_cli_block_runs(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1]
+    code = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    prelude = (f"set -e\npython3() {{ {shlex.quote(sys.executable)} \"$@\"; }}\n"
+               'dynafeat() { python3 -m dynafeat.cli "$@"; }\n')
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    proc = subprocess.run(["bash", "-c", prelude + code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "out"
+    for name in ("summary.txt", "pose_curve.dat", "bench.txt", "stats.txt", "tracks.txt"):
+        assert (out / name).is_file(), name
+    assert len(list(out.glob("matches_*.txt"))) == 7   # the scene has 8 frames
 
 
 def test_stats_counters_consistent(synth_dir):

@@ -1,0 +1,124 @@
+"""Metamorphic invariants of the whole run.
+
+Each transformed input must give the same InlierColumns as the plain run,
+array for array (positions scaled with the input). The three transforms
+hold by construction, on any input:
+
+- every descriptor XORed with one byte mask, and one byte permutation
+  applied in every frame, keep every Hamming distance;
+- scaling positions, frame size, ``window``, ``max_bbox_side`` and
+  ``search_margin`` by a power of two is exact in binary floating point.
+"""
+
+import dataclasses
+import os
+
+import numpy as np
+import pytest
+
+from dynafeat.config import PipelineConfig
+from dynafeat.matching import InlierColumns
+from dynafeat.pipeline import COLUMNS, load_frame, run_sequence
+from dynafeat.synthetic import generate_sequence, make_cluster_scene
+
+# the pipeline counters of a RunStats row (the rest are stage times)
+COUNTERS = [c for c in COLUMNS if not c.endswith("_ms")]
+ARRAYS = [f.name for f in dataclasses.fields(InlierColumns)][2:]
+
+
+def _workload_frames(name, tmp_dir):
+    """The seed-301 frames of a benchmark workload, as the run reads them."""
+    import workloads
+    wl = workloads.WORKLOADS[name]
+    workloads.generate(wl, 301, tmp_dir)
+    names = sorted(os.listdir(tmp_dir))
+    return [load_frame(PipelineConfig(), os.path.join(tmp_dir, n), i)
+            for i, n in enumerate(names)]
+
+
+def _cluster_frames(seed):
+    scene = make_cluster_scene(seed=seed, frames=6, n_clusters=40, points_per_cluster=12,
+                               trajectory="translate_x", step=0.06, jitter_px=0.1,
+                               descriptor_bit_flips=6, outlier_rate=0.1)
+    return generate_sequence(scene, seed=seed).frames
+
+
+def _with_skips(frames, skipped):
+    return [dataclasses.replace(f, positions=np.zeros((0, 2)), responses=np.zeros(0),
+                                descriptors=f.descriptors[:0]) if i in skipped else f
+            for i, f in enumerate(frames)]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(perfbench)
+        frames = {name: _workload_frames(name, str(tmp_path_factory.mktemp(name)))
+                  for name in ("sparse300", "dense7k")}
+    frames["cluster5"] = _cluster_frames(5)
+    frames["cluster17"] = _cluster_frames(17)
+    # a skip right after the first frame, and two in a row later on
+    frames["skipped"] = _with_skips(_cluster_frames(5), {1, 3, 4})
+    return frames
+
+
+def _run(config, frames):
+    """Counters of every row, and the InlierColumns of every transition."""
+    rows, pairs = [], []
+    for row, pair, _ in run_sequence(config, frames):
+        rows.append([row[c] for c in COUNTERS])
+        if pair is not None:
+            pairs.append(pair)
+    return rows, pairs
+
+
+@pytest.fixture(scope="module")
+def plain_runs():
+    return {}   # input name -> _run of the untransformed input, filled on first use
+
+
+def _xor_mask(frames, config):
+    mask = np.random.default_rng(1).integers(0, 256, frames[0].descriptors.shape[1],
+                                             dtype=np.uint8)
+    return [dataclasses.replace(f, descriptors=f.descriptors ^ mask) for f in frames], config, 1.0
+
+
+def _byte_permutation(frames, config):
+    perm = np.random.default_rng(2).permutation(frames[0].descriptors.shape[1])
+    return [dataclasses.replace(f, descriptors=f.descriptors[:, perm]) for f in frames], config, 1.0
+
+
+def _scaled(s):
+    def transform(frames, config):
+        scaled = [dataclasses.replace(f, width=round(f.width * s), height=round(f.height * s),
+                                      positions=f.positions * s) for f in frames]
+        return scaled, config.replace(window=config.window * s,
+                                      max_bbox_side=config.max_bbox_side * s,
+                                      search_margin=config.search_margin * s), s
+    return transform
+
+
+TRANSFORMS = {"xor_mask": _xor_mask, "byte_permutation": _byte_permutation,
+              "scale_2": _scaled(2.0), "scale_quarter": _scaled(0.25)}
+
+
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+@pytest.mark.parametrize("name", ["sparse300", "dense7k", "cluster5", "cluster17", "skipped"])
+def test_transformed_run_gives_the_same_matches(inputs, plain_runs, name, transform):
+    if name not in plain_runs:
+        plain_runs[name] = _run(PipelineConfig(), inputs[name])
+    plain_rows, plain_pairs = plain_runs[name]
+    assert sum(len(p) for p in plain_pairs) > 0
+    frames, config, scale = TRANSFORMS[transform](inputs[name], PipelineConfig())
+    rows, pairs = _run(config, frames)
+    assert rows == plain_rows
+    assert len(pairs) == len(plain_pairs)
+    for pair, plain in zip(pairs, plain_pairs):
+        assert (pair.frame_prev, pair.frame_curr) == (plain.frame_prev, plain.frame_curr)
+        for field in ARRAYS:
+            expected = getattr(plain, field)
+            if field.startswith("pos_"):
+                expected = expected * scale
+            np.testing.assert_array_equal(getattr(pair, field), expected, err_msg=field,
+                                          strict=True)
