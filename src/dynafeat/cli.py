@@ -81,6 +81,7 @@ def _cmd_match(args) -> int:
             stats.rows.append(row)
             if pair is not None:
                 files += len(write_match_files([pair], out_dir))
+                pair = None   # frees the previous frame and its text while the next one runs
             if tracks is not None and state is not None:
                 write_tracks(tracks, state)
     if config.timing:

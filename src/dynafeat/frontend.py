@@ -13,6 +13,7 @@ built on either path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +82,10 @@ class FrameFeatures:
     ``descriptors`` rows hold ``desc_bits / 8`` bytes, unpadded; the
     matching kernel pads them to whole 64-bit words itself. Feature ids
     are the row indices 0..count-1.
+
+    ``position_text`` is a second copy of ``positions``, made on first
+    read and kept with the record, so positions must not change once it
+    exists.
     """
 
     frame_index: int
@@ -110,6 +115,11 @@ class FrameFeatures:
     @property
     def count(self) -> int:
         return self.positions.shape[0]
+
+    @functools.cached_property
+    def position_text(self) -> list[str]:
+        """One ``"x y"`` string per feature, each coordinate as ``_fmt``."""
+        return [f"{x!r} {y!r}" for x, y in self.positions.tolist()]
 
 
 def _desc_bytes(desc_bits: int) -> int:

@@ -26,6 +26,9 @@ non-empty buckets is built once per (cell, side) key and shared.
 
 The growth loop runs on Python lists and a bytearray rather than numpy
 arrays, because indexing a numpy scalar per candidate was most of its time.
+For the same reason its window test and bounding-box updates are chained
+comparisons and conditional expressions, not calls to ``abs``, ``min`` and
+``max``; they give the same result for every float, NaN included.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
         return GroupingResult([], np.full(0, -1, np.int64))
     pos = frame.positions
     radius = config.window / 2.0
+    neg_radius = -radius
     max_group = config.max_group
     max_side = config.max_bbox_side
 
@@ -118,21 +122,24 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
                     bucket for bucket in (grid.get((key[0] + dx, key[1] + dy))
                                           for dx in _STEPS[key[2]] for dy in _STEPS[key[3]])
                     if bucket]
+            # Comparisons instead of abs/min/max calls, with the same results
+            # for every float: negation is exact, and the builtins return
+            # their first argument unless the second is strictly past it.
             cand = []
             for bucket in reach:
                 for j in bucket:
-                    if not assigned[j] and abs(xs[j] - fx) <= radius \
-                            and abs(ys[j] - fy) <= radius:
+                    if not assigned[j] and neg_radius <= xs[j] - fx <= radius \
+                            and neg_radius <= ys[j] - fy <= radius:
                         cand.append(j)
             cand.sort()
             for j in cand:
                 if len(members) >= max_group:
                     break
                 jx, jy = xs[j], ys[j]
-                nmin_x = min(min_x, jx)
-                nmax_x = max(max_x, jx)
-                nmin_y = min(min_y, jy)
-                nmax_y = max(max_y, jy)
+                nmin_x = jx if jx < min_x else min_x
+                nmax_x = jx if jx > max_x else max_x
+                nmin_y = jy if jy < min_y else min_y
+                nmax_y = jy if jy > max_y else max_y
                 if nmax_x - nmin_x > max_side or nmax_y - nmin_y > max_side:
                     continue  # stays unassigned, may seed a later group
                 assigned[j] = 1
@@ -144,7 +151,7 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
         labels[member_arr] = len(groups)
         groups.append(FeatureGroup(
             members=member_arr, n=len(members),
-            centroid=pos[member_arr].mean(axis=0),
+            centroid=pos[member_arr].sum(axis=0) / len(members),   # what mean computes
             bbox_min=np.array([min_x, min_y]), bbox_max=np.array([max_x, max_y])))
 
     return GroupingResult(groups, labels)

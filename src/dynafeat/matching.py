@@ -11,9 +11,9 @@ All candidate pairs of a frame transition are scored in one batched
 kernel call, and whole feature sets go through the same kernel as a
 batch of one; each GroupMatch holds views of its supports in the shared
 flat arrays. Groups are named by their slot in the frame's group list.
-The surviving matches of a transition are one InlierColumns record: the
-two frame indices and column arrays, which the match-file writer and the
-evaluator read directly.
+The surviving matches of a transition are one InlierColumns record: its
+two frames and column arrays of feature ids, distances and group ids,
+which the match-file writer and the evaluator read directly.
 """
 
 from __future__ import annotations
@@ -107,17 +107,25 @@ def score_candidate_pairs(groups_prev: list[FeatureGroup], features_prev: FrameF
 
 @dataclass(eq=False)
 class InlierColumns:
-    """Deduplicated inlier matches of one frame transition as column arrays."""
+    """Deduplicated inlier matches of one frame transition as column arrays.
 
-    frame_prev: int
-    frame_curr: int
+    The feature ids index the rows of the two frames' ``positions``."""
+
+    prev: FrameFeatures
+    curr: FrameFeatures
     feature_prev: np.ndarray
     feature_curr: np.ndarray
-    pos_prev: np.ndarray     # (n, 2)
-    pos_curr: np.ndarray     # (n, 2)
     distance: np.ndarray
     group_prev: np.ndarray
     group_curr: np.ndarray
+
+    @property
+    def frame_prev(self) -> int:
+        return self.prev.frame_index
+
+    @property
+    def frame_curr(self) -> int:
+        return self.curr.frame_index
 
     def __len__(self) -> int:
         return self.feature_prev.shape[0]
@@ -127,11 +135,9 @@ def dedup_inlier_columns(accepted: list[GroupMatch], features_prev: FrameFeature
                          features_curr: FrameFeatures) -> InlierColumns:
     """One match per feature: the first listed pair that holds it wins,
     the best one in the list ``score_candidate_pairs`` returns."""
-    frames = features_prev.frame_index, features_curr.frame_index
     if not accepted:
         z = np.zeros(0, np.int64)
-        return InlierColumns(*frames, z, z, np.zeros((0, 2)), np.zeros((0, 2)),
-                             np.zeros(0), z, z)
+        return InlierColumns(features_prev, features_curr, z, z, np.zeros(0), z, z)
     ia = np.concatenate([gm.sup_a for gm in accepted])
     ib = np.concatenate([gm.sup_b for gm in accepted])
     dist = np.concatenate([gm.sup_dist for gm in accepted])
@@ -139,8 +145,5 @@ def dedup_inlier_columns(accepted: list[GroupMatch], features_prev: FrameFeature
     gp_ids = np.repeat([gm.group_prev for gm in accepted], sizes)
     gc_ids = np.repeat([gm.group_curr for gm in accepted], sizes)
     keep = _kernels.claim_first(ia, ib, features_prev.count, features_curr.count)
-    ia = ia[keep]
-    ib = ib[keep]
-    return InlierColumns(*frames, ia, ib, features_prev.positions[ia],
-                         features_curr.positions[ib],
+    return InlierColumns(features_prev, features_curr, ia[keep], ib[keep],
                          dist[keep].astype(np.float64), gp_ids[keep], gc_ids[keep])

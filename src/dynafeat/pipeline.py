@@ -30,6 +30,8 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import matching, tracking
 from .config import PipelineConfig
 from .errors import InputDataError
@@ -172,25 +174,40 @@ def run_sequence(config: PipelineConfig, sources):
                "match_ms": (t3 - t2) * 1000.0, "filter_ms": (t4 - t3) * 1000.0,
                "total_ms": (time.perf_counter() - t0) * 1000.0}
         yield row, pair, state
+        # the consumer holds what it keeps of the pair; let the previous frame
+        # and the kernel's support arrays go before the next frame runs
+        pair = accepted = None
 
 
 # ---------------------------------------------------------------------------
 # Output files
 # ---------------------------------------------------------------------------
 
+def _column_text(column: np.ndarray) -> list[str]:
+    """repr of every entry, formatted once per distinct value. Values are
+    told apart by their bits, so -0.0 keeps its own text."""
+    column = np.ascontiguousarray(column)
+    uniq, inverse = np.unique(column.view(f"i{column.itemsize}"), return_inverse=True)
+    text = np.array([repr(v) for v in uniq.view(column.dtype).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def write_match_files(pairs, out_dir) -> list[str]:
+    """One match file per pair. Each frame's ``"x y"`` text is made when the
+    frame is first written, and read again when it is the next pair's prev."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for pair in pairs:
         path = os.path.join(out_dir, f"matches_{pair.frame_prev:06d}_{pair.frame_curr:06d}.txt")
         head = f"{pair.frame_prev} {pair.frame_curr}"
-        # repr of a Python float is _fmt; the columns are float64 and int64
+        prev, curr = pair.prev.position_text, pair.curr.position_text
+        lines = [f"{head} {prev[i]} {curr[j]} {d} {gp} {gc}\n"
+                 for i, j, d, gp, gc in zip(pair.feature_prev.tolist(), pair.feature_curr.tolist(),
+                                            _column_text(pair.distance),
+                                            _column_text(pair.group_prev),
+                                            _column_text(pair.group_curr))]
         with open(path, "w", encoding="ascii") as fh:
-            fh.writelines(f"{head} {x1!r} {y1!r} {x2!r} {y2!r} {d!r} {gp} {gc}\n"
-                          for (x1, y1), (x2, y2), d, gp, gc
-                          in zip(pair.pos_prev.tolist(), pair.pos_curr.tolist(),
-                                 pair.distance.tolist(), pair.group_prev.tolist(),
-                                 pair.group_curr.tolist()))
+            fh.write("".join(lines))
         written.append(path)
     return written
 

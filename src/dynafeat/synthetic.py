@@ -437,11 +437,13 @@ def run_eval(config: PipelineConfig, sources, gt_dir) -> EvalReport:
         R_rel, t_rel = relative_pose(rotations[a], translations[a],
                                      rotations[b], translations[b])
         static &= not (rotation_angle_deg(R_rel) > 1e-9 or np.linalg.norm(t_rel) > 1e-12)
+        pos_prev = pair.prev.positions[pair.feature_prev]
+        pos_curr = pair.curr.positions[pair.feature_curr]
         if static and len(pair):
-            moved_prev.append(pair.pos_prev)
-            moved_curr.append(pair.pos_curr)
+            moved_prev.append(pos_prev)
+            moved_curr.append(pos_curr)
         if len(pair) >= 8:
-            est = estimate_essential_ransac(pair.pos_prev, pair.pos_curr, default_intrinsics(),
+            est = estimate_essential_ransac(pos_prev, pos_curr, default_intrinsics(),
                                             rng_seed=config.seed, adaptive=True)
             pose_errors.append(pose_error(est, R_rel, t_rel))
             inlier_ratios.append(est.inlier_ratio)

@@ -139,8 +139,8 @@ def _pipeline_displacements(seq):
     curr = []
     for _, pair, _ in run_sequence(PipelineConfig(), seq.frames):
         if pair is not None:
-            prev.extend(pair.pos_prev.tolist())
-            curr.extend(pair.pos_curr.tolist())
+            prev.extend(pair.prev.positions[pair.feature_prev].tolist())
+            curr.extend(pair.curr.positions[pair.feature_curr].tolist())
     return np.array(prev), np.array(curr)
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI verbs, file formats, exit codes and determinism."""
 
+import functools
 import importlib
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -586,28 +588,60 @@ def test_rgb_png_loads_as_luma(monkeypatch):
 # determinism
 # ---------------------------------------------------------------------------
 
+def _frame_at(index, count, rows):
+    """A frame of ``count`` features at (0, 0), but for {feature id: (x, y)}."""
+    positions = np.zeros((count, 2))
+    for i, xy in rows.items():
+        positions[i] = xy
+    return FrameFeatures(index, 640, 480, positions, np.zeros(count),
+                         np.zeros((count, 32), np.uint8))
+
+
 def test_match_file_bytes_golden(tmp_path):
     # shortest-repr floats, integer-valued distances and multi-digit group ids
+    f7 = _frame_at(7, 13, {0: (0.1 + 0.2, 1e-05), 5: (639.9999999999999, 16.0),
+                           12: (100.5, 479.0)})
+    f12 = _frame_at(12, 31, {1: (17.25, 3e-05), 2: (623.0, 16.000000000000004),
+                             30: (1e+16, 2.5e-07)})
     cols = InlierColumns(
-        frame_prev=7, frame_curr=12,
+        f7, f12,
         feature_prev=np.array([0, 5, 12]), feature_curr=np.array([1, 2, 30]),
-        pos_prev=np.array([[0.1 + 0.2, 1e-05], [639.9999999999999, 16.0], [100.5, 479.0]]),
-        pos_curr=np.array([[17.25, 3e-05], [623.0, 16.000000000000004], [1e+16, 2.5e-07]]),
         distance=np.array([3.0, 0.0, 17.0]),
         group_prev=np.array([12, 0, 105]), group_curr=np.array([9, 10, 2048]))
-    empty = InlierColumns(12, 13, np.zeros(0, np.int64), np.zeros(0, np.int64),
-                          np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0),
-                          np.zeros(0, np.int64), np.zeros(0, np.int64))
+    empty = InlierColumns(f12, _frame_at(13, 0, {}), np.zeros(0, np.int64),
+                          np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64),
+                          np.zeros(0, np.int64))
     written = write_match_files([cols, empty], tmp_path / "out")
     assert [os.path.basename(p) for p in written] == ["matches_000007_000012.txt",
                                                       "matches_000012_000013.txt"]
+    first = (b"7 12 0.30000000000000004 1e-05 17.25 3e-05 3.0 12 9\n"
+             b"7 12 639.9999999999999 16.0 623.0 16.000000000000004 0.0 0 10\n"
+             b"7 12 100.5 479.0 1e+16 2.5e-07 17.0 105 2048\n")
     with open(written[0], "rb") as fh:
-        assert fh.read() == (
-            b"7 12 0.30000000000000004 1e-05 17.25 3e-05 3.0 12 9\n"
-            b"7 12 639.9999999999999 16.0 623.0 16.000000000000004 0.0 0 10\n"
-            b"7 12 100.5 479.0 1e+16 2.5e-07 17.0 105 2048\n")
+        assert fh.read() == first
     with open(written[1], "rb") as fh:
         assert fh.read() == b""
+
+    # three frames: 12 is curr, then prev, and its text is made once; a
+    # distance and a group id repeat, and -0.0 keeps its sign
+    text_12 = f12.position_text
+    f13 = _frame_at(13, 7, {0: (-0.0, 5e-324), 3: (2.0, 1.5), 4: (0.1, 7.0),
+                            6: (31.000000000000004, 2.5)})
+    cols2 = InlierColumns(
+        f12, f13,
+        feature_prev=np.array([30, 2, 1, 0]), feature_curr=np.array([0, 4, 3, 6]),
+        distance=np.array([17.0, 0.0, 17.0, -0.0]),
+        group_prev=np.array([2048, 10, 9, 9]), group_curr=np.array([0, 1, 0, 2]))
+    written = write_match_files([cols, cols2], tmp_path / "three")
+    assert f12.position_text is text_12
+    with open(written[0], "rb") as fh:
+        assert fh.read() == first
+    with open(written[1], "rb") as fh:
+        assert fh.read() == (
+            b"12 13 1e+16 2.5e-07 -0.0 5e-324 17.0 2048 0\n"
+            b"12 13 623.0 16.000000000000004 0.1 7.0 0.0 10 1\n"
+            b"12 13 17.25 3e-05 2.0 1.5 17.0 9 0\n"
+            b"12 13 0.0 0.0 31.000000000000004 2.5 -0.0 9 2\n")
 
 
 def test_match_runs_byte_identical(tmp_path, synth_dir):
@@ -1273,12 +1307,52 @@ def test_run_memory_does_not_grow_with_frame_count():
     assert peak(long) - peak(short) < 256 * 1024
 
 
+def test_match_formats_each_frame_once_and_keeps_two_texts(tmp_path, monkeypatch):
+    # A frame's "x y" text is made when its first match file is written and
+    # read again as the next pair's prev. The written pair is released, so
+    # while a frame is grouped only the last frame's text is alive, and at
+    # most two are while a pair is written.
+    from dynafeat import pipeline
+    seq = generate_sequence(make_cluster_scene(seed=3, frames=5, trajectory="translate_x",
+                                               step=0.02), seed=3)
+    save_sequence(seq, tmp_path / "seq")
+    made = []   # weak references to the frames whose text was made
+    formatted, alive_at_group, alive_at_format = [], [], []
+
+    def alive():
+        return sum(ref() is not None for ref in made)
+
+    def counted(frame):
+        alive_at_format.append(alive())
+        formatted.append(frame.frame_index)
+        made.append(weakref.ref(frame))
+        return text(frame)
+
+    def grouped(frame, config):
+        alive_at_group.append(alive())
+        return group_features(frame, config)
+
+    text, group_features = FrameFeatures.position_text.func, pipeline.group_features
+    prop = functools.cached_property(counted)
+    prop.__set_name__(FrameFeatures, "position_text")
+    monkeypatch.setattr(FrameFeatures, "position_text", prop)
+    monkeypatch.setattr(pipeline, "group_features", grouped)
+    cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    paths = sorted(str(p) for p in (tmp_path / "seq").glob("*.feat"))
+    assert main(["match", str(cfg_path)] + paths) == 0
+    assert len(list((tmp_path / "out").glob("matches_*.txt"))) == 4
+    assert formatted == [0, 1, 2, 3, 4]
+    assert alive_at_group == [0, 0, 1, 1, 1]
+    assert alive_at_format == [0, 1, 1, 1, 1]
+
+
 def test_identical_frames_give_zero_displacement_matches():
     scene = make_cluster_scene(seed=10, frames=2, trajectory="static")
     seq = generate_sequence(scene, seed=10)
     inliers = [p for _, p, _ in run_sequence(PipelineConfig(), seq.frames) if p is not None][0]
     assert len(inliers)
-    for p, q, d in zip(inliers.pos_prev.tolist(), inliers.pos_curr.tolist(),
+    for p, q, d in zip(inliers.prev.positions[inliers.feature_prev].tolist(),
+                       inliers.curr.positions[inliers.feature_curr].tolist(),
                        inliers.distance.tolist()):
         assert p == q
         assert d == 0.0

@@ -191,6 +191,28 @@ def test_reach_edges_match_oracle(window, shift):
         assert [g.members.tolist() for g in result.groups] == ref
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_bbox_veto_edge_matches_oracle(axis):
+    # A chain of four features a third of a window apart: a box side of
+    # exactly max_bbox_side lets the last one join, one ulp more vetoes it.
+    # Over the seeds the growth starts at either end, so the vetoed feature
+    # would set a new maximum in some runs and a new minimum in the others.
+    for last, sizes in ((130.0, [4]), (math.nextafter(130.0, math.inf), [1, 3])):
+        pos = np.full((4, 2), 100.0)
+        pos[:, axis] = [100.0, 110.0, 120.0, last]
+        frame = _frame(pos)
+        vetoed = set()
+        for seed in range(12):
+            cfg = PipelineConfig(window=30.0, min_group=1, max_bbox_side=30.0, seed=seed)
+            result = group_features(frame, cfg)
+            ref = region_grow_reference(frame.positions, cfg.window, cfg.min_group,
+                                        cfg.max_group, cfg.max_bbox_side, cfg.seed)
+            assert [g.members.tolist() for g in result.groups] == ref
+            assert sorted(g.n for g in result.groups) == sizes
+            vetoed.update(g.members[0] for g in result.groups if g.n == 1)
+        assert vetoed == (set() if sizes == [4] else {0, 3})
+
+
 def test_grouping_deterministic():
     frame = _random_frame(55)
     cfg = PipelineConfig(seed=9)

@@ -364,5 +364,9 @@ def test_odd_width_sequence_equals_zero_extended_rows():
     assert len(narrow_run) == len(wide_run) == 2
     assert sum(len(p) for p in narrow_run) > 100
     for a, b in zip(narrow_run, wide_run):
+        assert (a.frame_prev, a.frame_curr) == (b.frame_prev, b.frame_curr)
         for name in InlierColumns.__dataclass_fields__:
-            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            x, y = getattr(a, name), getattr(b, name)
+            if isinstance(x, FrameFeatures):   # the frames differ in descriptor width only
+                x, y = x.positions, y.positions
+            assert np.array_equal(x, y), name

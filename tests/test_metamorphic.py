@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from dynafeat.config import PipelineConfig
+from dynafeat.frontend import FrameFeatures
 from dynafeat.matching import InlierColumns
 from dynafeat.pipeline import COLUMNS, load_frame, run_sequence
 from dynafeat.synthetic import generate_sequence, make_cluster_scene
@@ -49,6 +50,31 @@ def _with_skips(frames, skipped):
             for i, f in enumerate(frames)]
 
 
+def _grid_frames(seed=7, frames=4):
+    """Features on the cell edges and centre lines of the grouping grid.
+
+    Every coordinate is a multiple of half the default window, so it lies on
+    a cell edge or a cell's centre line, and neighbours sit exactly one
+    window radius apart. Each cluster is 4 x 4 such points, and the scene
+    moves in half-window steps, so the features stay on those lines.
+    """
+    half = PipelineConfig().window / 2.0
+    rng = np.random.default_rng(seed)
+    pts = np.array([(cx + dx, cy + dy) for cx in range(4, 36, 8) for cy in range(4, 28, 8)
+                    for dx in range(4) for dy in range(4)], float)
+    desc = rng.integers(0, 256, (len(pts), 32), dtype=np.uint8)
+    rows = np.arange(len(pts))
+    out = []
+    for f in range(frames):
+        noisy = desc.copy()
+        for _ in range(4):   # a few bit flips per descriptor and frame
+            bit = rng.integers(0, 256, len(pts))
+            noisy[rows, bit // 8] ^= (1 << (bit % 8)).astype(np.uint8)
+        out.append(FrameFeatures(f, 640, 480, (pts + (f, f % 2)) * half,
+                                 np.zeros(len(pts)), noisy))
+    return out
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
@@ -60,6 +86,7 @@ def inputs(tmp_path_factory):
     frames["cluster17"] = _cluster_frames(17)
     # a skip right after the first frame, and two in a row later on
     frames["skipped"] = _with_skips(_cluster_frames(5), {1, 3, 4})
+    frames["grid"] = _grid_frames()
     return frames
 
 
@@ -104,7 +131,8 @@ TRANSFORMS = {"xor_mask": _xor_mask, "byte_permutation": _byte_permutation,
 
 
 @pytest.mark.parametrize("transform", sorted(TRANSFORMS))
-@pytest.mark.parametrize("name", ["sparse300", "dense7k", "cluster5", "cluster17", "skipped"])
+@pytest.mark.parametrize("name", ["sparse300", "dense7k", "cluster5", "cluster17", "skipped",
+                                  "grid"])
 def test_transformed_run_gives_the_same_matches(inputs, plain_runs, name, transform):
     if name not in plain_runs:
         plain_runs[name] = _run(PipelineConfig(), inputs[name])
