@@ -4,9 +4,23 @@ One implementation per kernel: the segment-test corner response, packed
 descriptor extraction, batched mutual-NN Hamming matching and the greedy
 match claim. All kernels are integer-exact, so their outputs are fully
 determined by their inputs.
+
+The segment test, descriptor extraction and the mutual-NN kernel split
+large calls into parts that run at once, one per CPU the process may use
+(``_WORKERS``, read once from the CPU affinity mask): row bands of an
+image, runs of corners, shards of whole pair chunks. numpy releases the
+interpreter lock inside these loops, so the parts overlap. Each part
+writes its own disjoint slice of one preallocated output, and every
+output value is computed from the same inputs by the same operations as
+in one part, so the result is the same, bit for bit, whatever the split.
+The threads are started and joined inside the call; none outlives it.
 """
 
 from __future__ import annotations
+
+import numbers
+import os
+import threading
 
 import numpy as np
 
@@ -14,6 +28,49 @@ import numpy as np
 def active_backend() -> str:
     """Name of the kernel implementation, recorded with benchmark results."""
     return "numpy"
+
+
+# Parts a kernel call may run at once: the CPUs the process may use.
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity mask on this platform
+    _WORKERS = os.cpu_count() or 1
+
+
+def _run_parts(fn, parts: list) -> list:
+    """``[fn(part) for part in parts]``, the parts run at once.
+
+    The first part runs in the calling thread, each other in a thread
+    started and joined here, so no thread outlives the call (a persistent
+    pool would hang in a forked child). After all parts end, the first
+    exception in part order is raised.
+    """
+    results = [None] * len(parts)
+    errors = [None] * len(parts)
+
+    def run(k):
+        try:
+            results[k] = fn(parts[k])
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(parts))]
+    for t in threads:
+        t.start()
+    try:
+        results[0] = fn(parts[0])
+    finally:
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def _spans(n: int, parts: int) -> list[tuple[int, int]]:
+    """[0, n) cut into ``parts`` contiguous spans, of lengths differing by at most 1."""
+    return [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
 # Bresenham circle of radius 3: the 16 ring offsets, clockwise from (0, -3).
@@ -24,6 +81,11 @@ _CIRCLE_DY = np.array([-3, -3, -2, -1, 0, 1, 2, 3, 3, 3, 2, 1, 0, -1, -2, -3], n
 # c - 255, so a larger threshold detects nothing; up to 254, c + threshold
 # is at most 509 and every comparison and clamped sum is exact in int16.
 MAX_FAST_THRESHOLD = 254
+
+# Images below this many pixels run the segment test in one part: thread
+# start-up and contention for the interpreter lock would cost more than
+# the split saves.
+_BAND_MIN_PIXELS = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +114,12 @@ def fast_response_map(img: np.ndarray, threshold: int) -> np.ndarray:
     A pixel scores when a contiguous arc of at least 9 of its 16 ring
     pixels is brighter or darker than the center by more than ``threshold``;
     the score is the larger of the brighter/darker clamped difference sums.
-    ``img`` is a 2-D uint8 array and ``threshold`` lies in
-    1..MAX_FAST_THRESHOLD; anything else raises ValueError.
+    ``img`` is a 2-D uint8 array and ``threshold`` an integer in
+    1..MAX_FAST_THRESHOLD; anything else raises ValueError. Nonzero
+    responses lie at least 3 pixels inside every border.
     """
+    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Integral):
+        raise ValueError(f"fast_threshold must be an integer, got {threshold!r}")
     if not 1 <= threshold <= MAX_FAST_THRESHOLD:
         raise ValueError(f"fast_threshold must be in 1..{MAX_FAST_THRESHOLD}, "
                          f"got {threshold!r}")
@@ -66,6 +131,19 @@ def fast_response_map(img: np.ndarray, threshold: int) -> np.ndarray:
     resp = np.zeros((h, w), np.int32)
     if h < 7 or w < 7:
         return resp
+    # A response reads only its pixel's 7x7 neighbourhood, so the band of
+    # rows [3 + a, 3 + b) is exact from image rows [a, b + 6).
+    parts = min(_WORKERS, h - 6) if h * w >= _BAND_MIN_PIXELS else 1
+    _run_parts(lambda band: _segment_test(img[band[0]:band[1] + 6], threshold,
+                                          resp[band[0] + 3:band[1] + 3]),
+               _spans(h - 6, parts))
+    return resp
+
+
+def _segment_test(img: np.ndarray, threshold: int, out: np.ndarray) -> None:
+    """Write the responses of ``img``'s rows 3..h-4 into ``out`` (h - 6 rows
+    of the same width, zero on entry); ``img`` has at least 7 rows."""
+    h, w = img.shape
     # Row-major flat pixels: ring pixel k of pixel p is flat[p + ring[k]].
     # Every p in [start, start + n) has its whole ring inside the array;
     # those within 3 columns of a side read neighbouring rows and are
@@ -101,13 +179,16 @@ def fast_response_map(img: np.ndarray, threshold: int) -> np.ndarray:
     center = flat[p]
     bsum = np.maximum(vals - (center + threshold), 0).sum(axis=0, dtype=np.int16)
     dsum = np.maximum((center - threshold) - vals, 0).sum(axis=0, dtype=np.int16)
-    resp.reshape(-1)[p] = np.maximum(bsum, dsum)
-    return resp
+    out.reshape(-1)[p - 3 * w] = np.maximum(bsum, dsum)
 
 
 # ---------------------------------------------------------------------------
 # Binary descriptor extraction (intensity-pair comparisons, packed MSB first)
 # ---------------------------------------------------------------------------
+
+# Calls with fewer corners describe them in one part.
+_BRIEF_MIN_CORNERS = 1024
+
 
 def brief_descriptors(sums: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                       pattern: np.ndarray) -> np.ndarray:
@@ -135,10 +216,17 @@ def brief_descriptors(sums: np.ndarray, xs: np.ndarray, ys: np.ndarray,
             or ys.min() + dy.min() < 0 or ys.max() + dy.max() >= h):
         raise ValueError("descriptor pattern reaches outside the plane")
     flat = sums.reshape(-1)
-    base = (ys * w + xs)[:, None]
-    a = flat[base + (p[:, 1] * w + p[:, 0])]
-    b = flat[base + (p[:, 3] * w + p[:, 2])]
-    return np.packbits(a < b, axis=1)
+    off_a = p[:, 1] * w + p[:, 0]
+    off_b = p[:, 3] * w + p[:, 2]
+    out = np.empty((xs.size, pattern.shape[0] // 8), np.uint8)
+
+    def describe_rows(rows):
+        base = (ys[rows[0]:rows[1]] * w + xs[rows[0]:rows[1]])[:, None]
+        out[rows[0]:rows[1]] = np.packbits(flat[base + off_a] < flat[base + off_b], axis=1)
+
+    parts = min(_WORKERS, xs.size) if xs.size >= _BRIEF_MIN_CORNERS else 1
+    _run_parts(describe_rows, _spans(xs.size, parts))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,34 +304,46 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
     row_key = np.empty((ma, n_pairs), dt)
     ok = np.empty((ma, n_pairs), bool)
     step = max(1, _CHUNK_CELLS // (ma * mb))
-    for s in range(0, n_pairs, step):
-        e = min(s + step, n_pairs)
-        ga = pair_a[s:e]
-        gb = pair_b[s:e]
-        wa = np.take(planes_a, ga, axis=2)
-        wb = np.take(planes_b, gb, axis=2)
-        x = np.empty((ma, mb, e - s), np.uint64)
-        bits = np.empty((n_words, ma, mb, e - s), np.uint8)
-        for w in range(n_words):
-            np.bitwise_xor(wa[w, :, None], wb[w, None], out=x)
-            np.bitwise_count(x, out=bits[w])
-        d = np.add.reduce(bits, axis=0, dtype=dt)
-        np.maximum(d, np.take(pad_a, ga, axis=1)[:, None], out=d)
-        np.maximum(d, np.take(pad_b, gb, axis=1)[None], out=d)
-        key = d << shift
-        key |= pos_b
-        rk = row_key[:, s:e] = key.min(axis=1)
-        r_min = rk >> shift
-        r_arg = (rk & low).astype(np.intp)
-        col_min = d.min(axis=0)
-        row_ties = (d == r_min[:, None]).sum(axis=1, dtype=tie_dt)
-        col_ties = (d == col_min[None]).sum(axis=0, dtype=tie_dt)
-        cols = np.arange(e - s)
-        # the unique minimum of column j = r_arg[i] sits in row i exactly
-        # when it equals row i's minimum; a padding minimum means row i or
-        # all of its columns are padding
-        ok[:, s:e] = ((row_ties == 1) & (col_ties[r_arg, cols] == 1)
-                      & (col_min[r_arg, cols] == r_min) & (r_min < pad_dist))
+
+    def score_chunks(span):
+        """Fill the row_key and ok columns of pairs [span[0], span[1]),
+        chunk by chunk."""
+        for s in range(span[0], span[1], step):
+            e = min(s + step, span[1])
+            ga = pair_a[s:e]
+            gb = pair_b[s:e]
+            wa = np.take(planes_a, ga, axis=2)
+            wb = np.take(planes_b, gb, axis=2)
+            x = np.empty((ma, mb, e - s), np.uint64)
+            bits = np.empty((n_words, ma, mb, e - s), np.uint8)
+            for w in range(n_words):
+                np.bitwise_xor(wa[w, :, None], wb[w, None], out=x)
+                np.bitwise_count(x, out=bits[w])
+            d = np.add.reduce(bits, axis=0, dtype=dt)
+            np.maximum(d, np.take(pad_a, ga, axis=1)[:, None], out=d)
+            np.maximum(d, np.take(pad_b, gb, axis=1)[None], out=d)
+            key = d << shift
+            key |= pos_b
+            rk = row_key[:, s:e] = key.min(axis=1)
+            r_min = rk >> shift
+            r_arg = (rk & low).astype(np.intp)
+            col_min = d.min(axis=0)
+            row_ties = (d == r_min[:, None]).sum(axis=1, dtype=tie_dt)
+            col_ties = (d == col_min[None]).sum(axis=0, dtype=tie_dt)
+            cols = np.arange(e - s)
+            # the unique minimum of column j = r_arg[i] sits in row i exactly
+            # when it equals row i's minimum; a padding minimum means row i
+            # or all of its columns are padding
+            ok[:, s:e] = ((row_ties == 1) & (col_ties[r_arg, cols] == 1)
+                          & (col_min[r_arg, cols] == r_min) & (r_min < pad_dist))
+
+    # Shards of whole chunks, at least 2 per shard: a shard writes only its
+    # own columns of row_key and ok, and every pair is scored as in one
+    # shard, since each chunk's pairs are.
+    n_chunks = -(-n_pairs // step)
+    shards = max(1, min(_WORKERS, n_chunks // 2))
+    _run_parts(score_chunks, [(a * step, min(b * step, n_pairs))
+                              for a, b in _spans(n_chunks, shards)])
     # pair-major, ascending member position within a pair
     p, i = np.nonzero(ok.T)
     scores = np.bincount(p, minlength=n_pairs).astype(np.int64, copy=False)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,17 +146,25 @@ def detect_corners(image: GrayImage, fast_threshold: int = DEFAULT_FAST_THRESHOL
     with row-major position as the tie-break, then truncated to
     ``max_features``.
     """
+    if isinstance(max_features, bool) or not isinstance(max_features, numbers.Integral):
+        raise ValueError(f"max_features must be an integer, got {max_features!r}")
     if max_features < 1:
         raise ValueError("max_features must be >= 1")
     resp = _kernels.fast_response_map(image.pixels, fast_threshold)
-    keep = resp > 0
-    padded = np.pad(resp, 1)
+    # Nonzero responses lie 3 pixels inside every border, so the 8
+    # neighbours of each sit inside the image at flat offsets dy * w + dx,
+    # none wrapping to another row.
+    w = resp.shape[1]
+    flat = resp.reshape(-1)
+    p = np.flatnonzero(flat)
+    r = flat[p]
+    keep = np.ones(p.size, bool)
     for dy, dx in _NMS_OFFSETS:
-        keep &= resp >= padded[1 + dy:1 + dy + resp.shape[0], 1 + dx:1 + dx + resp.shape[1]]
-    ys, xs = np.nonzero(keep)
+        keep &= r >= flat[p + (dy * w + dx)]
+    ys, xs = np.divmod(p[keep], w)
     if xs.size == 0:
         return np.zeros((0, 2), np.int64), np.zeros(0, np.int32)
-    scores = resp[ys, xs]
+    scores = r[keep]
     order = np.lexsort((xs, ys, -scores))[:max_features]
     positions = np.stack([xs[order], ys[order]], axis=1).astype(np.int64)
     return positions, scores[order].astype(np.int32)

@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 import weakref
@@ -15,6 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
+from dynafeat import _kernels
 from dynafeat.cli import main
 from dynafeat.config import CONFIG_CONVERTERS, PipelineConfig, parse_key_values
 from dynafeat.errors import ConfigError, InputDataError
@@ -482,6 +484,33 @@ def test_match_on_shifted_pgm_frames(tmp_path):
         rows = np.loadtxt(out / name, ndmin=2)
         assert len(rows) > 100
         assert (rows[:, 4:6] - rows[:, 2:4] == [3.0, 2.0]).all()
+
+
+def test_split_kernels_leave_no_thread_and_the_same_bytes(tmp_path, monkeypatch):
+    # floors lowered so every segment test and descriptor call splits, in
+    # three parts whatever the number of CPUs
+    monkeypatch.setattr(_kernels, "_BAND_MIN_PIXELS", 1)
+    monkeypatch.setattr(_kernels, "_BRIEF_MIN_CORNERS", 1)
+    parts = []
+    run_parts = _kernels._run_parts
+    monkeypatch.setattr(_kernels, "_run_parts",
+                        lambda fn, p: parts.append(len(p)) or run_parts(fn, p))
+    frames = []
+    for i, pixels in enumerate(_shifted_blob_frames((3, 2), 3)):
+        frames.append(str(tmp_path / f"frame_{i}.pgm"))
+        save_pgm(GrayImage.from_array(pixels), frames[-1])
+    outputs = {}
+    for workers in (3, 1):
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        out = tmp_path / f"out{workers}"
+        cfg_path = _write_config(tmp_path, output_dir=str(out), input_mode="images")
+        threads = threading.active_count()
+        assert main(["match", str(cfg_path)] + frames) == 0
+        assert threading.active_count() == threads
+        outputs[workers] = {p.name: p.read_bytes() for p in out.glob("matches_*.txt")}
+        if workers == 3:
+            assert max(parts) == 3
+    assert len(outputs[1]) == 2 and outputs[3] == outputs[1]
 
 
 @pytest.mark.parametrize("threshold,code", [("254", 0), ("255", 3), ("10000000000", 3)])

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from dynafeat import _kernels
 from dynafeat.errors import FeatureFileError, InputDataError
 from dynafeat.frontend import (DEFAULT_MAX_FEATURES, FrameFeatures, GrayImage,
                                describe, detect_corners, extract_frame, load_features,
@@ -119,6 +120,49 @@ def test_nms_property_no_neighbor_exceeds():
     for (x, y), r in zip(positions, responses):
         neighborhood = resp_map[max(0, y - 1):y + 2, max(0, x - 1):x + 2]
         assert neighborhood.max() <= r
+
+
+def test_nms_keeps_both_corners_of_a_plateau():
+    # two adjacent bright pixels have no ring pixel in common with each
+    # other's centre: equal responses side by side, neither suppressed
+    px = np.zeros((20, 20), np.uint8)
+    px[8, 8:10] = 255
+    positions, responses = detect_corners(GrayImage.from_array(px), 5)
+    assert positions.tolist() == [[8, 8], [9, 8]]
+    assert responses[0] == responses[1] > 0
+    ref = fast_corners_reference(px, 5, 7000)
+    assert [(int(x), int(y), int(r)) for (x, y), r in zip(positions, responses)] == ref
+
+
+def test_nms_at_the_3_pixel_border():
+    # bright pixels on the outermost rows and columns that can score, one of
+    # them beside a stronger corner that suppresses it
+    px = np.zeros((16, 18), np.uint8)
+    for y, x in ((3, 3), (3, 14), (12, 3), (12, 14)):
+        px[y, x] = 200
+    px[4, 13] = 255
+    positions, responses = detect_corners(GrayImage.from_array(px), 5)
+    ref = fast_corners_reference(px, 5, 7000)
+    assert [(int(x), int(y), int(r)) for (x, y), r in zip(positions, responses)] == ref
+    assert sorted(map(tuple, positions.tolist())) == [(3, 3), (3, 12), (13, 4), (14, 12)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda px: _kernels.fast_response_map(px, 5.9),
+    lambda px: detect_corners(GrayImage.from_array(px), 5.9),
+    lambda px: detect_corners(GrayImage.from_array(px), 5, max_features=2.5)],
+    ids=["kernel-threshold", "detect-threshold", "detect-max-features"])
+def test_detector_rejects_non_integer_arguments(call):
+    # 5.9 would run as threshold 5; 2.5 would fail in a slice
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(_noise_image(4).pixels)
+
+
+def test_detector_accepts_numpy_integers():
+    img = _noise_image(4)
+    want = detect_corners(img, 7, 50)
+    got = detect_corners(img, np.int64(7), np.int32(50))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_detection_is_deterministic():

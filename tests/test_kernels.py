@@ -1,11 +1,120 @@
 """Kernel checks: every kernel must match its brute-force oracle bit for
 bit."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from dynafeat import _kernels
-from oracles import brief_reference, claim_first_reference, mutual_nn_reference
+from oracles import (brief_reference, claim_first_reference, fast_response_reference,
+                     mutual_nn_reference)
+
+
+def _record_parts(monkeypatch):
+    """Make the kernels log the parts of every split call; returns the log."""
+    log = []
+    run_parts = _kernels._run_parts
+    monkeypatch.setattr(_kernels, "_run_parts",
+                        lambda fn, parts: log.append(parts) or run_parts(fn, parts))
+    return log
+
+
+def test_run_parts_keeps_part_order_and_raises_the_first_error():
+    threads = threading.active_count()
+    ran = {}
+
+    def square(k):
+        ran[k] = threading.current_thread()
+        return k * k
+
+    assert _kernels._run_parts(square, [0, 1, 2, 3]) == [0, 1, 4, 9]
+    # the first part runs in the calling thread, the others in their own
+    assert ran[0] is threading.current_thread()
+    assert len({id(t) for t in ran.values()}) == 4
+
+    def fail_after_first(k):
+        if k:
+            raise ValueError(f"part {k}")
+        return k
+
+    # an error in a later part reaches the caller, the first in part order
+    with pytest.raises(ValueError, match="part 1"):
+        _kernels._run_parts(fail_after_first, [0, 1, 2])
+    assert threading.active_count() == threads
+
+
+def test_split_kernels_under_fast_thread_switching(monkeypatch):
+    # more parts than CPUs, and the interpreter switching threads every
+    # 10 us: each kernel must still give its one-part output
+    monkeypatch.setattr(_kernels, "_BAND_MIN_PIXELS", 1)
+    monkeypatch.setattr(_kernels, "_BRIEF_MIN_CORNERS", 1)
+    monkeypatch.setattr(_kernels, "_CHUNK_CELLS", 1)
+    rng = np.random.default_rng(31)
+    pixels = rng.integers(0, 256, (60, 50), dtype=np.uint8)
+    sums = rng.integers(0, 6375, (60, 50)).astype(np.int16)
+    pattern = rng.integers(-15, 16, (256, 4)).astype(np.int64)
+    xs, ys = rng.integers(16, 34, 40), rng.integers(16, 44, 40)
+    desc = rng.integers(0, 4, (200, 32), dtype=np.uint8)
+    mem, off, cnt = _ragged_groups(rng, 6, 200)
+    pairs = [g.ravel().astype(np.int64) for g in np.indices((6, 6))]
+
+    def run_all():
+        return (_kernels.fast_response_map(pixels, 5),
+                _kernels.brief_descriptors(sums, xs, ys, pattern),
+                *_kernels.batch_mutual_nn(desc, desc, mem, off, cnt, mem, off, cnt, *pairs))
+
+    monkeypatch.setattr(_kernels, "_WORKERS", 1)
+    want = run_all()
+    monkeypatch.setattr(_kernels, "_WORKERS", 9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            for got, expected in zip(run_all(), want):
+                np.testing.assert_array_equal(got, expected, strict=True)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("h", [7, 8, 23, 24, 25, 31])
+def test_segment_test_bands_match_oracle(monkeypatch, workers, h):
+    # a floor of 24 rows of width 29: 23 rows run in one part, 24 and more
+    # in row bands, down to bands of one row at height 8
+    w = 29
+    monkeypatch.setattr(_kernels, "_WORKERS", workers)
+    monkeypatch.setattr(_kernels, "_BAND_MIN_PIXELS", (24 if h > 8 else 8) * w)
+    log = _record_parts(monkeypatch)
+    pixels = np.random.default_rng(h).integers(0, 256, (h, w), dtype=np.uint8)
+    got = _kernels.fast_response_map(pixels, 5)
+    assert np.array_equal(got, fast_response_reference(pixels, 5))
+    # bands of the rows 3..h-4 that can score, counted from row 3
+    bands = log[0]
+    assert len(bands) == (1 if h in (7, 23) else min(workers, h - 6))
+    assert [b[0] for b in bands] + [h - 6] == [0] + [b[1] for b in bands]
+    # corners on each row within 3 of a seam, where a band reads its halo
+    for seam in [b[1] + 3 for b in bands[:-1]]:
+        rows = range(max(3, seam - 3), min(h - 3, seam + 4))
+        assert all(got[r].any() for r in rows), seam
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_brief_split_matches_oracle(monkeypatch, workers, n):
+    monkeypatch.setattr(_kernels, "_WORKERS", workers)
+    monkeypatch.setattr(_kernels, "_BRIEF_MIN_CORNERS", 1)
+    log = _record_parts(monkeypatch)
+    rng = np.random.default_rng(n)
+    sums = rng.integers(0, 6375, (60, 70)).astype(np.int16)
+    pattern = rng.integers(-15, 16, (256, 4)).astype(np.int64)
+    xs = rng.integers(16, 54, n)
+    ys = rng.integers(16, 44, n)
+    got = _kernels.brief_descriptors(sums, xs, ys, pattern)
+    assert got.dtype == np.uint8 and got.shape == (n, 32)
+    assert np.array_equal(got, brief_reference(sums, xs, ys, pattern))
+    assert [len(parts) for parts in log] == ([min(workers, n)] if n else [])
 
 
 def test_brief_matches_oracle():
@@ -88,8 +197,16 @@ def test_batch_mutual_nn_numpy_matches_oracle(monkeypatch, chunk_cells):
         n_pairs = int(rng.integers(1, 40))
         pair_a = rng.integers(0, n_ga, n_pairs).astype(np.int64)
         pair_b = rng.integers(0, n_gb, n_pairs).astype(np.int64)
-        scores, out_off, ia, ib, dist = _kernels.batch_mutual_nn(
-            desc_a, desc_b, mem_a, off_a, cnt_a, mem_b, off_b, cnt_b, pair_a, pair_b)
+        # the same output whatever the number of shards the chunks split into
+        outs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "_WORKERS", workers)
+            outs.append(_kernels.batch_mutual_nn(
+                desc_a, desc_b, mem_a, off_a, cnt_a, mem_b, off_b, cnt_b, pair_a, pair_b))
+        for out in outs[1:]:
+            for got, want in zip(out, outs[0]):
+                np.testing.assert_array_equal(got, want, strict=True)
+        scores, out_off, ia, ib, dist = outs[0]
         # packed: the supports of pair p follow those of pair p - 1
         assert np.array_equal(out_off, np.concatenate([[0], np.cumsum(scores)[:-1]]))
         assert ia.shape == ib.shape == dist.shape == (int(scores.sum()),)
@@ -101,6 +218,36 @@ def test_batch_mutual_nn_numpy_matches_oracle(monkeypatch, chunk_cells):
             empty_pairs += scores[p] == 0
             full_pairs += scores[p] > 0
     assert empty_pairs > 0 and full_pairs > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("chunk_pairs", [1, 2])
+def test_batch_mutual_nn_odd_chunk_count_matches_oracle(monkeypatch, workers, chunk_pairs):
+    # 9 pairs in chunks of 1 or 2 pairs: 9 or 5 chunks, the last one short
+    # when 2, split into shards of unequal chunk counts
+    rng = np.random.default_rng(29)
+    desc_a = rng.integers(0, 4, (150, 32), dtype=np.uint8)
+    desc_b = rng.integers(0, 4, (150, 32), dtype=np.uint8)
+    mem_a, off_a, cnt_a = _ragged_groups(rng, 4, 150)
+    mem_b, off_b, cnt_b = _ragged_groups(rng, 4, 150)
+    pair_a = rng.integers(0, 4, 9).astype(np.int64)
+    pair_b = rng.integers(0, 4, 9).astype(np.int64)
+    block = int(cnt_a[pair_a].max()) * int(cnt_b[pair_b].max())
+    monkeypatch.setattr(_kernels, "_CHUNK_CELLS", chunk_pairs * block)
+    monkeypatch.setattr(_kernels, "_WORKERS", workers)
+    parts = _record_parts(monkeypatch)
+    out = _kernels.batch_mutual_nn(desc_a, desc_b, mem_a, off_a, cnt_a,
+                                   mem_b, off_b, cnt_b, pair_a, pair_b)
+    # one shard per worker while each gets 2 chunks or more; the shards
+    # hold whole chunks and cover the pairs once, in order
+    spans = parts[0]
+    assert len(spans) == min(workers, -(-9 // chunk_pairs) // 2)
+    assert [s for s, _ in spans] + [9] == [0] + [e for _, e in spans]
+    assert all(s % chunk_pairs == 0 and e - s > chunk_pairs for s, e in spans)
+    for p in range(9):
+        rows_a = mem_a[off_a[pair_a[p]]:][:cnt_a[pair_a[p]]]
+        rows_b = mem_b[off_b[pair_b[p]]:][:cnt_b[pair_b[p]]]
+        assert _supports(*out, p) == _oracle_supports(desc_a, desc_b, rows_a, rows_b), p
 
 
 def _supports(scores, out_off, ia, ib, dist, p):

@@ -8,6 +8,9 @@ hold by construction, on any input:
   applied in every frame, keep every Hamming distance;
 - scaling positions, frame size, ``window``, ``max_bbox_side`` and
   ``search_margin`` by a power of two is exact in binary floating point.
+
+A run whose kernels use one thread must also give the default run's
+InlierColumns, since the kernels' split over threads is exact.
 """
 
 import dataclasses
@@ -16,6 +19,7 @@ import os
 import numpy as np
 import pytest
 
+from dynafeat import _kernels
 from dynafeat.config import PipelineConfig
 from dynafeat.frontend import FrameFeatures
 from dynafeat.matching import InlierColumns
@@ -41,6 +45,15 @@ def _cluster_frames(seed):
     scene = make_cluster_scene(seed=seed, frames=6, n_clusters=40, points_per_cluster=12,
                                trajectory="translate_x", step=0.06, jitter_px=0.1,
                                descriptor_bit_flips=6, outlier_rate=0.1)
+    return generate_sequence(scene, seed=seed).frames
+
+
+def _max_group_frames(seed=23):
+    """A dense scene of 100-point clusters: most groups close at max_group,
+    and each transition scores hundreds of pairs of full groups."""
+    scene = make_cluster_scene(seed=seed, frames=4, n_clusters=20, points_per_cluster=100,
+                               cluster_radius_px=10.0, trajectory="translate_x", step=0.06,
+                               jitter_px=0.1, descriptor_bit_flips=6, outlier_rate=0.05)
     return generate_sequence(scene, seed=seed).frames
 
 
@@ -87,6 +100,7 @@ def inputs(tmp_path_factory):
     # a skip right after the first frame, and two in a row later on
     frames["skipped"] = _with_skips(_cluster_frames(5), {1, 3, 4})
     frames["grid"] = _grid_frames()
+    frames["maxgroup"] = _max_group_frames()
     return frames
 
 
@@ -126,13 +140,14 @@ def _scaled(s):
     return transform
 
 
+INPUTS = ["sparse300", "dense7k", "cluster5", "cluster17", "skipped", "grid", "maxgroup"]
+
 TRANSFORMS = {"xor_mask": _xor_mask, "byte_permutation": _byte_permutation,
               "scale_2": _scaled(2.0), "scale_quarter": _scaled(0.25)}
 
 
 @pytest.mark.parametrize("transform", sorted(TRANSFORMS))
-@pytest.mark.parametrize("name", ["sparse300", "dense7k", "cluster5", "cluster17", "skipped",
-                                  "grid"])
+@pytest.mark.parametrize("name", INPUTS)
 def test_transformed_run_gives_the_same_matches(inputs, plain_runs, name, transform):
     if name not in plain_runs:
         plain_runs[name] = _run(PipelineConfig(), inputs[name])
@@ -150,3 +165,43 @@ def test_transformed_run_gives_the_same_matches(inputs, plain_runs, name, transf
                 expected = expected * scale
             np.testing.assert_array_equal(getattr(pair, field), expected, err_msg=field,
                                           strict=True)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_one_worker_gives_the_same_matches(inputs, plain_runs, monkeypatch, name):
+    # the kernels split their work over _WORKERS threads; a run on one
+    # thread must give the default run's output, array for array
+    if name not in plain_runs:
+        plain_runs[name] = _run(PipelineConfig(), inputs[name])
+    plain_rows, plain_pairs = plain_runs[name]
+    monkeypatch.setattr(_kernels, "_WORKERS", 1)
+    rows, pairs = _run(PipelineConfig(), inputs[name])
+    assert rows == plain_rows
+    assert len(pairs) == len(plain_pairs)
+    for pair, plain in zip(pairs, plain_pairs):
+        assert (pair.frame_prev, pair.frame_curr) == (plain.frame_prev, plain.frame_curr)
+        for field in ARRAYS:
+            np.testing.assert_array_equal(getattr(pair, field), getattr(plain, field),
+                                          err_msg=field, strict=True)
+
+
+def test_max_group_scene_splits_full_blocks(inputs, monkeypatch):
+    # every kernel call of the scene pads its blocks to max_group on both
+    # sides, has enough chunks for 2 shards of 2 chunks or more, and pairs
+    # two full groups in over a third of its pairs
+    calls = []
+    kernel = _kernels.batch_mutual_nn
+
+    def record(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "batch_mutual_nn", record)
+    _run(PipelineConfig(), inputs["maxgroup"])
+    side = PipelineConfig().max_group
+    assert len(calls) == 3
+    for args in calls:
+        cnt_a, cnt_b, pair_a, pair_b = args[4], args[7], args[8], args[9]
+        assert cnt_a[pair_a].max() == cnt_b[pair_b].max() == side
+        assert len(pair_a) >= 4 * (_kernels._CHUNK_CELLS // (side * side))
+        assert ((cnt_a[pair_a] == side) & (cnt_b[pair_b] == side)).mean() > 1 / 3
