@@ -94,7 +94,7 @@ class FrameFeatures:
     height: int
     positions: np.ndarray          # (n, 2) float64, columns (x, y)
     responses: np.ndarray          # (n,) float64
-    descriptors: np.ndarray        # (n, ceil(desc_bits / 8)) uint8
+    descriptors: np.ndarray        # (n, desc_bits / 8) uint8
     desc_bits: int = DEFAULT_DESC_BITS
     descriptor_seed: int = DEFAULT_DESCRIPTOR_SEED
 
@@ -107,6 +107,8 @@ class FrameFeatures:
         self.positions = np.ascontiguousarray(self.positions, np.float64).reshape(-1, 2)
         self.responses = np.ascontiguousarray(self.responses, np.float64).reshape(-1)
         self.descriptors = np.ascontiguousarray(self.descriptors, np.uint8)
+        if self.descriptors.ndim != 2:
+            raise ValueError("descriptors must be a 2-D (n, desc_bits / 8) array")
         n = self.positions.shape[0]
         if self.responses.shape[0] != n or self.descriptors.shape[0] != n:
             raise ValueError("positions, responses and descriptors disagree on count")
@@ -124,7 +126,7 @@ class FrameFeatures:
 
 
 def _desc_bytes(desc_bits: int) -> int:
-    return (desc_bits + 7) // 8
+    return desc_bits // 8
 
 
 def _dimensions_in_range(width: int, height: int, desc_bits: int) -> bool:

@@ -15,14 +15,13 @@ popped member are taken in ascending feature-id order; a candidate that
 would stretch the bounding box past the side limit is skipped and stays
 unassigned, while reaching the member ceiling closes the group outright.
 
-Features are bucketed in a grid of window-sided cells. A window has the
-side of a cell, so it reaches a feature's own cell plus at most one
-neighbour column and one neighbour row: the ones on the side of the cell's
-centre line the feature sits on. Each feature scans those at most four
-buckets, not the nine around it; a feature within rounding of a centre
-line scans both neighbours on that axis. A feature's side per axis comes
-from its offset inside its cell, with array ops, and the list of its
-non-empty buckets is built once per (cell, side) key and shared.
+Features are bucketed in a grid of cells a hair wider than half the
+window, so a feature's window reaches no further than the 3x3 block of
+cells around its own; the ids in that block are gathered into one list
+the first time a member of the cell is popped, and shared by every later
+member of the same cell. The block is one flat list, not its nine
+buckets, because a loop over mostly small buckets cost more than the
+scan of their entries.
 
 The growth loop runs on Python lists and a bytearray rather than numpy
 arrays, because indexing a numpy scalar per candidate was most of its time.
@@ -39,10 +38,6 @@ import numpy as np
 
 from .config import PipelineConfig
 from .frontend import FrameFeatures
-
-# Neighbour cell steps along one axis, by the side of the cell's centre
-# line a feature sits on: 0 below it, 1 within rounding of it, 2 above it.
-_STEPS = ((-1, 0), (-1, 0, 1), (0, 1))
 
 
 @dataclass
@@ -81,22 +76,19 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
 
     xs = pos[:, 0].tolist()
     ys = pos[:, 1].tolist()
-    # Cells are window-sided, so a feature's window reaches its own cell
-    # and one neighbour per axis, on the side of the cell's centre line the
-    # feature sits on. In cell units an accepted candidate lies within
-    # 0.5 + e of the feature, where e ~ 2^-53 * (2|t| + 2) covers the
-    # rounding of the division and of the distance test; features within
-    # the (far larger) margin of the centre line reach both neighbours.
-    t = pos / config.window
-    c = np.floor(t)
-    u = t - c   # offset inside the cell, in [0, 1]
-    margin = 1e-12 * (1.0 + np.abs(t))
-    sx, sy = ((u >= 0.5 - margin).astype(np.int8) + (u >= 0.5 + margin)).T.tolist()
-    cx, cy = c.astype(np.int64).T.tolist()
+    # With r the radius and e = 2^-53, a pair that passes the window test
+    # is at most r(1 + 2e) apart per axis, and rounding x / cell moves a
+    # quotient by at most e|x| / cell. Cells of side r(1 + h) with
+    # h >= 4e(2 + max|x| / r) keep such a pair's quotients less than 1
+    # apart, so each candidate lies in the 3x3 block around the feature's
+    # cell; the formula takes twice that h, which also keeps the cell
+    # indices below 2^50.
+    cell = radius * (1.0 + 2.0 ** -50 * (2.0 + float(np.abs(pos).max()) / radius))
+    cx, cy = np.floor(pos / cell).astype(np.int64).T.tolist()
     grid: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(zip(cx, cy)):
         grid.setdefault(key, []).append(i)
-    reaches: dict[tuple[int, int, int, int], list[list[int]]] = {}
+    reaches: dict[tuple[int, int], list[int]] = {}
 
     order = np.random.default_rng(config.seed).permutation(n).tolist()
     assigned = bytearray(n)
@@ -115,22 +107,21 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
             f = members[head]
             head += 1
             fx, fy = xs[f], ys[f]
-            key = (cx[f], cy[f], sx[f], sy[f])
+            key = (cx[f], cy[f])
             reach = reaches.get(key)
             if reach is None:
-                reach = reaches[key] = [
-                    bucket for bucket in (grid.get((key[0] + dx, key[1] + dy))
-                                          for dx in _STEPS[key[2]] for dy in _STEPS[key[3]])
-                    if bucket]
+                reach = reaches[key] = []
+                for dx in (-1, 0, 1):
+                    for dy in (-1, 0, 1):
+                        reach += grid.get((key[0] + dx, key[1] + dy), ())
             # Comparisons instead of abs/min/max calls, with the same results
             # for every float: negation is exact, and the builtins return
             # their first argument unless the second is strictly past it.
             cand = []
-            for bucket in reach:
-                for j in bucket:
-                    if not assigned[j] and neg_radius <= xs[j] - fx <= radius \
-                            and neg_radius <= ys[j] - fy <= radius:
-                        cand.append(j)
+            for j in reach:
+                if not assigned[j] and neg_radius <= xs[j] - fx <= radius \
+                        and neg_radius <= ys[j] - fy <= radius:
+                    cand.append(j)
             cand.sort()
             for j in cand:
                 if len(members) >= max_group:

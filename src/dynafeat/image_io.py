@@ -7,11 +7,17 @@ rounded half-up, using exact integer arithmetic.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
 from .errors import InputDataError
 from .frontend import GrayImage
+
+# One header token after any whitespace and "#" comments. The lookahead
+# makes a comment run to the end of its line: without it, backtracking
+# could end the comment early and take a token from inside it.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*)")
 
 
 def rgb_to_luma(rgb: np.ndarray) -> np.ndarray:
@@ -27,30 +33,17 @@ def load_pgm(path) -> GrayImage:
     with open(path, "rb") as fh:
         data = fh.read()
 
+    tokens = []
     pos = 0
-
-    def token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            ch = data[pos:pos + 1]
-            if ch == b"#":
-                while pos < len(data) and data[pos:pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
+    for _ in range(4):   # magic, width, height, maxval
+        m = _PGM_TOKEN.match(data, pos)
+        if m is None:
             raise InputDataError(f"{path}: truncated PGM header")
-        return data[start:pos]
-
-    magic = token()
-    if magic != b"P5":
-        raise InputDataError(f"{path}: not a binary PGM (magic {magic!r})")
-    fields = [token() for _ in range(3)]  # width, height, maxval
+        if not tokens and m[1] != b"P5":
+            raise InputDataError(f"{path}: not a binary PGM (magic {m[1]!r})")
+        tokens.append(m[1])
+        pos = m.end()
+    fields = tokens[1:]
     # bytes.isdigit is ASCII-only; int alone would also take signs and "_"
     if not all(f.isdigit() for f in fields):
         raise InputDataError(f"{path}: non-integer PGM header field")

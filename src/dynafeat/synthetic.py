@@ -319,9 +319,10 @@ def save_sequence(seq: GeneratedSequence, out_dir) -> None:
             fh.write(" ".join(vals) + "\n")
 
 
-def _read_gt_rows(path, fields: int, convert) -> list[list]:
+def _read_gt_rows(path, fields: int, convert, frames) -> list[list]:
     """Non-blank lines of a ground-truth file, each split into ``fields``
-    values converted by ``convert``; InputDataError names file and line."""
+    values converted by ``convert``, the k-th row leading with the frame
+    numbers ``frames(k)``; InputDataError names file and line."""
     try:
         with open(path, encoding="ascii") as fh:
             text = fh.read()
@@ -336,20 +337,28 @@ def _read_gt_rows(path, fields: int, convert) -> list[list]:
             raise InputDataError(f"{path}: line {lineno}: expected {fields} fields, "
                                  f"got {len(parts)}")
         try:
-            rows.append([convert(v) for v in parts])
+            row = [convert(v) for v in parts]
         except ValueError:
             raise InputDataError(f"{path}: line {lineno}: malformed numeric field") from None
+        expected = frames(len(rows))
+        if tuple(row[:len(expected)]) != expected:
+            raise InputDataError(f"{path}: line {lineno}: frames "
+                                 f"{' '.join(parts[:len(expected)])}, expected "
+                                 f"{' '.join(map(str, expected))}")
+        rows.append(row)
     return rows
 
 
 def load_gt_pairs(gt_dir, a: int, b: int) -> np.ndarray:
-    rows = _read_gt_rows(os.path.join(gt_dir, f"pairs_{a:06d}_{b:06d}.txt"), 4, int)
+    rows = _read_gt_rows(os.path.join(gt_dir, f"pairs_{a:06d}_{b:06d}.txt"), 4, int,
+                         lambda k: (a, b))
     return np.array(rows, np.int64).reshape(-1, 4)[:, 2:]
 
 
 def load_gt_poses(gt_dir) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.array(_read_gt_rows(os.path.join(gt_dir, "poses.txt"), 13, float),
-                    np.float64).reshape(-1, 13)
+    """Row k holds the pose of frame k."""
+    rows = np.array(_read_gt_rows(os.path.join(gt_dir, "poses.txt"), 13, float,
+                                  lambda k: (k,)), np.float64).reshape(-1, 13)
     return rows[:, 1:10].reshape(-1, 3, 3), rows[:, 10:]
 
 

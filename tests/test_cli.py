@@ -16,7 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dynafeat import _kernels
+from dynafeat import _kernels, pipeline
 from dynafeat.cli import main
 from dynafeat.config import CONFIG_CONVERTERS, PipelineConfig, parse_key_values
 from dynafeat.errors import ConfigError, InputDataError
@@ -453,6 +453,31 @@ def test_one_frame_input_exits_2(tmp_path, synth_dir, capsys):
     cfg_path = _write_config(tmp_path, output_dir=str(tmp_path / "out"))
     assert main(["match", str(cfg_path), str(synth_dir / frame_filename(0))]) == 2
     assert "input error: at least 2 frames are required" in capsys.readouterr().err
+
+
+def test_runtime_failure_exits_4_after_writing_earlier_pairs(tmp_path, synth_dir, capsys,
+                                                             monkeypatch):
+    real = pipeline.group_features
+
+    def fail_at_frame_2(frame, config):
+        if frame.frame_index == 2:
+            raise RuntimeError("injected")
+        return real(frame, config)
+
+    monkeypatch.setattr(pipeline, "group_features", fail_at_frame_2)
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, output_dir=str(out))
+    assert main(["match", str(cfg_path), str(synth_dir)]) == 4
+    assert capsys.readouterr().err.startswith("runtime failure: RuntimeError: injected")
+    # the transition that ended before the failing frame is on disk, as a
+    # complete run writes it; the one the failing frame ends is not
+    assert not (out / "matches_000001_000002.txt").exists()
+    monkeypatch.undo()
+    full = tmp_path / "full"
+    assert main(["match", str(_write_config(tmp_path, output_dir=str(full))),
+                 str(synth_dir)]) == 0
+    name = "matches_000000_000001.txt"
+    assert (out / name).read_bytes() == (full / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +943,13 @@ def test_eval_missing_pair_file_exits_2(tmp_path, synth_dir, capsys):
 @pytest.mark.parametrize("name,line,edit,message", [
     ("poses.txt", 1, lambda fields: fields[:-1], "poses.txt: line 2: expected 13 fields, got 12"),
     ("pairs_000001_000002.txt", 0, lambda fields: fields[:-1] + ["4x"],
-     "pairs_000001_000002.txt: line 1: malformed numeric field")],
-    ids=["poses-field-count", "pairs-non-integer-id"])
+     "pairs_000001_000002.txt: line 1: malformed numeric field"),
+    ("poses.txt", 1, lambda fields: ["2"] + fields[1:],
+     "poses.txt: line 2: frames 2, expected 1"),
+    ("pairs_000001_000002.txt", 0, lambda fields: ["0", "1"] + fields[2:],
+     "pairs_000001_000002.txt: line 1: frames 0 1, expected 1 2")],
+    ids=["poses-field-count", "pairs-non-integer-id", "poses-frame-out-of-order",
+         "pairs-other-frames"])
 def test_eval_malformed_gt_exits_2(tmp_path, synth_dir, capsys, name, line, edit, message):
     gt = tmp_path / "gt"
     shutil.copytree(synth_dir / "gt", gt)

@@ -179,7 +179,8 @@ def _reach_edge_positions(window, shift):
 
 
 @pytest.mark.parametrize("window, shift", [(30.0, 0), (30.0, -150), (7.3, 0), (7.3, -150),
-                                           (30.0, 10 ** 8), (7.3, 10 ** 8)])
+                                           (30.0, 10 ** 8), (7.3, 10 ** 8),
+                                           (30.0, 10 ** 12), (0.5, 10 ** 12)])
 def test_reach_edges_match_oracle(window, shift):
     frame = _frame(_reach_edge_positions(window, shift))
     for seed in range(6):
