@@ -234,9 +234,9 @@ def brief_descriptors(sums: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 # (the per-frame matching hot loop, and the only copy of the mutual-NN rule)
 # ---------------------------------------------------------------------------
 
-# Cells (padded member pairs) per chunk: bounds the kernel's temporaries to
+# Cells (padded member pairs) per chunk: bounds each worker's temporaries to
 # a few MB whatever the number of pairs in the call.
-_CHUNK_CELLS = 1 << 16
+_CHUNK_CELLS = 1 << 17
 
 
 def _group_planes(desc, mem, off, cnt, width):

@@ -92,7 +92,7 @@ class FrameFeatures:
     frame_index: int
     width: int
     height: int
-    positions: np.ndarray          # (n, 2) float64, columns (x, y)
+    positions: np.ndarray          # (n, 2) finite float64, columns (x, y)
     responses: np.ndarray          # (n,) float64
     descriptors: np.ndarray        # (n, desc_bits / 8) uint8
     desc_bits: int = DEFAULT_DESC_BITS
@@ -109,6 +109,8 @@ class FrameFeatures:
         self.descriptors = np.ascontiguousarray(self.descriptors, np.uint8)
         if self.descriptors.ndim != 2:
             raise ValueError("descriptors must be a 2-D (n, desc_bits / 8) array")
+        if not np.isfinite(self.positions).all():
+            raise ValueError("positions must be finite")
         n = self.positions.shape[0]
         if self.responses.shape[0] != n or self.descriptors.shape[0] != n:
             raise ValueError("positions, responses and descriptors disagree on count")
@@ -122,7 +124,7 @@ class FrameFeatures:
     @functools.cached_property
     def position_text(self) -> list[str]:
         """One ``"x y"`` string per feature, each coordinate as ``_fmt``."""
-        return [f"{x!r} {y!r}" for x, y in self.positions.tolist()]
+        return [f"{x!r} {y!r}" for x, y in zip(*self.positions.T.tolist())]
 
 
 def _desc_bytes(desc_bits: int) -> int:

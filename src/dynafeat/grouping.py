@@ -9,6 +9,8 @@ groups are discarded after growth. Membership is recorded in a label array
 fresh singleton to the group's seed, so a union-find forest would only
 ever hold one-level trees rooted at the seed; the label array answers the
 same questions with one lookup.
+The groups come back as one GroupingResult table of columns; its
+``.groups`` builds FeatureGroup row views, which the frame loop never reads.
 
 Absorption semantics (kept identical in the test oracle): candidates of a
 popped member are taken in ascending feature-id order; a candidate that
@@ -42,7 +44,7 @@ from .frontend import FrameFeatures
 
 @dataclass
 class FeatureGroup:
-    """One group; its id is its position in the frame's group list."""
+    """One group as a row view of a GroupingResult; its id is its slot."""
 
     members: np.ndarray            # feature ids, absorption order; members[0] is the seed
     n: int
@@ -51,10 +53,27 @@ class FeatureGroup:
     bbox_max: np.ndarray           # (2,)
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupingResult:
-    groups: list[FeatureGroup]
+    """A frame's groups as one table; group g (its slot) has the members
+    ``members[offsets[g]:offsets[g] + counts[g]]``."""
+
+    members: np.ndarray            # (M,) feature ids, group by group, each in absorption order
+    offsets: np.ndarray            # (G,) start of each group in members
+    counts: np.ndarray             # (G,) members per group
+    centroids: np.ndarray          # (G, 2) mean member positions
+    bbox_min: np.ndarray           # (G, 2)
+    bbox_max: np.ndarray           # (G, 2)
     labels: np.ndarray             # (n,) group id per feature, -1 when ungrouped
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
+
+    @property
+    def groups(self) -> list[FeatureGroup]:
+        """One FeatureGroup row view per slot, built on each read."""
+        return list(map(FeatureGroup, np.split(self.members, self.offsets[1:]),
+                        self.counts.tolist(), self.centroids, self.bbox_min, self.bbox_max))
 
 
 def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResult:
@@ -66,8 +85,6 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
     order and skipping ids that were absorbed meanwhile.
     """
     n = frame.count
-    if n == 0:
-        return GroupingResult([], np.full(0, -1, np.int64))
     pos = frame.positions
     radius = config.window / 2.0
     neg_radius = -radius
@@ -83,7 +100,7 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
     # apart, so each candidate lies in the 3x3 block around the feature's
     # cell; the formula takes twice that h, which also keeps the cell
     # indices below 2^50.
-    cell = radius * (1.0 + 2.0 ** -50 * (2.0 + float(np.abs(pos).max()) / radius))
+    cell = radius * (1.0 + 2.0 ** -50 * (2.0 + float(np.abs(pos).max(initial=0.0)) / radius))
     cx, cy = np.floor(pos / cell).astype(np.int64).T.tolist()
     grid: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(zip(cx, cy)):
@@ -92,8 +109,9 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
 
     order = np.random.default_rng(config.seed).permutation(n).tolist()
     assigned = bytearray(n)
-    labels = np.full(n, -1, np.int64)
-    groups: list[FeatureGroup] = []
+    flat: list[int] = []       # the kept groups' members, group after group
+    counts: list[int] = []
+    boxes: list[float] = []    # min x, min y, max x, max y per kept group
 
     for seed in order:
         if assigned[seed]:
@@ -138,11 +156,17 @@ def group_features(frame: FrameFeatures, config: PipelineConfig) -> GroupingResu
                 min_x, max_x, min_y, max_y = nmin_x, nmax_x, nmin_y, nmax_y
         if len(members) < config.min_group:
             continue  # discarded: members stay consumed but belong to no group
-        member_arr = np.array(members, np.int64)
-        labels[member_arr] = len(groups)
-        groups.append(FeatureGroup(
-            members=member_arr, n=len(members),
-            centroid=pos[member_arr].sum(axis=0) / len(members),   # what mean computes
-            bbox_min=np.array([min_x, min_y]), bbox_max=np.array([max_x, max_y])))
+        flat += members
+        counts.append(len(members))
+        boxes += (min_x, min_y, max_x, max_y)
 
-    return GroupingResult(groups, labels)
+    ids, cnt = np.array(flat, np.int64), np.array(counts, np.int64)
+    slot = np.repeat(np.arange(cnt.shape[0]), cnt)
+    labels = np.full(n, -1, np.int64)
+    labels[ids] = slot
+    # adds each group's rows in order from +0.0, as pos[m].sum(axis=0) does
+    acc = np.zeros((cnt.shape[0], 2))
+    np.add.at(acc, slot, pos[ids])
+    box = np.array(boxes, np.float64).reshape(-1, 4)
+    return GroupingResult(ids, np.cumsum(cnt) - cnt, cnt, acc / cnt[:, None],
+                          box[:, :2], box[:, 2:], labels)

@@ -9,8 +9,8 @@ overlapping accepted pairs keeps the match from the first, best-ranked one.
 
 All candidate pairs of a frame transition are scored in one batched
 kernel call, and whole feature sets go through the same kernel as a
-batch of one; each GroupMatch holds views of its supports in the shared
-flat arrays. Groups are named by their slot in the frame's group list.
+batch of one. The accepted pairs are one AcceptedPairs record of columns
+that dedup gathers from; iterating it builds GroupMatch row views.
 The surviving matches of a transition are one InlierColumns record: its
 two frames and column arrays of feature ids, distances and group ids,
 which the match-file writer and the evaluator read directly.
@@ -24,19 +24,41 @@ import numpy as np
 
 from . import _kernels
 from .frontend import FrameFeatures
-from .grouping import FeatureGroup
+from .grouping import GroupingResult
 from .stats import support_threshold
 
 
 @dataclass(eq=False)
 class GroupMatch:
-    """An accepted candidate pair and its supports (frame feature ids)."""
+    """An accepted pair and its supports (frame feature ids): a row of AcceptedPairs."""
 
-    group_prev: int     # slot in the previous frame's group list
-    group_curr: int     # slot in the current frame's group list
+    group_prev: int     # slot in the previous frame's group table
+    group_curr: int     # slot in the current frame's group table
     sup_a: np.ndarray = field(repr=False)
     sup_b: np.ndarray = field(repr=False)
     sup_dist: np.ndarray = field(repr=False)
+
+
+@dataclass(eq=False)
+class AcceptedPairs:
+    """One transition's accepted pairs as columns, best first."""
+
+    group_prev: np.ndarray   # (P,) slots in the previous frame's group table
+    group_curr: np.ndarray   # (P,) slots in the current frame's group table
+    scores: np.ndarray       # (P,) support counts
+    starts: np.ndarray       # (P,) pair k: rows starts[k]:starts[k] + scores[k] of ia, ib, dist
+    ia: np.ndarray = field(repr=False)
+    ib: np.ndarray = field(repr=False)
+    dist: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return self.scores.shape[0]
+
+    def __iter__(self):
+        """GroupMatch row views, best first, built on each pass."""
+        for gp, gc, s, e in zip(self.group_prev.tolist(), self.group_curr.tolist(),
+                                self.starts.tolist(), (self.starts + self.scores).tolist()):
+            yield GroupMatch(gp, gc, self.ia[s:e], self.ib[s:e], self.dist[s:e])
 
 
 def mutual_nn_match(desc_a: np.ndarray, desc_b: np.ndarray):
@@ -59,18 +81,9 @@ def mutual_nn_match(desc_a: np.ndarray, desc_b: np.ndarray):
     return ia, ib, dist
 
 
-def _group_tables(groups: list[FeatureGroup]):
-    """Flattened member ids with per-group offsets and counts, in list order."""
-    cnt = np.array([g.n for g in groups], np.int64)
-    off = np.zeros(len(groups), np.int64)
-    np.cumsum(cnt[:-1], out=off[1:])
-    mem = np.concatenate([g.members for g in groups]) if groups else np.zeros(0, np.int64)
-    return mem, off, cnt
-
-
-def score_candidate_pairs(groups_prev: list[FeatureGroup], features_prev: FrameFeatures,
-                          groups_curr: list[FeatureGroup], features_curr: FrameFeatures,
-                          candidate_pairs, k: float = 2.0) -> list[GroupMatch]:
+def score_candidate_pairs(groups_prev: GroupingResult, features_prev: FrameFeatures,
+                          groups_curr: GroupingResult, features_curr: FrameFeatures,
+                          candidate_pairs, k: float = 2.0) -> AcceptedPairs:
     """Score (prev_slot, curr_slot) pairs in one batched kernel call and
     keep the accepted ones; the one place the acceptance rule score > tau
     is applied. Pairs are scored independently; rejected pairs are dropped
@@ -86,23 +99,19 @@ def score_candidate_pairs(groups_prev: list[FeatureGroup], features_prev: FrameF
     if (pairs < 0).any() or (pair_a >= len(groups_prev)).any() \
             or (pair_b >= len(groups_curr)).any():
         raise ValueError("candidate pairs reference unknown group slots")
-    mem_a, off_a, cnt_a = _group_tables(groups_prev)
-    mem_b, off_b, cnt_b = _group_tables(groups_curr)
 
     scores, out_off, ia, ib, dist = _kernels.batch_mutual_nn(
         features_prev.descriptors, features_curr.descriptors,
-        mem_a, off_a, cnt_a, mem_b, off_b, cnt_b, pair_a, pair_b)
+        groups_prev.members, groups_prev.offsets, groups_prev.counts,
+        groups_curr.members, groups_curr.offsets, groups_curr.counts, pair_a, pair_b)
 
-    taus = support_threshold(np.minimum(cnt_a[pair_a], cnt_b[pair_b]), k)
+    taus = support_threshold(np.minimum(groups_prev.counts[pair_a], groups_curr.counts[pair_b]), k)
     emit = np.flatnonzero(scores > taus)
     dist_cum = np.zeros(dist.shape[0] + 1, np.int64)
     np.cumsum(dist, out=dist_cum[1:])
     dist_sums = dist_cum[out_off[emit] + scores[emit]] - dist_cum[out_off[emit]]
     emit = emit[np.lexsort((pair_a[emit], dist_sums, pair_b[emit], -scores[emit]))]
-    starts = out_off[emit]
-    return [GroupMatch(gp, gc, ia[start:stop], ib[start:stop], dist[start:stop])
-            for gp, gc, start, stop in zip(pair_a[emit].tolist(), pair_b[emit].tolist(),
-                                           starts.tolist(), (starts + scores[emit]).tolist())]
+    return AcceptedPairs(pair_a[emit], pair_b[emit], scores[emit], out_off[emit], ia, ib, dist)
 
 
 @dataclass(eq=False)
@@ -131,19 +140,16 @@ class InlierColumns:
         return self.feature_prev.shape[0]
 
 
-def dedup_inlier_columns(accepted: list[GroupMatch], features_prev: FrameFeatures,
+def dedup_inlier_columns(accepted: AcceptedPairs, features_prev: FrameFeatures,
                          features_curr: FrameFeatures) -> InlierColumns:
-    """One match per feature: the first listed pair that holds it wins,
-    the best one in the list ``score_candidate_pairs`` returns."""
-    if not accepted:
-        z = np.zeros(0, np.int64)
-        return InlierColumns(features_prev, features_curr, z, z, np.zeros(0), z, z)
-    ia = np.concatenate([gm.sup_a for gm in accepted])
-    ib = np.concatenate([gm.sup_b for gm in accepted])
-    dist = np.concatenate([gm.sup_dist for gm in accepted])
-    sizes = [gm.sup_a.shape[0] for gm in accepted]
-    gp_ids = np.repeat([gm.group_prev for gm in accepted], sizes)
-    gc_ids = np.repeat([gm.group_curr for gm in accepted], sizes)
+    """One match per feature: the first pair that holds it wins, the best
+    one in the order ``score_candidate_pairs`` returns."""
+    scores = accepted.scores
+    # the ranked pairs' supports, pair after pair, as rows of the flat arrays
+    rows = np.repeat(accepted.starts - (np.cumsum(scores) - scores), scores) \
+        + np.arange(int(scores.sum()))
+    ia, ib = accepted.ia[rows], accepted.ib[rows]
     keep = _kernels.claim_first(ia, ib, features_prev.count, features_curr.count)
+    gp, gc = np.repeat([accepted.group_prev, accepted.group_curr], scores, axis=1)[:, keep]
     return InlierColumns(features_prev, features_curr, ia[keep], ib[keep],
-                         dist[keep].astype(np.float64), gp_ids[keep], gc_ids[keep])
+                         accepted.dist[rows[keep]].astype(np.float64), gp, gc)

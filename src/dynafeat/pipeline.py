@@ -150,7 +150,7 @@ def run_sequence(config: PipelineConfig, sources):
                     "total_ms": (time.perf_counter() - t0) * 1000.0}, None, None)
             continue
 
-        groups = group_features(feats, config).groups
+        groups = group_features(feats, config)
         t2 = time.perf_counter()
 
         if state is None:
@@ -214,10 +214,10 @@ def write_match_files(pairs, out_dir) -> list[str]:
 
 def write_tracks(fh, state: tracking.TrackState) -> None:
     frame = state.features.frame_index
-    for slot, (g, (dx, dy), a) in enumerate(zip(state.groups, state.displacement.tolist(),
-                                                 state.age.tolist())):
-        cx, cy = g.centroid.tolist()
-        fh.write(f"{frame} {slot} {_fmt(cx)} {_fmt(cy)} {_fmt(dx)} {_fmt(dy)} {a} {g.n}\n")
+    for slot, ((cx, cy), (dx, dy), a, n) in enumerate(zip(
+            state.groups.centroids.tolist(), state.displacement.tolist(), state.age.tolist(),
+            state.groups.counts.tolist())):
+        fh.write(f"{frame} {slot} {_fmt(cx)} {_fmt(cy)} {_fmt(dx)} {_fmt(dy)} {a} {n}\n")
 
 
 def write_stats(stats: RunStats, path) -> None:

@@ -246,9 +246,9 @@ def test_criterion_08_temporal_recall():
         seq = generate_sequence(scene, seed=seed + 600)
         cfg = PipelineConfig()
         groupings = [group_features(f, cfg) for f in seq.frames]
-        state = bootstrap(seq.frames[0], groupings[0].groups, margin)
+        state = bootstrap(seq.frames[0], groupings[0], margin)
         for f in range(1, len(seq.frames)):
-            curr_groups = groupings[f].groups
+            curr_groups = groupings[f]
             candidates = set(map(tuple, intersect_candidates(curr_groups, state).tolist()))
             gt = seq.gt_pairs[(f - 1, f)]
             true_pairs = set()

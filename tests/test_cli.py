@@ -21,8 +21,9 @@ from dynafeat.cli import main
 from dynafeat.config import CONFIG_CONVERTERS, PipelineConfig, parse_key_values
 from dynafeat.errors import ConfigError, InputDataError
 from dynafeat.frontend import FrameFeatures, GrayImage, save_features
+from dynafeat.grouping import FeatureGroup, group_features
 from dynafeat.image_io import load_image, load_pgm, rgb_to_luma, save_pgm
-from dynafeat.matching import InlierColumns
+from dynafeat.matching import GroupMatch, InlierColumns
 from dynafeat.pipeline import (COLUMNS, BenchReport, RunStats, bench, run_sequence,
                                write_match_files)
 from dynafeat.synthetic import (frame_filename, generate_sequence,
@@ -1405,6 +1406,31 @@ def test_match_formats_each_frame_once_and_keeps_two_texts(tmp_path, monkeypatch
     assert alive_at_format == [0, 1, 1, 1, 1]
 
 
+def test_run_sequence_builds_no_group_or_match_rows(monkeypatch):
+    # the frame loop reads the group tables and the accepted pairs as
+    # columns; FeatureGroup and GroupMatch rows are built only on request
+    built = []
+
+    def counting(init):
+        def wrapper(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return wrapper
+
+    for cls in (FeatureGroup, GroupMatch):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    scene = make_cluster_scene(seed=4, frames=4, n_clusters=60, points_per_cluster=25,
+                               cluster_radius_px=25.0, trajectory="translate_x", step=0.05,
+                               jitter_px=0.5, descriptor_bit_flips=20, outlier_rate=0.3)
+    frames = generate_sequence(scene, seed=4).frames
+    rows = [row for row, _, _ in run_sequence(PipelineConfig(), frames)]
+    assert min(row["groups"] for row in rows) > 50
+    assert min(row["accepted"] for row in rows[1:]) > 50
+    assert built == []
+    # the counter sees rows that are asked for
+    assert len(group_features(frames[0], PipelineConfig()).groups) == len(built) > 50
+
+
 def test_identical_frames_give_zero_displacement_matches():
     scene = make_cluster_scene(seed=10, frames=2, trajectory="static")
     seq = generate_sequence(scene, seed=10)
@@ -1443,11 +1469,12 @@ def test_identity_sequence_accepted_pairs_score_fully():
                            translations=np.zeros((2, 3)), intrinsics=K)
     seq = generate_sequence(scene, seed=0)
     cfg = PipelineConfig()
-    groups = [group_features(f, cfg).groups for f in seq.frames]
+    groups = [group_features(f, cfg) for f in seq.frames]
     state = bootstrap(seq.frames[0], groups[0], cfg.search_margin)
     candidates = intersect_candidates(groups[1], state)
     accepted = score_candidate_pairs(state.groups, state.features, groups[1],
                                      seq.frames[1], candidates, k=cfg.k)
     assert accepted
     for gm in accepted:
-        assert len(gm.sup_a) == min(groups[0][gm.group_prev].n, groups[1][gm.group_curr].n)
+        assert len(gm.sup_a) == min(groups[0].groups[gm.group_prev].n,
+                                    groups[1].groups[gm.group_curr].n)

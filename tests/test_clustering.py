@@ -249,3 +249,34 @@ def test_set_size_matches_membership():
         assert sizes.tolist() == [g.n for g in result.groups]
         seen += len(result.groups)
     assert seen > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_centroid_columns_equal_member_sums_bit_for_bit(seed):
+    # clusters of 1 to 35 features, 1000 px apart, each one group; half of
+    # them draw x from -0.0, +0.0, subnormals and the smallest normals (the
+    # second one all -0.0, whose sum from +0.0 is +0.0), the rest sit at
+    # ordinary coordinates where the order of the sum matters
+    rng = np.random.default_rng(seed)
+    tiny = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -3e-320, 2.2250738585072014e-308])
+    sizes = rng.integers(1, 36, 40)
+    pos = []
+    for k, size in enumerate(sizes.tolist()):
+        y = 1000.0 * k + rng.uniform(-4.0, 4.0, size)
+        x = rng.choice(tiny, size) if k % 2 else 1000.0 * k + rng.uniform(-4.0, 4.0, size)
+        if k == 1:
+            x = np.full(size, -0.0)
+        pos.append(np.column_stack([x, y]))
+    frame = _frame(np.vstack(pos))
+    cfg = PipelineConfig(window=30.0, min_group=1, max_group=35, max_bbox_side=30.0, seed=seed)
+    result = group_features(frame, cfg)
+    assert sorted(result.counts.tolist()) == sorted(sizes.tolist())
+    seen_negative_zero = seen_subnormal = False
+    for g in range(len(result)):
+        members = result.members[result.offsets[g]:result.offsets[g] + result.counts[g]]
+        own = frame.positions[members]
+        want = own.sum(axis=0) / len(members)
+        assert result.centroids[g].tobytes() == want.tobytes()
+        seen_negative_zero |= bool(((own == 0) & np.signbit(own)).any())
+        seen_subnormal |= bool(((own != 0) & (np.abs(own) < 2.2250738585072014e-308)).any())
+    assert seen_negative_zero and seen_subnormal

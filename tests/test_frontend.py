@@ -211,6 +211,12 @@ def test_integer_pixels_in_8_bits_accepted():
                            np.zeros((2, 32), np.uint8)), "disagree on count"),
     (lambda: FrameFeatures(0, 64, 64, np.zeros((2, 2)), np.zeros(2),
                            np.zeros(2, np.uint8)), "descriptors must be a 2-D"),
+    # one inf would put every feature in one grouping cell, and a NaN
+    # fails the cell index cast
+    (lambda: FrameFeatures(0, 64, 64, [[1.0, 2.0], [np.inf, 3.0]], np.zeros(2),
+                           np.zeros((2, 32), np.uint8)), "positions must be finite"),
+    (lambda: FrameFeatures(0, 64, 64, [[1.0, np.nan]], np.zeros(1),
+                           np.zeros((1, 32), np.uint8)), "positions must be finite"),
     (lambda: detect_corners(_noise_image(0), 5, max_features=0), "max_features must be >= 1"),
     # frames the feature file cannot hold
     (lambda: FrameFeatures(0, 64, 64, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2), np.uint8),
@@ -219,7 +225,8 @@ def test_integer_pixels_in_8_bits_accepted():
      "width or height below 16"),
     (lambda: FrameFeatures(0, 64, 8, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 32), np.uint8)),
      "width or height below 16")],
-    ids=["pixels-shape", "from-array-3d", "feature-count", "descriptors-1d", "max-features-0",
+    ids=["pixels-shape", "from-array-3d", "feature-count", "descriptors-1d",
+         "positions-non-finite", "positions-nan", "max-features-0",
          "desc-bits-12", "width-8", "height-8"])
 def test_frontend_validation_raises(call, match):
     with pytest.raises(ValueError, match=match):

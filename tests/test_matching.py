@@ -1,6 +1,7 @@
 """Mutual-NN matching, pair scoring and inlier deduplication."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from dynafeat.frontend import FrameFeatures
 from dynafeat.grouping import FeatureGroup, group_features
 from dynafeat.matching import (InlierColumns, dedup_inlier_columns, mutual_nn_match,
                                score_candidate_pairs)
-from dynafeat.pipeline import run_sequence
+from dynafeat.pipeline import load_frame, run_sequence
 from dynafeat.stats import support_threshold
 from dynafeat.synthetic import generate_sequence, make_cluster_scene
+from dynafeat.tracking import bootstrap, intersect_candidates
 
-from oracles import mutual_nn_reference
+from oracles import claim_first_reference, mutual_nn_reference
+from table_helpers import group_table
 
 
 def _flip_bits(desc: np.ndarray, bits) -> np.ndarray:
@@ -57,9 +60,16 @@ def _supports(gp, prev, gc, curr) -> int:
     return len(mutual_nn_match(prev.descriptors[gp.members], curr.descriptors[gc.members])[0])
 
 
+def _score_one(gp, prev, gc, curr, pair=(0, 0)):
+    """The accepted rows of one candidate pair of one-group frames."""
+    return list(score_candidate_pairs(group_table([gp]), prev, group_table([gc]), curr, [pair]))
+
+
 def _match_pairs(groups_prev, prev, groups_curr, curr, pairs):
-    accepted = score_candidate_pairs(groups_prev, prev, groups_curr, curr, pairs)
-    return accepted, dedup_inlier_columns(accepted, prev, curr)
+    """The accepted rows and the dedup inliers of candidate pairs of group lists."""
+    accepted = score_candidate_pairs(group_table(groups_prev), prev, group_table(groups_curr),
+                                     curr, pairs)
+    return list(accepted), dedup_inlier_columns(accepted, prev, curr)
 
 
 # ---------------------------------------------------------------------------
@@ -164,27 +174,27 @@ def test_null_rate_of_unrelated_groups():
 
 def test_pair_accepted_above_threshold():
     gp, prev, gc, curr = _paired_groups(25, 25, 12)
-    [gm] = score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)])
+    [gm] = _score_one(gp, prev, gc, curr)
     assert support_threshold(25) == 10.0
     assert len(gm.sup_a) == len(gm.sup_b) == len(gm.sup_dist) == 12
 
 
 def test_pair_rejected_at_or_below_threshold():
     gp, prev, gc, curr = _paired_groups(25, 25, 9)
-    assert score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)]) == []
+    assert _score_one(gp, prev, gc, curr) == []
     assert _supports(gp, prev, gc, curr) == 9
     # strict inequality: a score equal to tau still rejects
     gp, prev, gc, curr = _paired_groups(25, 25, 10)
     assert _supports(gp, prev, gc, curr) == 10
     assert support_threshold(min(gp.n, gc.n), 2.0) == 10.0
-    assert score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)]) == []
+    assert _score_one(gp, prev, gc, curr) == []
 
 
 def test_threshold_uses_smaller_group():
     gp, prev, gc, curr = _paired_groups(35, 9, 7, seed=3)
     # accepted at 7 supports: tau comes from the 9-member group (6.0),
     # not from the 35-member one (11.8)
-    [gm] = score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)])
+    [gm] = _score_one(gp, prev, gc, curr)
     assert len(gm.sup_a) == 7
 
 
@@ -192,7 +202,7 @@ def test_score_bounded_by_smaller_group():
     for seed in range(5):
         gp, prev, gc, curr = _paired_groups(20, 12, 11, seed=seed)
         assert _supports(gp, prev, gc, curr) <= min(gp.n, gc.n)
-        for gm in score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)]):
+        for gm in _score_one(gp, prev, gc, curr):
             assert len(gm.sup_a) <= min(gp.n, gc.n)
 
 
@@ -206,7 +216,7 @@ def test_adding_support_never_flips_acceptance():
     verdicts = []
     for supports in range(5, 21):
         gp, prev, gc, curr = _paired_groups(25, 25, supports, seed=2)
-        verdicts.append(bool(score_candidate_pairs([gp], prev, [gc], curr, [(0, 0)])))
+        verdicts.append(bool(_score_one(gp, prev, gc, curr)))
     assert verdicts == sorted(verdicts)
     assert verdicts[0] is False and verdicts[-1] is True
 
@@ -235,7 +245,8 @@ def _copies_of_one_group(flip_second: bool):
 
 
 def _ranked(groups_prev, prev, groups_curr, curr, pairs):
-    accepted = score_candidate_pairs(groups_prev, prev, groups_curr, curr, pairs)
+    accepted = score_candidate_pairs(group_table(groups_prev), prev, group_table(groups_curr),
+                                     curr, pairs)
     return [(gm.group_prev, gm.group_curr, len(gm.sup_a), int(gm.sup_dist.sum()))
             for gm in accepted]
 
@@ -314,7 +325,7 @@ def test_unknown_candidate_pair_rejected():
     gp, prev, gc, curr = _paired_groups(10, 10, 10)
     for pair in ((99, 0), (0, 99), (-1, 0), (0, -1)):
         with pytest.raises(ValueError):
-            score_candidate_pairs([gp], prev, [gc], curr, [pair])
+            _score_one(gp, prev, gc, curr, pair)
 
 
 def test_dedup_keeps_highest_scoring_pair():
@@ -370,3 +381,40 @@ def test_odd_width_sequence_equals_zero_extended_rows():
             if isinstance(x, FrameFeatures):   # the frames differ in descriptor width only
                 x, y = x.positions, y.positions
             assert np.array_equal(x, y), name
+
+
+def test_accepted_row_views_equal_flat_columns(tmp_path, monkeypatch):
+    # the first transition of the seed-301 dense benchmark scene: each
+    # GroupMatch row view holds its pair's slots and its slice of the flat
+    # supports, and dedup's gather equals the first claim over the rows'
+    # supports laid end to end
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    import workloads
+    workloads.generate(workloads.WORKLOADS["dense7k"], 301, str(tmp_path))
+    cfg = PipelineConfig()
+    prev, curr = [load_frame(cfg, str(tmp_path / f"frame_{i:06d}.feat"), i) for i in (0, 1)]
+    groups_prev, groups_curr = group_features(prev, cfg), group_features(curr, cfg)
+    state = bootstrap(prev, groups_prev, cfg.search_margin)
+    accepted = score_candidate_pairs(groups_prev, prev, groups_curr, curr,
+                                     intersect_candidates(groups_curr, state), k=cfg.k)
+    rows = list(accepted)
+    assert len(rows) == len(accepted) > 1000
+    assert [gm.group_prev for gm in rows] == accepted.group_prev.tolist()
+    assert [gm.group_curr for gm in rows] == accepted.group_curr.tolist()
+    assert [len(gm.sup_a) for gm in rows] == accepted.scores.tolist()
+    for gm, start, score in zip(rows, accepted.starts.tolist(), accepted.scores.tolist()):
+        for view, flat in ((gm.sup_a, accepted.ia), (gm.sup_b, accepted.ib),
+                           (gm.sup_dist, accepted.dist)):
+            assert np.array_equal(view, flat[start:start + score])
+    sup_a = np.concatenate([gm.sup_a for gm in rows])
+    sup_b = np.concatenate([gm.sup_b for gm in rows])
+    keep = np.array(claim_first_reference(sup_a, sup_b))
+    inliers = dedup_inlier_columns(accepted, prev, curr)
+    assert inliers.feature_prev.tolist() == sup_a[keep].tolist()
+    assert inliers.feature_curr.tolist() == sup_b[keep].tolist()
+    assert inliers.distance.tolist() == np.concatenate(
+        [gm.sup_dist for gm in rows])[keep].astype(float).tolist()
+    assert inliers.group_prev.tolist() == np.repeat(
+        [gm.group_prev for gm in rows], accepted.scores)[keep].tolist()
+    assert inliers.group_curr.tolist() == np.repeat(
+        [gm.group_curr for gm in rows], accepted.scores)[keep].tolist()

@@ -51,7 +51,7 @@ def _cluster_frames(seed):
 def _max_group_frames(seed=23):
     """A dense scene of 100-point clusters: most groups close at max_group,
     and each transition scores hundreds of pairs of full groups."""
-    scene = make_cluster_scene(seed=seed, frames=4, n_clusters=20, points_per_cluster=100,
+    scene = make_cluster_scene(seed=seed, frames=4, n_clusters=26, points_per_cluster=100,
                                cluster_radius_px=10.0, trajectory="translate_x", step=0.06,
                                jitter_px=0.1, descriptor_bit_flips=6, outlier_rate=0.05)
     return generate_sequence(scene, seed=seed).frames

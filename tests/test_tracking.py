@@ -12,6 +12,7 @@ from dynafeat.matching import GroupMatch
 from dynafeat.tracking import TrackState, advance, bootstrap, intersect_candidates
 
 from oracles import advance_reference, overlap_pairs_reference
+from table_helpers import accepted_pairs, group_table
 
 
 def _group(cx, cy, half_w, half_h, n=10):
@@ -28,11 +29,11 @@ def _dummy_features(frame_index=0, count=10):
 
 
 def _state(groups, frame_index=0, margin=30.0):
-    return bootstrap(_dummy_features(frame_index), groups, margin)
+    return bootstrap(_dummy_features(frame_index), group_table(groups), margin)
 
 
 def _one_group_state(group, displacement, age, margin=30.0):
-    return TrackState(_dummy_features(), [group], np.array([displacement], float),
+    return TrackState(_dummy_features(), group_table([group]), np.array([displacement], float),
                       np.array([age]), margin)
 
 
@@ -44,7 +45,8 @@ def _assert_region(state, lo, hi):
         for edge, step in ((lo[axis], -1e-9), (hi[axis], 1e-9)):
             for probe, want in ((edge, [[0, 0]]), (edge + step, [])):
                 x, y = [probe if a == axis else center[a] for a in (0, 1)]
-                assert intersect_candidates([_group(x, y, 0.0, 0.0)], state).tolist() == want
+                curr = group_table([_group(x, y, 0.0, 0.0)])
+                assert intersect_candidates(curr, state).tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +74,7 @@ def test_missing_proxy_predicts_standing_still():
 
 def test_region_validation(tmp_path):
     with pytest.raises(ValueError):
-        bootstrap(_dummy_features(), [_group(0, 0, 5, 5)], margin=0.0)
+        bootstrap(_dummy_features(), group_table([_group(0, 0, 5, 5)]), margin=0.0)
     # displacements are centroid differences, finite because a non-finite
     # position fails at load time
     path = tmp_path / "nan.feat"
@@ -88,14 +90,14 @@ def test_region_validation(tmp_path):
 def test_exact_cover_yields_one_pair():
     state = _state([_group(100.0, 100.0, 15.0, 15.0)])
     curr = _group(100.0, 100.0, 10.0, 10.0)
-    assert intersect_candidates([curr], state).tolist() == [[0, 0]]
+    assert intersect_candidates(group_table([curr]), state).tolist() == [[0, 0]]
 
 
 def test_outside_region_yields_no_pairs():
     state = _state([_group(100.0, 100.0, 15.0, 15.0)], margin=30.0)
     # bootstrap doubles the margin: half extent 75, so keep 200 px away
     curr = _group(400.0, 400.0, 10.0, 10.0)
-    assert intersect_candidates([curr], state).shape == (0, 2)
+    assert intersect_candidates(group_table([curr]), state).shape == (0, 2)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -113,10 +115,10 @@ def test_random_instances_match_overlap_oracle(seed):
         cx, cy = rng.uniform(0, 600, 2)
         hw, hh = rng.uniform(3, 40, 2)
         curr_groups.append(_group(cx, cy, hw, hh))
-    got = intersect_candidates(curr_groups, state).tolist()
+    got = intersect_candidates(group_table(curr_groups), state).tolist()
     assert got == sorted(got)
     regions = []
-    for g, (dx, dy) in zip(state.groups, state.displacement.tolist()):
+    for g, (dx, dy) in zip(state.groups.groups, state.displacement.tolist()):
         cx, cy = g.centroid[0] + dx, g.centroid[1] + dy
         hx = (g.bbox_max[0] - g.bbox_min[0]) / 2.0 + state.margin
         hy = (g.bbox_max[1] - g.bbox_min[1]) / 2.0 + state.margin
@@ -130,9 +132,9 @@ def test_closed_interval_boundary_touch_counts():
     state = _state([_group(100.0, 100.0, 10.0, 10.0)], margin=30.0)
     # bootstrap margin is doubled: region spans x in [30, 170]
     curr = _group(180.0, 100.0, 10.0, 10.0)  # bbox starts exactly at 170
-    assert intersect_candidates([curr], state).tolist() == [[0, 0]]
+    assert intersect_candidates(group_table([curr]), state).tolist() == [[0, 0]]
     curr_out = _group(180.0 + 1e-9, 100.0, 10.0, 10.0)
-    assert intersect_candidates([curr_out], state).shape == (0, 2)
+    assert intersect_candidates(group_table([curr_out]), state).shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +148,8 @@ def _match(gp, gc):
 
 def test_no_accepted_matches_means_full_rebirth():
     state = _state([_group(100.0, 100.0, 15.0, 15.0)])
-    curr = [_group(300.0, 50.0, 15.0, 15.0)]
-    nxt = advance(state, _dummy_features(1), curr, [])
+    curr = group_table([_group(300.0, 50.0, 15.0, 15.0)])
+    nxt = advance(state, _dummy_features(1), curr, accepted_pairs([]))
     assert nxt.proxies.size == 0
     assert len(nxt.groups) == 1
     # the newborn group searches around its standing centroid (300, 50)
@@ -157,8 +159,8 @@ def test_no_accepted_matches_means_full_rebirth():
 
 def test_displacement_is_centroid_difference():
     state = _state([_group(100.0, 100.0, 15.0, 15.0)])
-    curr = [_group(110.0, 98.0, 15.0, 15.0)]
-    nxt = advance(state, _dummy_features(1), curr, [_match(0, 0)])
+    curr = group_table([_group(110.0, 98.0, 15.0, 15.0)])
+    nxt = advance(state, _dummy_features(1), curr, accepted_pairs([_match(0, 0)]))
     assert np.allclose(nxt.displacement[0], [10.0, -2.0])
     assert nxt.age[0] == 1
     assert nxt.proxies.tolist() == [0]
@@ -168,10 +170,10 @@ def test_first_listed_partner_wins():
     # the list is best first, so whichever partner comes first continues
     state = _state([_group(100.0, 100.0, 15.0, 15.0),
                     _group(200.0, 100.0, 15.0, 15.0)])
-    curr = [_group(130.0, 100.0, 15.0, 15.0)]
-    nxt = advance(state, _dummy_features(1), curr, [_match(0, 0), _match(1, 0)])
+    curr = group_table([_group(130.0, 100.0, 15.0, 15.0)])
+    nxt = advance(state, _dummy_features(1), curr, accepted_pairs([_match(0, 0), _match(1, 0)]))
     assert np.allclose(nxt.displacement[0], [30.0, 0.0])
-    nxt = advance(state, _dummy_features(1), curr, [_match(1, 0), _match(0, 0)])
+    nxt = advance(state, _dummy_features(1), curr, accepted_pairs([_match(1, 0), _match(0, 0)]))
     assert np.allclose(nxt.displacement[0], [-70.0, 0.0])
 
 
@@ -179,25 +181,25 @@ def test_age_increments_while_continuously_matched():
     state = _state([_group(100.0, 100.0, 15.0, 15.0)])
     ages = []
     for step in range(1, 4):
-        curr = [_group(100.0 + 5.0 * step, 100.0, 15.0, 15.0)]
-        state = advance(state, _dummy_features(step), curr, [_match(0, 0)])
+        curr = group_table([_group(100.0 + 5.0 * step, 100.0, 15.0, 15.0)])
+        state = advance(state, _dummy_features(step), curr, accepted_pairs([_match(0, 0)]))
         ages.append(int(state.age[0]))
     assert ages == [1, 2, 3]
 
 
 def test_unknown_group_ids_rejected():
     state = _state([_group(100.0, 100.0, 15.0, 15.0)])
-    curr = [_group(100.0, 100.0, 15.0, 15.0)]
+    curr = group_table([_group(100.0, 100.0, 15.0, 15.0)])
     for gp, gc in ((9, 0), (0, 9), (-1, 0), (0, -1)):
         with pytest.raises(ValueError):
-            advance(state, _dummy_features(1), curr, [_match(gp, gc)])
+            advance(state, _dummy_features(1), curr, accepted_pairs([_match(gp, gc)]))
 
 
 def test_advance_is_deterministic():
     state = _state([_group(100.0, 100.0, 15.0, 15.0)])
-    curr = [_group(108.0, 103.0, 15.0, 15.0)]
-    a = advance(state, _dummy_features(1), curr, [_match(0, 0)])
-    b = advance(state, _dummy_features(1), curr, [_match(0, 0)])
+    curr = group_table([_group(108.0, 103.0, 15.0, 15.0)])
+    a = advance(state, _dummy_features(1), curr, accepted_pairs([_match(0, 0)]))
+    b = advance(state, _dummy_features(1), curr, accepted_pairs([_match(0, 0)]))
     assert np.allclose(a.displacement, b.displacement)
     assert a.features.frame_index == b.features.frame_index == 1
 
@@ -223,8 +225,8 @@ def test_advance_matches_reference_loop(seed):
             [g.centroid for g in groups], ref_age, [g.centroid for g in curr], accepted)
         # advance takes the list best first, as score_candidate_pairs ranks it
         accepted.sort(key=lambda t: (-t[2], t[1], t[3], t[0]))
-        state = advance(state, _dummy_features(step), curr,
-                        [_match(gp, gc) for gp, gc, _, _ in accepted])
+        state = advance(state, _dummy_features(step), group_table(curr),
+                        accepted_pairs([_match(gp, gc) for gp, gc, _, _ in accepted]))
         assert np.array_equal(state.displacement, want_disp)
         assert np.array_equal(state.age, ref_age)
         assert state.proxies.tolist() == np.flatnonzero(ref_age).tolist()
@@ -232,20 +234,22 @@ def test_advance_matches_reference_loop(seed):
 
 
 def test_bootstrap_empty_frame():
-    state = bootstrap(_dummy_features(0, count=0), [])
-    assert state.groups == []
-    assert intersect_candidates([_group(100.0, 100.0, 15.0, 15.0)], state).shape == (0, 2)
+    state = bootstrap(_dummy_features(0, count=0), group_table([]))
+    assert state.groups.groups == []
+    curr = group_table([_group(100.0, 100.0, 15.0, 15.0)])
+    assert intersect_candidates(curr, state).shape == (0, 2)
     assert state.proxies.size == 0
 
 
 def test_bootstrap_doubles_margin():
-    state = bootstrap(_dummy_features(0), [_group(100.0, 100.0, 15.0, 15.0)], margin=30.0)
+    state = bootstrap(_dummy_features(0), group_table([_group(100.0, 100.0, 15.0, 15.0)]),
+                      margin=30.0)
     # half extent 15 + 2 * 30 = 75
     _assert_region(state, [25.0, 25.0], [175.0, 175.0])
 
 
 def test_bootstrap_one_region_per_group():
-    groups = [_group(50.0 * i + 50.0, 100.0, 10.0, 10.0) for i in range(6)]
+    groups = group_table([_group(50.0 * i + 50.0, 100.0, 10.0, 10.0) for i in range(6)])
     state = bootstrap(_dummy_features(0), groups)
     # every slot has a region, and it reaches its own box
     pairs = set(map(tuple, intersect_candidates(groups, state).tolist()))
@@ -270,7 +274,7 @@ def test_candidate_count_stays_small_on_uniform_scenes():
             frames.append(FrameFeatures(f, 640, 480, pos, np.zeros(n),
                                         rng.integers(0, 256, (n, 32), dtype=np.uint8)))
         cfg = PipelineConfig(seed=seed)
-        groups = [group_features(fr, cfg).groups for fr in frames]
+        groups = [group_features(fr, cfg) for fr in frames]
         if not groups[0] or not groups[1]:
             continue
         first = bootstrap(frames[0], groups[0])
