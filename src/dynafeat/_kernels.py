@@ -356,16 +356,28 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
 # Greedy one-match-per-feature claim (the dedup inner loop)
 # ---------------------------------------------------------------------------
 
+# Rounds claim_first runs before it scans the rows left one by one: the
+# dense scene takes 2-4, a chained input one per kept row.
+_CLAIM_ROUNDS = 8
+
+
 def claim_first(ia: np.ndarray, ib: np.ndarray, n_a: int, n_b: int) -> np.ndarray:
     """Scan support rows in order; keep a row when neither endpoint is taken
     yet. Returns the kept mask."""
+    return _claim_rounds(ia, ib, n_a, n_b)[0]
+
+
+def _claim_rounds(ia, ib, n_a: int, n_b: int) -> tuple[np.ndarray, int]:
+    """claim_first's mask and the number of rounds it ran."""
     # Greedy in rounds: a row that is the first remaining claimant of both
     # its endpoints is kept by the sequential scan too (every earlier row
     # sharing an endpoint has been dropped), and rows sharing an endpoint
     # with a kept row are dropped. The earliest remaining row always wins,
     # so each round decides at least one row. Rounds follow the longest
-    # chain of rows each blocked by the one before it: 2-4 on the dense
-    # scene, one per kept row on a deliberately chained input.
+    # chain of rows each blocked by the one before it; after _CLAIM_ROUNDS
+    # the rows left are scanned in order. No endpoint of theirs is taken,
+    # and every kept row shares none with an earlier one, so the scan
+    # decides them as the sequential scan of all rows does.
     n = ia.shape[0]
     keep = np.zeros(n, bool)
     taken_a = np.zeros(n_a, bool)
@@ -373,7 +385,9 @@ def claim_first(ia: np.ndarray, ib: np.ndarray, n_a: int, n_b: int) -> np.ndarra
     first_a = np.full(n_a, n, np.int64)
     first_b = np.full(n_b, n, np.int64)
     live = np.arange(n, dtype=np.int64)
-    while live.size:
+    rounds = 0
+    while live.size and rounds < _CLAIM_ROUNDS:
+        rounds += 1
         a = ia[live]
         b = ib[live]
         np.minimum.at(first_a, a, live)
@@ -385,4 +399,11 @@ def claim_first(ia: np.ndarray, ib: np.ndarray, n_a: int, n_b: int) -> np.ndarra
         taken_a[ia[won]] = True
         taken_b[ib[won]] = True
         live = live[~(taken_a[a] | taken_b[b])]
-    return keep
+    seen_a, seen_b, kept = set(), set(), []
+    for row, a, b in zip(live.tolist(), ia[live].tolist(), ib[live].tolist()):
+        if a not in seen_a and b not in seen_b:
+            seen_a.add(a)
+            seen_b.add(b)
+            kept.append(row)
+    keep[kept] = True
+    return keep, rounds

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,7 +86,10 @@ class FrameFeatures:
 
     ``position_text`` is a second copy of ``positions``, made on first
     read and kept with the record, so positions must not change once it
-    exists.
+    exists. A frame read by ``load_features`` keeps the file's x and y
+    tokens until then: the text reuses the tokens of each row they are
+    proven to be ``repr`` of, and formats every other row, so it follows
+    positions changed before the first read.
     """
 
     frame_index: int
@@ -97,6 +100,9 @@ class FrameFeatures:
     descriptors: np.ndarray        # (n, desc_bits / 8) uint8
     desc_bits: int = DEFAULT_DESC_BITS
     descriptor_seed: int = DEFAULT_DESCRIPTOR_SEED
+    # (x tokens, y tokens, their byte lengths, the values parsed from
+    # them), x then y; set by load_features, dropped by position_text
+    _tokens: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.frame_index < 0:
@@ -123,8 +129,82 @@ class FrameFeatures:
 
     @functools.cached_property
     def position_text(self) -> list[str]:
-        """One ``"x y"`` string per feature, each coordinate as ``_fmt``."""
-        return [f"{x!r} {y!r}" for x, y in zip(*self.positions.T.tolist())]
+        """One ``"x y"`` string per feature, each coordinate as ``_fmt``.
+
+        A row whose two file tokens are proven to be ``repr`` of its
+        current coordinates joins them; every other row formats them."""
+        tokens, self._tokens = self._tokens, None
+        n = self.count
+        if tokens is None or tokens[3].shape[0] != 2 * n:
+            return [f"{x!r} {y!r}" for x, y in zip(*self.positions.T.tolist())]
+        xs, ys, lengths, parsed = tokens
+        proven = _repr_tokens("".join(xs) + "".join(ys), lengths, parsed,
+                              self.positions.T.reshape(-1))
+        text = [f"{x} {y}" for x, y in zip(xs, ys)]
+        for i in np.flatnonzero(~(proven[:n] & proven[n:])).tolist():
+            x, y = self.positions[i].tolist()
+            text[i] = f"{x!r} {y!r}"
+        return text
+
+
+# 10^k as float64 (exact for k <= 22) and as uint64 (k <= 17); the
+# integer digits of 1 <= x < 2^33 are 1 + the count of 10^1..10^10 <= x
+_POW10 = 10.0 ** np.arange(23)
+_POW10_INT = 10 ** np.arange(18, dtype=np.uint64)
+
+
+def _repr_tokens(text: str, lengths: np.ndarray, parsed: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """Which tokens are proven to be ``repr`` of their current value.
+
+    ``text`` is the tokens joined, ``lengths`` their lengths, ``parsed``
+    ``float`` of each token and ``values`` the current values. CPython's
+    ``repr`` is the shortest decimal that rounds to x, and the nearest to
+    x of the shortest. A token is proven when:
+
+    - x is the value parsed from it, and 1 <= x < 2^33;
+    - it is the k integer digits of x, the first non-zero, a ``.`` and
+      F >= 1 more digits, the last d non-zero, 17 digits at most;
+    - with N its digits as an integer and x = M 2^-s (2^52 <= M < 2^53),
+      R = N 2^s - M 10^F, which is (token - x) 10^F 2^s, has
+      |R| < 2^(s-1): the token is x rounded to F digits;
+    - |R - d 2^s| and |R + (10 - d) 2^s| exceed 10^F / 2: neither
+      (F-1)-digit decimal next to the token rounds to x, so no shorter
+      decimal does.
+
+    A token rounds to its parsed value, so |R| <= 10^F / 2 and wrapping
+    uint64 arithmetic gives R exactly. For the same reason x 10^F lies
+    within 20 of N, which is taken as the integer that ends in the token's
+    last three digits nearest to it.
+    """
+    lengths = np.asarray(lengths, np.int64)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    if not starts.size:
+        return np.zeros(0, bool)
+    # '0' padding: gathers a few bytes past either end read digits
+    b = np.frombuffer((text + "0" * 16).encode("ascii"), np.uint8)
+    k = np.searchsorted(_POW10[1:11], values, "right") + 1
+    f = lengths - k - 1
+    ok = ((values == parsed) & (values >= 1) & (values < 2.0 ** 33) & (f >= 1)
+          & (lengths <= 18))
+    # one byte outside 0-9 per token, the '.' after the integer digits
+    ok &= ((np.add.reduceat((b - 48) > 9, starts, dtype=np.intp) == 1)
+           & (b[starts + k] == 46) & (b[starts] != 48) & (b[ends - 1] != 48))
+    f = np.where(ok, f, 0)
+    near = np.rint(np.where(ok, values * _POW10[f], 0.0)).astype(np.int64)
+    last3 = b[ends - 3] * np.int64(100) + b[ends - 2] * np.int64(10) + b[ends - 1] - 5328
+    # with F < 3, N < 2^40 and the product rounds to N itself
+    digits = np.where(f >= 3, near + (last3 - near + 500) % 1000 - 500, near)
+    mant, exp = np.frexp(values)
+    s = np.where(ok, 53 - exp, 0).astype(np.uint64)
+    r = ((digits.astype(np.uint64) << s)
+         - (mant * 2.0 ** 53).astype(np.int64).view(np.uint64) * _POW10_INT[f]).view(np.int64)
+    unit = np.left_shift(1, s.astype(np.int64))
+    d = digits % 10
+    pow10 = _POW10_INT[f].astype(np.int64)
+    return (ok & (2 * np.abs(r) < unit) & (2 * np.abs(r - d * unit) > pow10)
+            & (2 * np.abs(r + (10 - d) * unit) > pow10))
 
 
 def _desc_bytes(desc_bits: int) -> int:
@@ -324,9 +404,13 @@ def load_features(path, frame_index: int = 0,
         raise FeatureFileError(error, line=int(np.flatnonzero(counts[1:])[n]) + 2)
     if max_features is not None and n > max_features:
         raise FeatureFileError(f"{n} features exceed the cap of {max_features}")
-    return FrameFeatures(frame_index, width, height, np.column_stack((x, y)), responses,
-                         desc.reshape(-1, _desc_bytes(desc_bits)),
-                         desc_bits=desc_bits, descriptor_seed=seed)
+    frame = FrameFeatures(frame_index, width, height, np.column_stack((x, y)), responses,
+                          desc.reshape(-1, _desc_bytes(desc_bits)),
+                          desc_bits=desc_bits, descriptor_seed=seed)
+    frame._tokens = (column(1), column(2),
+                     np.concatenate((lengths[7:6 + 5 * n:5], lengths[8:6 + 5 * n:5])),
+                     np.concatenate((x, y)))
+    return frame
 
 
 def _parse_header(fields: list[str]) -> tuple[int, int, int, int]:

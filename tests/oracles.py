@@ -7,6 +7,9 @@ restated from scratch so a bug in the package cannot hide in a shared
 helper.
 """
 
+import math
+import random
+
 import numpy as np
 
 RING = [(0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
@@ -295,3 +298,82 @@ def feature_file_reference(text: str, max_features):
     positions = np.array([(x, y) for x, y, _ in rows], np.float64).reshape(-1, 2)
     responses = np.array([r for _, _, r in rows], np.float64)
     return (width, height, bits, seed), positions, responses, descriptors
+
+
+def repr_token_reference(token: str) -> bool:
+    """A number token is ``repr`` text when it is ``repr`` of the float it
+    reads as."""
+    return token == repr(float(token))
+
+
+def _draw_value(rng: random.Random) -> float:
+    """A positive float from one of several families that ``repr`` finds
+    hard or that feature files hold."""
+    kind = rng.randrange(8)
+    if kind == 0:      # a pixel position
+        return rng.uniform(16.0, 640.0)
+    if kind == 1:      # any scale, 2^33 and 1 included
+        return 2.0 ** rng.uniform(-4.0, 36.0)
+    if kind == 2:      # a short decimal
+        return round(rng.uniform(1.0, 10.0 ** rng.randrange(1, 10)), rng.randrange(1, 16))
+    if kind == 3:      # next to a power of two
+        x = 2.0 ** rng.randrange(-2, 36)
+        for _ in range(rng.randrange(4)):
+            x = math.nextafter(x, rng.choice((0.0, math.inf)))
+        return x
+    if kind == 4:      # next to a power of ten
+        x = 10.0 ** rng.randrange(0, 12)
+        for _ in range(rng.randrange(4)):
+            x = math.nextafter(x, rng.choice((0.0, math.inf)))
+        return x
+    if kind == 5:      # dyadic, so exactly halfway between short decimals
+        return rng.randrange(1, 1 << 40) / 2.0 ** rng.randrange(1, 20)
+    if kind == 6:      # a whole number
+        return float(rng.randrange(1, 10 ** rng.randrange(1, 12)))
+    # all 52 fraction bits random, exponent between 2^0 and 2^34
+    return math.ldexp(1.0 + rng.getrandbits(52) / 2.0 ** 52, rng.randrange(0, 35))
+
+
+def _digit_spots(text: str) -> list[int]:
+    return [k for k, c in enumerate(text) if c.isdigit()]
+
+
+def adversarial_tokens(seed: int, count: int) -> list[str]:
+    """``count`` number tokens that ``float`` reads as finite, seeded, most of
+    them close to ``repr`` text: ``repr`` itself, its last digit moved by
+    one, a digit appended, ``_`` between two digits, exponents, a ``+``
+    sign, leading and trailing zeros, and the ``.16g`` and ``.17g`` forms."""
+    rng = random.Random(seed)
+    tokens = []
+    while len(tokens) < count:
+        text = repr(_draw_value(rng))
+        form = rng.randrange(11)
+        if form == 1:
+            k = _digit_spots(text)[-1]
+            text = text[:k] + str((int(text[k]) + rng.choice((1, 9))) % 10) + text[k + 1:]
+        elif form == 2:
+            text += str(rng.randrange(10))
+        elif form == 3:
+            spots = [k for k in _digit_spots(text) if k + 1 < len(text) and text[k + 1].isdigit()]
+            if spots:
+                k = rng.choice(spots) + 1
+                text = text[:k] + "_" + text[k:]
+        elif form == 4:
+            x = float(text)
+            text = f"{x:.{rng.randrange(0, 17)}{rng.choice('eE')}}"
+        elif form == 5:
+            text = "+" + text
+        elif form == 6:
+            text = "0" * rng.randrange(1, 4) + text
+        elif form == 7:
+            text += "0" * rng.randrange(1, 4) if "e" in text or "." in text else ".0"
+        elif form in (8, 9):
+            text = f"{float(text):.{16 + form - 8}g}"
+        elif form == 10:
+            text = f"{float(text):.{rng.randrange(1, 18)}f}"
+        try:
+            if math.isfinite(float(text)):
+                tokens.append(text)
+        except ValueError:
+            pass
+    return tokens

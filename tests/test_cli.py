@@ -16,7 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dynafeat import _kernels, pipeline
+from dynafeat import _kernels, frontend, pipeline
 from dynafeat.cli import main
 from dynafeat.config import CONFIG_CONVERTERS, PipelineConfig, parse_key_values
 from dynafeat.errors import ConfigError, InputDataError
@@ -1168,10 +1168,20 @@ def test_benchmark_workload_match_files_unchanged(tmp_path, monkeypatch, workloa
     cfg_path = tmp_path / "pipeline.cfg"
     PipelineConfig(input_mode=wl.input_mode).save(cfg_path)
     out = tmp_path / "out"
+    # every x and y token of a feature-file frame is proven repr text
+    proofs, repr_tokens = [], frontend._repr_tokens
+
+    def recorded(*args):
+        proofs.append(repr_tokens(*args))
+        return proofs[-1]
+
+    monkeypatch.setattr(frontend, "_repr_tokens", recorded)
     assert main(["match", str(cfg_path), str(tmp_path / "in"), "--output-dir", str(out)]) == 0
     digest, files = measure._match_outputs(str(out))
     assert len(files) == wl.frames - 1
     assert digest[:16] == WORKLOAD_DIGESTS[workload]
+    assert len(proofs) == (wl.frames if wl.input_mode == "features" else 0)
+    assert all(proven.all() for proven in proofs)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ import pytest
 
 from dynafeat import _kernels
 from dynafeat.errors import FeatureFileError, InputDataError
-from dynafeat.frontend import (DEFAULT_MAX_FEATURES, FrameFeatures, GrayImage,
+from dynafeat.frontend import (DEFAULT_MAX_FEATURES, FrameFeatures, GrayImage, _repr_tokens,
                                describe, detect_corners, extract_frame, load_features,
                                save_features)
 from dynafeat.image_io import load_image, rgb_to_luma
 
-from oracles import (RING, FeatureFileRejected, box_sums_reference, fast_corners_reference,
-                     fast_response_reference, feature_file_reference, hamming_reference)
+from oracles import (RING, FeatureFileRejected, adversarial_tokens, box_sums_reference,
+                     fast_corners_reference, fast_response_reference, feature_file_reference,
+                     hamming_reference, repr_token_reference)
 
 
 def _noise_image(seed, h=64, w=64):
@@ -392,6 +393,8 @@ def _assert_loads_like_reference(frame, reference):
     assert frame.positions.tobytes() == positions.tobytes()
     assert frame.responses.tobytes() == responses.tobytes()
     assert frame.descriptors.tobytes() == desc
+    # the match-file text of the positions, whichever way each row takes
+    assert frame.position_text == [f"{x!r} {y!r}" for x, y in zip(*positions.T.tolist())]
 
 
 # what a mutation inserts or puts in place of a byte: every ASCII
@@ -447,6 +450,70 @@ def test_mutated_files_load_like_the_reference(tmp_path):
     # every header and line rule fails somewhere, so do the cap, and some
     # files load
     assert len(outcomes) == 12, outcomes
+
+
+def _proven_rows(frame):
+    """Rows whose two kept file tokens the proof takes as ``repr``."""
+    xs, ys, lengths, parsed = frame._tokens
+    proven = _repr_tokens("".join(xs) + "".join(ys), lengths, parsed,
+                          frame.positions.T.reshape(-1))
+    return proven[:frame.count] & proven[frame.count:]
+
+
+def test_saved_frame_takes_the_proven_path(tmp_path):
+    # save_features writes repr text, so every row of a file it wrote joins
+    # its own tokens; the tokens go once the text is made
+    rng = np.random.default_rng(8)
+    n = 500
+    positions = np.column_stack((rng.uniform(16, 623, n), rng.uniform(16, 463, n)))
+    frame = FrameFeatures(0, 640, 480, positions, rng.uniform(0, 9, n),
+                          rng.integers(0, 256, (n, 32), dtype=np.uint8))
+    path = tmp_path / "saved.feat"
+    save_features(frame, path)
+    loaded = load_features(path)
+    assert _proven_rows(loaded).all()
+    assert loaded.position_text == [f"{x!r} {y!r}" for x, y in zip(*positions.T.tolist())]
+    assert loaded._tokens is None
+
+
+def test_empty_frame_position_text(tmp_path):
+    path = tmp_path / "empty.feat"
+    path.write_text("DYNAFEAT v1 64 64 256 42\n")
+    frame = load_features(path)
+    assert _proven_rows(frame).size == 0
+    assert frame.position_text == []
+
+
+def test_position_changed_before_first_read_is_formatted(tmp_path):
+    # a token is proven only for the value parsed from it: a position set
+    # after load and before the text is made is written as repr
+    path = tmp_path / "f.feat"
+    path.write_text(_WRITER_TEXT)
+    frame = load_features(path)
+    assert _proven_rows(frame).tolist() == [True, False, False]   # 30.0 and 16.0 end in 0
+    frame.positions[0, 0] = 27.5      # "17.5" ends as repr(27.5) does
+    frame.positions[2] = (47.0, 16.5)
+    assert _proven_rows(frame).tolist() == [False, False, False]
+    assert frame.position_text == ["27.5 20.25", "30.0 31.0", "47.0 16.5"]
+    frame.positions[0, 0] = 99.0      # the text, once made, stays
+    assert frame.position_text[0] == "27.5 20.25"
+
+
+def test_repr_proof_makes_no_false_accepts():
+    # a token the proof accepts is repr of the float it reads as; nearly
+    # every repr token the proof covers (1 <= x < 2^33, a fraction digit
+    # other than a lone 0) is accepted, ties of two nearest decimals aside
+    tokens = adversarial_tokens(31, 200_000)
+    parsed = np.array([float(t) for t in tokens])
+    lengths = np.array([len(t) for t in tokens])
+    proven = _repr_tokens("".join(tokens), lengths, parsed, parsed)
+    reference = np.array([repr_token_reference(t) for t in tokens])
+    assert not (proven & ~reference).any(), [t for t, p, r in zip(tokens, proven, reference)
+                                             if p and not r][:5]
+    covered = reference & (parsed >= 1) & (parsed < 2.0 ** 33) & ~np.array(
+        [t.endswith(".0") or "e" in t for t in tokens])
+    assert covered.sum() > 20_000
+    assert proven.sum() >= 0.99 * covered.sum()
 
 
 def test_odd_width_descriptor_roundtrip(tmp_path):

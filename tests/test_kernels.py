@@ -167,7 +167,8 @@ def _ragged_groups(rng, n_groups, n_rows):
     return mem, off, cnt
 
 
-@pytest.mark.parametrize("chunk_cells", [_kernels._CHUNK_CELLS, 1500])
+@pytest.mark.parametrize("chunk_cells", [pytest.param(_kernels._CHUNK_CELLS, id="default"),
+                                         pytest.param(1500, id="1500")])
 def test_batch_mutual_nn_numpy_matches_oracle(monkeypatch, chunk_cells):
     # a small chunk budget puts every pair in its own chunk
     monkeypatch.setattr(_kernels, "_CHUNK_CELLS", chunk_cells)
@@ -321,6 +322,31 @@ def test_claim_first_numpy_matches_greedy():
         assert keep.dtype == np.bool_
         assert keep.tolist() == claim_first_reference(ia, ib)
     assert keep.sum() == m
+
+
+@pytest.mark.parametrize("rows", [800, 4000, 16000])
+def test_claim_first_bounds_its_rounds_on_chains(rows):
+    # the chain above takes one round per kept row unbounded; after
+    # _CLAIM_ROUNDS the rows left are scanned in order, to the same mask
+    ia = np.arange(rows, dtype=np.int64) // 2
+    ib = (np.arange(rows, dtype=np.int64) + 1) // 2
+    keep, rounds = _kernels._claim_rounds(ia, ib, rows, rows)
+    assert rounds == _kernels._CLAIM_ROUNDS
+    assert keep.tolist() == claim_first_reference(ia, ib)
+    assert keep.sum() == (rows + 1) // 2 > _kernels._CLAIM_ROUNDS
+
+
+def test_claim_first_scan_alone_matches_greedy(monkeypatch):
+    # with no rounds at all, the scan decides every row
+    monkeypatch.setattr(_kernels, "_CLAIM_ROUNDS", 0)
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        n = int(rng.integers(0, 300))
+        ia = rng.integers(0, 30, n).astype(np.int64)
+        ib = rng.integers(0, 30, n).astype(np.int64)
+        keep, rounds = _kernels._claim_rounds(ia, ib, 30, 30)
+        assert rounds == 0
+        assert keep.tolist() == claim_first_reference(ia, ib)
 
 
 def _one_pair(n_a, n_b):

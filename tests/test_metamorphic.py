@@ -188,7 +188,10 @@ def test_one_worker_gives_the_same_matches(inputs, plain_runs, monkeypatch, name
 def test_max_group_scene_splits_full_blocks(inputs, monkeypatch):
     # every kernel call of the scene pads its blocks to max_group on both
     # sides, has enough chunks for 2 shards of 2 chunks or more, and pairs
-    # two full groups in over a third of its pairs
+    # two full groups in over a third of its pairs; the chunk is pinned
+    # here, so that tuning the default does not empty the test
+    chunk = 1 << 16
+    monkeypatch.setattr(_kernels, "_CHUNK_CELLS", chunk)
     calls = []
     kernel = _kernels.batch_mutual_nn
 
@@ -203,5 +206,22 @@ def test_max_group_scene_splits_full_blocks(inputs, monkeypatch):
     for args in calls:
         cnt_a, cnt_b, pair_a, pair_b = args[4], args[7], args[8], args[9]
         assert cnt_a[pair_a].max() == cnt_b[pair_b].max() == side
-        assert len(pair_a) >= 4 * (_kernels._CHUNK_CELLS // (side * side))
+        assert len(pair_a) >= 4 * (chunk // (side * side))
         assert ((cnt_a[pair_a] == side) & (cnt_b[pair_b] == side)).mean() > 1 / 3
+
+
+def test_dense_scene_claims_in_a_few_rounds(inputs, monkeypatch):
+    # the dense scene's dedup claims finish in their rounds: the ordered
+    # scan that bounds chained inputs never runs on it
+    rounds = []
+    claim = _kernels._claim_rounds
+
+    def record(*args):
+        keep, count = claim(*args)
+        rounds.append(count)
+        return keep, count
+
+    monkeypatch.setattr(_kernels, "_claim_rounds", record)
+    _run(PipelineConfig(), inputs["dense7k"])
+    assert len(rounds) == 4
+    assert all(2 <= count <= 4 < _kernels._CLAIM_ROUNDS for count in rounds), rounds
