@@ -267,10 +267,9 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
     rows are padded to whole 64-bit words here); groups are given as
     flattened member-id arrays with offset/count tables, and each pair
     indexes a group slot per side.
-    Returns (scores, out_off, ia, ib, dist): the supports come packed,
-    pair after pair, so pair p's occupy ``[out_off[p], out_off[p] +
-    scores[p])`` of the flat arrays, ordered by ascending member position
-    on the first side.
+    Returns (scores, ia, ib, dist): supports packed with no gap, pair p's
+    ``scores[p]`` rows of the flat arrays right after pair p - 1's, in
+    ascending member position on the first side.
     """
     if desc_a.ndim != 2 or desc_b.ndim != 2 or desc_a.shape[1] != desc_b.shape[1]:
         raise ValueError("descriptor arrays must be 2-D with matching widths")
@@ -283,7 +282,7 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
     mb = int(cnt_b[pair_b].max(initial=0))
     if ma == 0 or mb == 0:
         none = np.zeros(0, np.int64)
-        return np.zeros(n_pairs, np.int64), np.zeros(n_pairs, np.int64), none, none, none
+        return np.zeros(n_pairs, np.int64), none, none, none
     planes_a, ids_a, padding_a = _group_planes(desc_a, mem_a, off_a, cnt_a, ma)
     planes_b, ids_b, padding_b = _group_planes(desc_b, mem_b, off_b, cnt_b, mb)
     n_words = planes_a.shape[0]
@@ -348,8 +347,8 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
     p, i = np.nonzero(ok.T)
     scores = np.bincount(p, minlength=n_pairs).astype(np.int64, copy=False)
     keys = row_key[i, p]
-    return (scores, np.cumsum(scores) - scores, ids_a[i, pair_a[p]],
-            ids_b[keys & low, pair_b[p]], (keys >> shift).astype(np.int64))
+    return (scores, ids_a[i, pair_a[p]], ids_b[keys & low, pair_b[p]],
+            (keys >> shift).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

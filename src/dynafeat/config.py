@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 from ._kernels import MAX_FAST_THRESHOLD
 from .errors import ConfigError, decode_error_line
-from .stats import support_threshold
+from .frontend import DEFAULT_DESCRIPTOR_SEED, DEFAULT_FAST_THRESHOLD, DEFAULT_MAX_FEATURES
+from .stats import DEFAULT_K, support_threshold
 
 _INPUT_MODES = ("features", "images")
+DEFAULT_SEARCH_MARGIN = 30.0   # px added to each half side of a search region
 
 
 def parse_bool(raw: str) -> bool:
@@ -80,14 +82,14 @@ class PipelineConfig:
     min_group: int = 5
     max_group: int = 35
     max_bbox_side: float = 90.0
-    k: float = 2.0
-    search_margin: float = 30.0
-    max_features: int = 7000
-    fast_threshold: int = 5
+    k: float = DEFAULT_K
+    search_margin: float = DEFAULT_SEARCH_MARGIN
+    max_features: int = DEFAULT_MAX_FEATURES
+    fast_threshold: int = DEFAULT_FAST_THRESHOLD
     input_mode: str = "features"
     output_dir: str = "out"
     timing: bool = True
-    seed: int = 42
+    seed: int = DEFAULT_DESCRIPTOR_SEED
 
     def __post_init__(self):
         self.validate()

@@ -161,9 +161,9 @@ def _design_matrix(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
 def _solve_eight_point(xa: np.ndarray, xb: np.ndarray) -> np.ndarray | None:
     """Least-squares essential matrix from normalized camera coordinates.
 
-    Returns None when the linear system is rank-deficient below the level
-    a unique (up to the usual family) solution needs; the caller decides
-    whether that counts as a degenerate sample.
+    Returns None when the SVD does not converge or E is not finite; the
+    caller counts that as a degenerate sample. Rank is not tested here:
+    ``_minimal_sample_rank_ok`` rejects rank-deficient minimal samples.
     """
     na, Ta = _hartley_normalize(xa)
     nb, Tb = _hartley_normalize(xb)

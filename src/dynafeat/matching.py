@@ -9,8 +9,8 @@ overlapping accepted pairs keeps the match from the first, best-ranked one.
 
 All candidate pairs of a frame transition are scored in one batched
 kernel call, and whole feature sets go through the same kernel as a
-batch of one. The accepted pairs are one AcceptedPairs record of columns
-that dedup gathers from; iterating it builds GroupMatch row views.
+batch of one. The accepted pairs are one AcceptedPairs record of columns,
+supports included, best first; iterating it builds GroupMatch row views.
 The surviving matches of a transition are one InlierColumns record: its
 two frames and column arrays of feature ids, distances and group ids,
 which the match-file writer and the evaluator read directly.
@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels
 from .frontend import FrameFeatures
 from .grouping import GroupingResult
-from .stats import support_threshold
+from .stats import DEFAULT_K, support_threshold
 
 
 @dataclass(eq=False)
@@ -46,8 +46,7 @@ class AcceptedPairs:
     group_prev: np.ndarray   # (P,) slots in the previous frame's group table
     group_curr: np.ndarray   # (P,) slots in the current frame's group table
     scores: np.ndarray       # (P,) support counts
-    starts: np.ndarray       # (P,) pair k: rows starts[k]:starts[k] + scores[k] of ia, ib, dist
-    ia: np.ndarray = field(repr=False)
+    ia: np.ndarray = field(repr=False)   # supports: pair k's scores[k] rows follow pair k-1's
     ib: np.ndarray = field(repr=False)
     dist: np.ndarray = field(repr=False)
 
@@ -56,9 +55,9 @@ class AcceptedPairs:
 
     def __iter__(self):
         """GroupMatch row views, best first, built on each pass."""
-        for gp, gc, s, e in zip(self.group_prev.tolist(), self.group_curr.tolist(),
-                                self.starts.tolist(), (self.starts + self.scores).tolist()):
-            yield GroupMatch(gp, gc, self.ia[s:e], self.ib[s:e], self.dist[s:e])
+        cuts = np.cumsum(self.scores)[:-1]
+        yield from map(GroupMatch, self.group_prev.tolist(), self.group_curr.tolist(),
+                       *(np.split(col, cuts) for col in (self.ia, self.ib, self.dist)))
 
 
 def mutual_nn_match(desc_a: np.ndarray, desc_b: np.ndarray):
@@ -74,16 +73,15 @@ def mutual_nn_match(desc_a: np.ndarray, desc_b: np.ndarray):
     # one pair of groups, each holding its whole set
     one = np.zeros(1, np.int64)
     n_a, n_b = desc_a.shape[0], desc_b.shape[0]
-    _, _, ia, ib, dist = _kernels.batch_mutual_nn(
+    return _kernels.batch_mutual_nn(
         np.ascontiguousarray(desc_a), np.ascontiguousarray(desc_b),
         np.arange(n_a, dtype=np.int64), one, np.array([n_a], np.int64),
-        np.arange(n_b, dtype=np.int64), one, np.array([n_b], np.int64), one, one)
-    return ia, ib, dist
+        np.arange(n_b, dtype=np.int64), one, np.array([n_b], np.int64), one, one)[1:]
 
 
 def score_candidate_pairs(groups_prev: GroupingResult, features_prev: FrameFeatures,
                           groups_curr: GroupingResult, features_curr: FrameFeatures,
-                          candidate_pairs, k: float = 2.0) -> AcceptedPairs:
+                          candidate_pairs, k: float = DEFAULT_K) -> AcceptedPairs:
     """Score (prev_slot, curr_slot) pairs in one batched kernel call and
     keep the accepted ones; the one place the acceptance rule score > tau
     is applied. Pairs are scored independently; rejected pairs are dropped
@@ -100,18 +98,21 @@ def score_candidate_pairs(groups_prev: GroupingResult, features_prev: FrameFeatu
             or (pair_b >= len(groups_curr)).any():
         raise ValueError("candidate pairs reference unknown group slots")
 
-    scores, out_off, ia, ib, dist = _kernels.batch_mutual_nn(
+    scores, ia, ib, dist = _kernels.batch_mutual_nn(
         features_prev.descriptors, features_curr.descriptors,
         groups_prev.members, groups_prev.offsets, groups_prev.counts,
         groups_curr.members, groups_curr.offsets, groups_curr.counts, pair_a, pair_b)
 
     taus = support_threshold(np.minimum(groups_prev.counts[pair_a], groups_curr.counts[pair_b]), k)
     emit = np.flatnonzero(scores > taus)
-    dist_cum = np.zeros(dist.shape[0] + 1, np.int64)
-    np.cumsum(dist, out=dist_cum[1:])
-    dist_sums = dist_cum[out_off[emit] + scores[emit]] - dist_cum[out_off[emit]]
+    ends = np.cumsum(scores)
+    dist_cum = np.concatenate(([0], np.cumsum(dist)))
+    dist_sums = dist_cum[ends[emit]] - dist_cum[ends[emit] - scores[emit]]
     emit = emit[np.lexsort((pair_a[emit], dist_sums, pair_b[emit], -scores[emit]))]
-    return AcceptedPairs(pair_a[emit], pair_b[emit], scores[emit], out_off[emit], ia, ib, dist)
+    # the emitted pairs' supports, gathered once, pair after pair in rank order
+    n = scores[emit]
+    rows = np.repeat(ends[emit] - np.cumsum(n), n) + np.arange(n.sum())
+    return AcceptedPairs(pair_a[emit], pair_b[emit], n, ia[rows], ib[rows], dist[rows])
 
 
 @dataclass(eq=False)
@@ -144,12 +145,8 @@ def dedup_inlier_columns(accepted: AcceptedPairs, features_prev: FrameFeatures,
                          features_curr: FrameFeatures) -> InlierColumns:
     """One match per feature: the first pair that holds it wins, the best
     one in the order ``score_candidate_pairs`` returns."""
-    scores = accepted.scores
-    # the ranked pairs' supports, pair after pair, as rows of the flat arrays
-    rows = np.repeat(accepted.starts - (np.cumsum(scores) - scores), scores) \
-        + np.arange(int(scores.sum()))
-    ia, ib = accepted.ia[rows], accepted.ib[rows]
+    ia, ib = accepted.ia, accepted.ib
     keep = _kernels.claim_first(ia, ib, features_prev.count, features_curr.count)
-    gp, gc = np.repeat([accepted.group_prev, accepted.group_curr], scores, axis=1)[:, keep]
+    gp, gc = np.repeat([accepted.group_prev, accepted.group_curr], accepted.scores, axis=1)[:, keep]
     return InlierColumns(features_prev, features_curr, ia[keep], ib[keep],
-                         accepted.dist[rows[keep]].astype(np.float64), gp, gc)
+                         accepted.dist[keep].astype(np.float64), gp, gc)

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+DEFAULT_K = 2.0   # support threshold multiplier: tau = k * sqrt(n)
+
 
 @dataclass
 class BinomialMoments:
@@ -83,11 +85,11 @@ def binomial_moments(trials: float, p: float) -> BinomialMoments:
     return BinomialMoments(mean=trials * p, stddev=math.sqrt(trials * p * (1.0 - p)))
 
 
-def support_threshold(n, k: float = 2.0):
+def support_threshold(n, k: float = DEFAULT_K):
     """Minimum support count for trusting a group pair: k * sqrt(n), for a
     group size n or elementwise for an integer array of sizes."""
     if np.any(np.asarray(n) < 1):
         raise ValueError("n must be >= 1")
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not 0 < k < math.inf:   # false for nan too
+        raise ValueError("k must be positive and finite")
     return k * np.sqrt(n)

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_SEARCH_MARGIN
 from .frontend import FrameFeatures
 from .grouping import GroupingResult
 from .matching import AcceptedPairs
 
-DEFAULT_SEARCH_MARGIN = 30.0
 BOOTSTRAP_MARGIN_SCALE = 2.0
 
 
@@ -35,7 +35,7 @@ class TrackState:
     margin: float              # px added to each half side of a search region
 
     def __post_init__(self):
-        if self.margin <= 0:
+        if not self.margin > 0:   # false for nan; inf stays, as skips double the margin
             raise ValueError("margin must be positive")
 
     @property

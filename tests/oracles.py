@@ -217,6 +217,98 @@ def advance_reference(centroid_prev, age_prev, centroid_curr, accepted):
     return displacement, age
 
 
+def run_reference(config, frames):
+    """Whole-run oracle composed of the stage oracles above.
+
+    Reads the fields of ``config`` (a PipelineConfig) and ``frames``
+    (FrameFeatures records) only. Yields one ``(pair, state)`` per frame,
+    as the pipeline's run does: ``pair`` is None or a dict of the
+    transition's ``frames`` (prev, curr indices) and its ``feature_prev``,
+    ``feature_curr``, ``distance``, ``group_prev`` and ``group_curr`` lists;
+    ``state`` is None for a skipped frame, else a dict of the frame's group
+    ``centroid``, ``count``, ``displacement`` and ``age`` lists and the
+    search ``margin`` its regions use next.
+
+    Per frame: groups by region growing, centroids as member sums over n
+    in absorption order. Search regions are the previous centroid plus its
+    displacement, +- half the box side plus the margin; a candidate pair is
+    a region overlapping a current box. A candidate is accepted when its
+    mutual-NN support count exceeds k * sqrt(min(n, m)), and the accepted
+    pairs rank by (-score, current slot, distance sum, previous slot). Their
+    supports, in rank order, are claimed first come first served; the state
+    advances by each current group's best partner.
+
+    The margin: the first frame's state gets 2 * search_margin, each later
+    processed frame's gets search_margin. A frame without features is
+    skipped; once there is a state, the first skip after a processed frame
+    sets its margin to 2 * search_margin and each further skip in a row
+    doubles it again.
+    """
+    state = None
+    skips = 0
+    for frame in frames:
+        if frame.count == 0:
+            if state is not None:
+                skips += 1
+                state = {**state, "margin": config.search_margin * 2.0 ** skips}
+            yield None, None
+            continue
+        skips = 0
+        pos = frame.positions.tolist()
+        groups = []
+        for members in region_grow_reference(frame.positions, config.window, config.min_group,
+                                             config.max_group, config.max_bbox_side, config.seed):
+            sx = sy = 0.0
+            for m in members:
+                sx += pos[m][0]
+                sy += pos[m][1]
+            xs = [pos[m][0] for m in members]
+            ys = [pos[m][1] for m in members]
+            groups.append({"members": members, "centroid": [sx / len(members), sy / len(members)],
+                           "box": (min(xs), min(ys), max(xs), max(ys))})
+        pair = None
+        if state is None:
+            displacement = [[0.0, 0.0]] * len(groups)
+            age = [0] * len(groups)
+            margin = 2.0 * config.search_margin
+        else:
+            prev = state["groups"]
+            regions = []
+            for g, (dx, dy) in zip(prev, state["displacement"]):
+                lox, loy, hix, hiy = g["box"]
+                cx, cy = g["centroid"][0] + dx, g["centroid"][1] + dy
+                hx = (hix - lox) / 2.0 + state["margin"]
+                hy = (hiy - loy) / 2.0 + state["margin"]
+                regions.append((cx - hx, cy - hy, cx + hx, cy + hy))
+            accepted = []
+            for gp, gc in overlap_pairs_reference(regions, [g["box"] for g in groups]):
+                rows_p, rows_c = prev[gp]["members"], groups[gc]["members"]
+                supports = [(rows_p[i], rows_c[j], d) for i, j, d in mutual_nn_reference(
+                    state["frame"].descriptors[rows_p], frame.descriptors[rows_c])]
+                if len(supports) > config.k * math.sqrt(min(len(rows_p), len(rows_c))):
+                    accepted.append((-len(supports), gc, sum(d for _, _, d in supports), gp,
+                                     supports))
+            accepted.sort(key=lambda a: a[:4])
+            rows = [(gp, gc, a, b, d) for _, gc, _, gp, supports in accepted
+                    for a, b, d in supports]
+            keep = claim_first_reference(np.array([r[2] for r in rows], np.int64),
+                                         np.array([r[3] for r in rows], np.int64))
+            kept = [r for r, k in zip(rows, keep) if k]
+            pair = {"frames": (state["frame"].frame_index, frame.frame_index),
+                    "feature_prev": [r[2] for r in kept], "feature_curr": [r[3] for r in kept],
+                    "distance": [float(r[4]) for r in kept],
+                    "group_prev": [r[0] for r in kept], "group_curr": [r[1] for r in kept]}
+            displacement, age = advance_reference(
+                [g["centroid"] for g in prev], state["age"], [g["centroid"] for g in groups],
+                [(gp, gc, -neg_score, dist_sum) for neg_score, gc, dist_sum, gp, _ in accepted])
+            displacement, age = displacement.tolist(), age.tolist()
+            margin = config.search_margin
+        state = {"frame": frame, "groups": groups, "centroid": [g["centroid"] for g in groups],
+                 "count": [len(g["members"]) for g in groups], "displacement": displacement,
+                 "age": age, "margin": margin}
+        yield pair, state
+
+
 def triangulate_depths_reference(R, t, xa, xb):
     """Per-point DLT triangulation: the smallest right singular vector of
     each point's 4x4 system, depths in both cameras, zero at infinity."""

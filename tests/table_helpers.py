@@ -33,10 +33,9 @@ def group_table(groups: list[FeatureGroup]) -> GroupingResult:
 
 def accepted_pairs(matches: list[GroupMatch]) -> AcceptedPairs:
     """The accepted-pair record whose row k is ``matches[k]``."""
-    scores = np.array([len(gm.sup_a) for gm in matches], np.int64)
     return AcceptedPairs(np.array([gm.group_prev for gm in matches], np.int64),
                          np.array([gm.group_curr for gm in matches], np.int64),
-                         scores, np.cumsum(scores) - scores,
+                         np.array([len(gm.sup_a) for gm in matches], np.int64),
                          _concat([gm.sup_a for gm in matches], np.int64),
                          _concat([gm.sup_b for gm in matches], np.int64),
                          _concat([gm.sup_dist for gm in matches], np.int64))

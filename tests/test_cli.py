@@ -1,5 +1,6 @@
 """End-to-end CLI verbs, file formats, exit codes and determinism."""
 
+import ast
 import functools
 import importlib
 import json
@@ -1149,6 +1150,47 @@ def test_match_run_imports_neither_geometry_nor_synthetic(tmp_path, synth_dir):
                                                   name)
     with pytest.raises(AttributeError):
         dynafeat.no_such_name
+
+
+def _absolute_package_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of every import in ``tree`` that names the package
+    absolutely: ``import dynafeat...``, ``from dynafeat... import`` or an
+    ``importlib.import_module`` of a string literal."""
+    def absolute(name):
+        return name == "dynafeat" or name.startswith("dynafeat.")
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if absolute(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and absolute(node.module):
+            found.append((node.lineno, node.module))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "import_module" and node.args
+              and isinstance(node.args[0], ast.Constant)
+              and absolute(str(node.args[0].value))):
+            found.append((node.lineno, node.args[0].value))
+    return found
+
+
+def test_package_modules_import_their_siblings_relatively():
+    # every module reaches its siblings by relative imports, so that two
+    # copies of the package import side by side under two names; the root's
+    # lazy import_module(f"{__name__}.<module>") names no package
+    package = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "dynafeat")
+    names = sorted(n for n in os.listdir(package) if n.endswith(".py"))
+    assert "__init__.py" in names and "pipeline.py" in names
+    for name in names:
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        assert _absolute_package_imports(tree) == [], name
+    for bad in ("import dynafeat", "import dynafeat.matching as m",
+                "from dynafeat import matching", "from dynafeat.stats import DEFAULT_K",
+                "importlib.import_module('dynafeat.geometry')"):
+        assert _absolute_package_imports(ast.parse(bad)) != [], bad
+    assert _absolute_package_imports(ast.parse(
+        "from . import matching\nfrom .stats import DEFAULT_K\n"
+        "importlib.import_module(f'{__name__}.geometry')")) == []
 
 
 # Match files of the benchmark workloads at seed 301: sha256 prefixes over

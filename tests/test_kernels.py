@@ -207,14 +207,14 @@ def test_batch_mutual_nn_numpy_matches_oracle(monkeypatch, chunk_cells):
         for out in outs[1:]:
             for got, want in zip(out, outs[0]):
                 np.testing.assert_array_equal(got, want, strict=True)
-        scores, out_off, ia, ib, dist = outs[0]
-        # packed: the supports of pair p follow those of pair p - 1
-        assert np.array_equal(out_off, np.concatenate([[0], np.cumsum(scores)[:-1]]))
+        scores, ia, ib, dist = outs[0]
+        # packed with no gap: the supports of pair p follow those of pair
+        # p - 1, so each pair's slice ends at the cumulative sum of scores
         assert ia.shape == ib.shape == dist.shape == (int(scores.sum()),)
         for p in range(n_pairs):
             rows_a = mem_a[off_a[pair_a[p]]:][:cnt_a[pair_a[p]]]
             rows_b = mem_b[off_b[pair_b[p]]:][:cnt_b[pair_b[p]]]
-            assert _supports(scores, out_off, ia, ib, dist, p) == \
+            assert _supports(scores, ia, ib, dist, p) == \
                 _oracle_supports(desc_a, desc_b, rows_a, rows_b), (trial, p)
             empty_pairs += scores[p] == 0
             full_pairs += scores[p] > 0
@@ -251,9 +251,11 @@ def test_batch_mutual_nn_odd_chunk_count_matches_oracle(monkeypatch, workers, ch
         assert _supports(*out, p) == _oracle_supports(desc_a, desc_b, rows_a, rows_b), p
 
 
-def _supports(scores, out_off, ia, ib, dist, p):
-    """Pair p's (row a, row b, distance) supports from the kernel's packed output."""
-    s = slice(int(out_off[p]), int(out_off[p] + scores[p]))
+def _supports(scores, ia, ib, dist, p):
+    """Pair p's (row a, row b, distance) supports from the kernel's packed
+    output: the rows up to the cumulative sum of scores through pair p."""
+    end = int(scores[:p + 1].sum())
+    s = slice(end - int(scores[p]), end)
     return list(zip(ia[s].tolist(), ib[s].tolist(), dist[s].tolist()))
 
 
@@ -358,7 +360,7 @@ def _one_pair(n_a, n_b):
 def test_mutual_nn_distances_are_popcounts():
     a = np.array([[0x00, 0xFF, 0x0F, 0x00, 0, 0, 0, 0]], np.uint8)
     b = np.array([[0x00, 0x00, 0x0F, 0x00, 0, 0, 0, 0]], np.uint8)
-    scores, out_off, ia, ib, dist = _kernels.batch_mutual_nn(a, b, *_one_pair(1, 1))
+    scores, ia, ib, dist = _kernels.batch_mutual_nn(a, b, *_one_pair(1, 1))
     assert scores.tolist() == [1]
     assert (ia[0], ib[0], dist[0]) == (0, 0, 8)
 

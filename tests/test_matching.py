@@ -386,7 +386,7 @@ def test_odd_width_sequence_equals_zero_extended_rows():
 def test_accepted_row_views_equal_flat_columns(tmp_path, monkeypatch):
     # the first transition of the seed-301 dense benchmark scene: each
     # GroupMatch row view holds its pair's slots and its slice of the flat
-    # supports, and dedup's gather equals the first claim over the rows'
+    # supports, and dedup equals the first claim over the rows'
     # supports laid end to end
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
     import workloads
@@ -402,10 +402,12 @@ def test_accepted_row_views_equal_flat_columns(tmp_path, monkeypatch):
     assert [gm.group_prev for gm in rows] == accepted.group_prev.tolist()
     assert [gm.group_curr for gm in rows] == accepted.group_curr.tolist()
     assert [len(gm.sup_a) for gm in rows] == accepted.scores.tolist()
-    for gm, start, score in zip(rows, accepted.starts.tolist(), accepted.scores.tolist()):
+    assert accepted.ia.shape == (int(accepted.scores.sum()),)
+    for gm, end, score in zip(rows, np.cumsum(accepted.scores).tolist(),
+                              accepted.scores.tolist()):
         for view, flat in ((gm.sup_a, accepted.ia), (gm.sup_b, accepted.ib),
                            (gm.sup_dist, accepted.dist)):
-            assert np.array_equal(view, flat[start:start + score])
+            assert np.array_equal(view, flat[end - score:end])
     sup_a = np.concatenate([gm.sup_a for gm in rows])
     sup_b = np.concatenate([gm.sup_b for gm in rows])
     keep = np.array(claim_first_reference(sup_a, sup_b))

@@ -10,7 +10,9 @@ hold by construction, on any input:
   ``search_margin`` by a power of two is exact in binary floating point.
 
 A run whose kernels use one thread must also give the default run's
-InlierColumns, since the kernels' split over threads is exact.
+InlierColumns, since the kernels' split over threads is exact. Runs on a
+few of these inputs must also equal ``oracles.run_reference``, the whole
+run composed of the stage oracles.
 """
 
 import dataclasses
@@ -21,10 +23,12 @@ import pytest
 
 from dynafeat import _kernels
 from dynafeat.config import PipelineConfig
-from dynafeat.frontend import FrameFeatures
+from dynafeat.frontend import DEFAULT_DESC_BITS, FrameFeatures
 from dynafeat.matching import InlierColumns
 from dynafeat.pipeline import COLUMNS, load_frame, run_sequence
 from dynafeat.synthetic import generate_sequence, make_cluster_scene
+
+from oracles import run_reference
 
 # the pipeline counters of a RunStats row (the rest are stage times)
 COUNTERS = [c for c in COLUMNS if not c.endswith("_ms")]
@@ -41,17 +45,19 @@ def _workload_frames(name, tmp_dir):
             for i, n in enumerate(names)]
 
 
-def _cluster_frames(seed):
+def _cluster_frames(seed, outlier_rate=0.1, desc_bits=DEFAULT_DESC_BITS):
     scene = make_cluster_scene(seed=seed, frames=6, n_clusters=40, points_per_cluster=12,
                                trajectory="translate_x", step=0.06, jitter_px=0.1,
-                               descriptor_bit_flips=6, outlier_rate=0.1)
+                               descriptor_bit_flips=6, outlier_rate=outlier_rate,
+                               desc_bits=desc_bits)
     return generate_sequence(scene, seed=seed).frames
 
 
-def _max_group_frames(seed=23):
+def _max_group_frames(seed=23, n_clusters=26, points_per_cluster=100):
     """A dense scene of 100-point clusters: most groups close at max_group,
     and each transition scores hundreds of pairs of full groups."""
-    scene = make_cluster_scene(seed=seed, frames=4, n_clusters=26, points_per_cluster=100,
+    scene = make_cluster_scene(seed=seed, frames=4, n_clusters=n_clusters,
+                               points_per_cluster=points_per_cluster,
                                cluster_radius_px=10.0, trajectory="translate_x", step=0.06,
                                jitter_px=0.1, descriptor_bit_flips=6, outlier_rate=0.05)
     return generate_sequence(scene, seed=seed).frames
@@ -225,3 +231,47 @@ def test_dense_scene_claims_in_a_few_rounds(inputs, monkeypatch):
     _run(PipelineConfig(), inputs["dense7k"])
     assert len(rounds) == 4
     assert all(2 <= count <= 4 < _kernels._CLAIM_ROUNDS for count in rounds), rounds
+
+
+# inputs of the whole-run reference: its brute-force oracles take up to a
+# second per input where the run takes milliseconds, so the seed-301
+# sparse scene is cut to 12 frames, the cluster scenes to 4 and the
+# max-group scene to 3 frames of 6 clusters of 80 points (two of each
+# cluster's three groups close at max_group)
+REFERENCE_INPUTS = {
+    "sparse300_12": lambda inputs: inputs["sparse300"][:12],
+    "outliers_3": lambda inputs: _cluster_frames(3, outlier_rate=0.3)[:4],
+    "outliers_11": lambda inputs: _cluster_frames(11, outlier_rate=0.3)[:4],
+    "outliers_19": lambda inputs: _cluster_frames(19, outlier_rate=0.3)[:4],
+    "maxgroup": lambda inputs: _max_group_frames(n_clusters=6, points_per_cluster=80)[:3],
+    "skipped": lambda inputs: inputs["skipped"],
+    "desc_bits_136": lambda inputs: _cluster_frames(7, desc_bits=136)[:4],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+def test_run_equals_stage_oracle_reference(inputs, name):
+    # every yielded InlierColumns and TrackState equals the reference's,
+    # row for row; skipped frames yield neither on both sides
+    frames = REFERENCE_INPUTS[name](inputs)
+    config = PipelineConfig()
+    got = [(pair, state) for _, pair, state in run_sequence(config, frames)]
+    want = list(run_reference(config, frames))
+    assert len(got) == len(want) == len(frames)
+    matches = continued = 0
+    for (pair, state), (ref_pair, ref_state) in zip(got, want):
+        assert (pair is None) == (ref_pair is None)
+        if pair is not None:
+            assert (pair.frame_prev, pair.frame_curr) == ref_pair["frames"]
+            for field in ARRAYS:
+                assert getattr(pair, field).tolist() == ref_pair[field], field
+            matches += len(pair)
+        assert (state is None) == (ref_state is None)
+        if state is not None:
+            assert state.groups.centroids.tolist() == ref_state["centroid"]
+            assert state.groups.counts.tolist() == ref_state["count"]
+            assert state.displacement.tolist() == ref_state["displacement"]
+            assert state.age.tolist() == ref_state["age"]
+            assert state.margin == ref_state["margin"]
+            continued += len(state.proxies)
+    assert matches > 0 and continued > 0

@@ -84,8 +84,9 @@ def test_count_exceeding_pool_rejected():
 def test_parameter_validation():
     with pytest.raises(ValueError):
         p_true(-0.1, 5, 10)
-    with pytest.raises(ValueError):
-        support_threshold(25, 0.0)
+    for k in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            support_threshold(25, k)
     with pytest.raises(ValueError):
         binomial_moments(0, 0.5)
 

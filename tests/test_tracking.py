@@ -1,5 +1,6 @@
 """Search regions, candidate intersection and state advance."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -73,8 +74,9 @@ def test_missing_proxy_predicts_standing_still():
 
 
 def test_region_validation(tmp_path):
-    with pytest.raises(ValueError):
-        bootstrap(_dummy_features(), group_table([_group(0, 0, 5, 5)]), margin=0.0)
+    for margin in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            bootstrap(_dummy_features(), group_table([_group(0, 0, 5, 5)]), margin=margin)
     # displacements are centroid differences, finite because a non-finite
     # position fails at load time
     path = tmp_path / "nan.feat"
