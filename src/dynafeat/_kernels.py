@@ -14,10 +14,17 @@ writes its own disjoint slice of one preallocated output, and every
 output value is computed from the same inputs by the same operations as
 in one part, so the result is the same, bit for bit, whatever the split.
 The threads are started and joined inside the call; none outlives it.
+
+The mutual-NN kernel's shards each work in one workspace of a chunk's
+cells (``_CHUNK_CELLS``), which the calling thread allocates before the
+workers start, so a worker allocates only small row and column results,
+and a block larger than a chunk is scored in tiles of rows: no input
+shape grows the kernel's memory beyond one chunk per shard.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 import threading
@@ -234,8 +241,7 @@ def brief_descriptors(sums: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 # (the per-frame matching hot loop, and the only copy of the mutual-NN rule)
 # ---------------------------------------------------------------------------
 
-# Cells (padded member pairs) per chunk: bounds each worker's temporaries to
-# a few MB whatever the number of pairs in the call.
+# Cells (padded member pairs) per chunk, and so per shard workspace.
 _CHUNK_CELLS = 1 << 17
 
 
@@ -254,6 +260,28 @@ def _group_planes(desc, mem, off, cnt, width):
     return np.take(words, ids, axis=1), ids, padding
 
 
+class _Workspace:
+    """One shard's chunk buffers for tiles of ``rows`` x ``mb`` cells over
+    ``pairs`` pairs, flat: a chunk works in contiguous views of their
+    leading elements (``_view``). The row keys reuse the XOR buffer and the
+    tie mask the popcount buffer, once the distances are summed."""
+
+    def __init__(self, n_words: int, rows: int, mb: int, pairs: int, dt):
+        cells = rows * mb * pairs
+        self.x = np.empty(cells, np.uint64)      # XOR of one word plane
+        self.bits = np.empty(cells, np.uint8)    # its popcount
+        self.d = np.empty(cells, dt)             # distances
+        self.key = self.x.view(dt)               # distance, then column
+        self.tie = self.bits.view(bool)          # cells at a minimum
+        self.wa = np.empty(n_words * rows * pairs, np.uint64)  # gathered words
+        self.wb = np.empty(n_words * mb * pairs, np.uint64)
+
+
+def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading elements of the flat ``buf`` as a contiguous ``shape`` array."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
 def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
                     mem_a: np.ndarray, off_a: np.ndarray, cnt_a: np.ndarray,
                     mem_b: np.ndarray, off_b: np.ndarray, cnt_b: np.ndarray,
@@ -270,6 +298,14 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
     Returns (scores, ia, ib, dist): supports packed with no gap, pair p's
     ``scores[p]`` rows of the flat arrays right after pair p - 1's, in
     ascending member position on the first side.
+
+    The pairs are scored in chunks of whole pairs, in shards of whole
+    chunks (one per worker). Each shard works in one workspace of at most
+    ``_CHUNK_CELLS`` cells (or one second-side row, if longer), which the
+    calling thread allocates before the workers start; a worker allocates
+    only row and column results. A pair whose padded block exceeds the
+    chunk is scored in tiles of first-side rows, so no input shape grows
+    the kernel's memory beyond one chunk per shard.
     """
     if desc_a.ndim != 2 or desc_b.ndim != 2 or desc_a.shape[1] != desc_b.shape[1]:
         raise ValueError("descriptor arrays must be 2-D with matching widths")
@@ -302,47 +338,79 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
     tie_dt = np.min_scalar_type(max(ma, mb))
     row_key = np.empty((ma, n_pairs), dt)
     ok = np.empty((ma, n_pairs), bool)
-    step = max(1, _CHUNK_CELLS // (ma * mb))
+    # A tile is up to `rows` first-side rows of every pair in a chunk. A
+    # chunk is `step` pairs of whole blocks, or one pair in tiles when its
+    # block holds more than _CHUNK_CELLS cells.
+    rows = min(ma, max(1, _CHUNK_CELLS // mb))
+    step = max(1, _CHUNK_CELLS // (rows * mb))
 
     def score_chunks(span):
         """Fill the row_key and ok columns of pairs [span[0], span[1]),
-        chunk by chunk."""
+        chunk by chunk, in the span's workspace."""
+        ws = spaces[span]
         for s in range(span[0], span[1], step):
             e = min(s + step, span[1])
+            k = e - s
             ga = pair_a[s:e]
             gb = pair_b[s:e]
-            wa = np.take(planes_a, ga, axis=2)
-            wb = np.take(planes_b, gb, axis=2)
-            x = np.empty((ma, mb, e - s), np.uint64)
-            bits = np.empty((n_words, ma, mb, e - s), np.uint8)
-            for w in range(n_words):
-                np.bitwise_xor(wa[w, :, None], wb[w, None], out=x)
-                np.bitwise_count(x, out=bits[w])
-            d = np.add.reduce(bits, axis=0, dtype=dt)
-            np.maximum(d, np.take(pad_a, ga, axis=1)[:, None], out=d)
-            np.maximum(d, np.take(pad_b, gb, axis=1)[None], out=d)
-            key = d << shift
-            key |= pos_b
-            rk = row_key[:, s:e] = key.min(axis=1)
-            r_min = rk >> shift
-            r_arg = (rk & low).astype(np.intp)
-            col_min = d.min(axis=0)
-            row_ties = (d == r_min[:, None]).sum(axis=1, dtype=tie_dt)
-            col_ties = (d == col_min[None]).sum(axis=0, dtype=tie_dt)
-            cols = np.arange(e - s)
+            # mode="wrap" indexes as planes_b[:, :, gb] does; the default
+            # mode="raise" would copy through a buffer the size of `out`
+            wb = np.take(planes_b, gb, axis=2, out=_view(ws.wb, n_words, mb, k), mode="wrap")
+            pad_gb = np.take(pad_b, gb, axis=1)[None]
+            for r0 in range(0, ma, rows):
+                r1 = min(r0 + rows, ma)
+                n = r1 - r0
+                wa = np.take(planes_a[:, r0:r1], ga, axis=2,
+                             out=_view(ws.wa, n_words, n, k), mode="wrap")
+                x = _view(ws.x, n, mb, k)
+                bits = _view(ws.bits, n, mb, k)
+                d = _view(ws.d, n, mb, k)
+                for w in range(n_words):
+                    np.bitwise_xor(wa[w, :, None], wb[w, None], out=x)
+                    np.bitwise_count(x, out=bits)
+                    if w:
+                        np.add(d, bits, out=d)
+                    else:
+                        np.copyto(d, bits)
+                np.maximum(d, np.take(pad_a[r0:r1], ga, axis=1)[:, None], out=d)
+                np.maximum(d, pad_gb, out=d)
+                key = np.left_shift(d, shift, out=_view(ws.key, n, mb, k))
+                key |= pos_b
+                # a row's minimum, first position and ties lie in its tile
+                r_min = np.minimum.reduce(key, axis=1, out=row_key[r0:r1, s:e]) >> shift
+                tie = _view(ws.tie, n, mb, k)
+                np.equal(d, r_min[:, None], out=tie)
+                ok[r0:r1, s:e] = (tie.sum(axis=1, dtype=tie_dt) == 1) & (r_min < pad_dist)
+                t_min = d.min(axis=0)
+                np.equal(d, t_min[None], out=tie)
+                t_ties = tie.sum(axis=0, dtype=tie_dt)
+                if r0 == 0:
+                    col_min, col_ties = t_min, t_ties
+                else:
+                    # (minimum, ties) merge exactly: each side's ties count
+                    # where its minimum is the merged one
+                    merged = np.minimum(col_min, t_min)
+                    col_ties = (np.where(col_min == merged, col_ties, 0)
+                                + np.where(t_min == merged, t_ties, 0))
+                    col_min = merged
             # the unique minimum of column j = r_arg[i] sits in row i exactly
             # when it equals row i's minimum; a padding minimum means row i
             # or all of its columns are padding
-            ok[:, s:e] = ((row_ties == 1) & (col_ties[r_arg, cols] == 1)
-                          & (col_min[r_arg, cols] == r_min) & (r_min < pad_dist))
+            rk = row_key[:, s:e]
+            r_arg = (rk & low).astype(np.intp)
+            cols = np.arange(k)
+            ok[:, s:e] &= (col_ties[r_arg, cols] == 1) & (col_min[r_arg, cols] == rk >> shift)
 
     # Shards of whole chunks, at least 2 per shard: a shard writes only its
     # own columns of row_key and ok, and every pair is scored as in one
-    # shard, since each chunk's pairs are.
+    # shard, since each chunk's pairs are. The workspaces are allocated
+    # here, in the calling thread, one per shard.
     n_chunks = -(-n_pairs // step)
     shards = max(1, min(_WORKERS, n_chunks // 2))
-    _run_parts(score_chunks, [(a * step, min(b * step, n_pairs))
-                              for a, b in _spans(n_chunks, shards)])
+    spans = [(a * step, min(b * step, n_pairs)) for a, b in _spans(n_chunks, shards)]
+    spaces = {span: _Workspace(n_words, rows, mb, min(step, span[1] - span[0]), dt)
+              for span in spans}
+    _run_parts(score_chunks, spans)
     # pair-major, ascending member position within a pair
     p, i = np.nonzero(ok.T)
     scores = np.bincount(p, minlength=n_pairs).astype(np.int64, copy=False)

@@ -63,9 +63,11 @@ class AcceptedPairs:
 def mutual_nn_match(desc_a: np.ndarray, desc_b: np.ndarray):
     """Mutual unique-nearest-neighbor pairs between two packed uint8
     descriptor matrices, as (ia, ib, dist) arrays of row indices and
-    Hamming distances in ascending ``ia`` order. The kernel holds the whole
-    n_a x n_b block at once (``_CHUNK_CELLS`` bounds only batches of small
-    groups): ~21 B of peak RSS per cell at 256 bits, 80 MB at 2000 x 2000."""
+    Hamming distances in ascending ``ia`` order. The kernel scores the
+    n_a x n_b block in tiles of first-side rows of one chunk each
+    (``_kernels._CHUNK_CELLS`` cells, or one n_b row if longer), so its
+    memory does not grow with n_a: about 3 MB traced at 3000 x 3000 rows
+    of 256 bits, where the whole block would take about 190 MB."""
     if desc_a.shape[0] == 0 or desc_b.shape[0] == 0:
         raise ValueError("descriptor sets must be non-empty")
     if desc_a.dtype != np.uint8 or desc_b.dtype != np.uint8:

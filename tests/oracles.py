@@ -92,15 +92,20 @@ def brief_reference(sums: np.ndarray, xs, ys, pattern: np.ndarray) -> np.ndarray
     return out
 
 
+def _row_int(row) -> int:
+    """A descriptor row of byte values as one Python int, first byte highest."""
+    return int.from_bytes(bytes(row.tolist()), "big")
+
+
 def hamming_reference(a: np.ndarray, b: np.ndarray) -> int:
-    return sum(int(x ^ y).bit_count() for x, y in zip(a.tolist(), b.tolist()))
+    return (_row_int(a) ^ _row_int(b)).bit_count()
 
 
 def mutual_nn_reference(desc_a: np.ndarray, desc_b: np.ndarray) -> list[tuple[int, int, int]]:
     """Brute-force bidirectional unique-nearest-neighbor pairs."""
     na = len(desc_a)
-    nb = len(desc_b)
-    dist = [[hamming_reference(desc_a[i], desc_b[j]) for j in range(nb)] for i in range(na)]
+    rows_b = [_row_int(row) for row in desc_b]
+    dist = [[(x ^ y).bit_count() for y in rows_b] for x in map(_row_int, desc_a)]
     pairs = []
     for i in range(na):
         row = dist[i]

@@ -3,6 +3,7 @@ bit."""
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,137 @@ def test_batch_mutual_nn_counts_ties_in_a_large_group():
         rows_a = mem[off[ga]:off[ga] + cnt[ga]]
         rows_b = mem[off[gb]:off[gb] + cnt[gb]]
         assert _supports(*out, p) == _oracle_supports(desc, desc, rows_a, rows_b), (ga, gb)
+
+
+def _record_workspaces(monkeypatch):
+    """Make batch_mutual_nn log the (rows, mb, pairs) of every workspace it
+    allocates, and the thread that allocates it; returns the log."""
+    log = []
+    workspace = _kernels._Workspace
+
+    def record(n_words, rows, mb, pairs, dt):
+        log.append((rows, mb, pairs, threading.current_thread()))
+        return workspace(n_words, rows, mb, pairs, dt)
+
+    monkeypatch.setattr(_kernels, "_Workspace", record)
+    return log
+
+
+def _tile_scene():
+    """7 rows against 5: rows 0 and 6 both equal column 0, so column 0's
+    minimum ties across any two row tiles; column 1's unique minimum is row
+    5, while row 1, whose own minimum is column 1 at distance 3, comes first."""
+    rng = np.random.default_rng(35)
+    desc_b = rng.integers(0, 256, (5, 32), dtype=np.uint8)
+    desc_a = rng.integers(0, 256, (7, 32), dtype=np.uint8)
+    desc_a[[0, 6]] = desc_b[0]
+    desc_a[5] = desc_b[1]
+    desc_a[1] = desc_b[1]
+    desc_a[1, :3] ^= 1
+    return desc_a, desc_b
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_row_tiles_merge_column_minima_exactly(monkeypatch, rows):
+    # tiles of 1, 2 and 3 rows (the last one short for 2 and 3), and the
+    # whole block as one tile
+    desc_a, desc_b = _tile_scene()
+    monkeypatch.setattr(_kernels, "_CHUNK_CELLS", rows * 5)
+    log = _record_workspaces(monkeypatch)
+    got = _supports(*_kernels.batch_mutual_nn(desc_a, desc_b, *_one_pair(7, 5)), 0)
+    assert [entry[:3] for entry in log] == [(rows, 5, 1)]
+    assert got == _oracle_supports(desc_a, desc_b, np.arange(7), np.arange(5))
+    # the tie disqualifies column 0; column 1 goes to row 5, not row 1
+    assert (5, 1, 0) in got
+    assert not [s for s in got if s[1] == 0 or s[0] == 1]
+
+
+@pytest.mark.parametrize("rows", [1, 100, 258])
+def test_row_tiles_count_every_tie(monkeypatch, rows):
+    # 257 tied rows against (x, y): in one tile, across three tiles (the
+    # last short) and across 257 one-row tiles, x's column counts all 257
+    # ties; against 258 tied columns, each row's ties lie in its tile
+    tied = _tied_rows(257)
+    pair = tied[-2:]
+    for desc_a, desc_b in ((tied, pair), (pair, tied)):
+        n_a, n_b = len(desc_a), len(desc_b)
+        monkeypatch.setattr(_kernels, "_CHUNK_CELLS", rows * n_b)
+        out = _kernels.batch_mutual_nn(desc_a, desc_b, *_one_pair(n_a, n_b))
+        want = _oracle_supports(desc_a, desc_b, np.arange(n_a), np.arange(n_b))
+        assert _supports(*out, 0) == want
+        assert len(want) == 1
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_row_tiles_of_many_pairs_match_oracle_on_any_worker_count(monkeypatch, rows):
+    # 9 pairs of groups of up to 35 members, each pair a chunk of its own
+    # in tiles of `rows` rows, the last one short for 2 and 3; padding rows
+    # fill the groups below 35
+    rng = np.random.default_rng(46)
+    desc_a = rng.integers(0, 4, (150, 32), dtype=np.uint8)
+    desc_b = rng.integers(0, 4, (150, 32), dtype=np.uint8)
+    mem_a, off_a, cnt_a = _ragged_groups(rng, 4, 150)
+    mem_b, off_b, cnt_b = _ragged_groups(rng, 4, 150)
+    pair_a = rng.integers(0, 4, 9).astype(np.int64)
+    pair_b = rng.integers(0, 4, 9).astype(np.int64)
+    ma, mb = int(cnt_a[pair_a].max()), int(cnt_b[pair_b].max())
+    assert (ma, mb) == (35, 32)
+    monkeypatch.setattr(_kernels, "_CHUNK_CELLS", rows * mb)
+    log = _record_workspaces(monkeypatch)
+    outs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        outs.append(_kernels.batch_mutual_nn(desc_a, desc_b, mem_a, off_a, cnt_a,
+                                             mem_b, off_b, cnt_b, pair_a, pair_b))
+    # one workspace of one tile per shard, 1, 2 and 3 shards of 9 chunks
+    assert [entry[:3] for entry in log] == [(rows, mb, 1)] * 6
+    for out in outs[1:]:
+        for got, want in zip(out, outs[0]):
+            np.testing.assert_array_equal(got, want, strict=True)
+    for p in range(9):
+        rows_a = mem_a[off_a[pair_a[p]]:][:cnt_a[pair_a[p]]]
+        rows_b = mem_b[off_b[pair_b[p]]:][:cnt_b[pair_b[p]]]
+        assert _supports(*outs[0], p) == _oracle_supports(desc_a, desc_b, rows_a, rows_b), p
+
+
+def test_workers_allocate_no_chunk_sized_array(monkeypatch):
+    # 1,600 pairs of 35-member groups on 2 workers: the calling thread
+    # allocates one workspace per shard before the parts start, and while
+    # they run the traced memory grows by the row and column results and
+    # numpy's own iteration buffers only, a fixed few hundred kB that is
+    # less than one chunk's XOR block (8 B per cell) for both workers
+    rng = np.random.default_rng(37)
+    desc = rng.integers(0, 256, (1400, 32), dtype=np.uint8)
+    cnt = np.full(40, 35, np.int64)
+    off = np.arange(0, 1400, 35, dtype=np.int64)
+    mem = rng.permutation(1400).astype(np.int64)
+    pair_a, pair_b = (g.ravel().astype(np.int64) for g in np.indices((40, 40)))
+    monkeypatch.setattr(_kernels, "_WORKERS", 2)
+    log = _record_workspaces(monkeypatch)
+    grown = []
+    run_parts = _kernels._run_parts
+
+    def traced_parts(fn, parts):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return run_parts(fn, parts)
+        finally:
+            grown.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(_kernels, "_run_parts", traced_parts)
+    want = _kernels.batch_mutual_nn(desc, desc, mem, off, cnt, mem, off, cnt, pair_a, pair_b)
+    tracemalloc.start()
+    try:
+        got = _kernels.batch_mutual_nn(desc, desc, mem, off, cnt, mem, off, cnt, pair_a, pair_b)
+    finally:
+        tracemalloc.stop()
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b, strict=True)
+    step = _kernels._CHUNK_CELLS // (35 * 35)
+    assert [entry[:3] for entry in log] == [(35, 35, step)] * 4
+    assert all(entry[3] is threading.main_thread() for entry in log)
+    assert len(grown) == 2 and grown[1] < 8 * _kernels._CHUNK_CELLS, grown
 
 
 def test_claim_first_numpy_matches_greedy():

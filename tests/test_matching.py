@@ -2,10 +2,12 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dynafeat import _kernels
 from dynafeat.config import PipelineConfig
 from dynafeat.frontend import FrameFeatures
 from dynafeat.grouping import FeatureGroup, group_features
@@ -133,6 +135,54 @@ def test_mutual_symmetry_property():
     assert len(set(ib.tolist())) == len(ib)
     rb, ra, _ = mutual_nn_match(curr, prev)
     assert set(zip(ia.tolist(), ib.tolist())) <= set(zip(ra.tolist(), rb.tolist()))
+
+
+def _tiled_sets(rng, n_a, n_b):
+    """n_a rows against n_b: most of the second set are noisy copies of the
+    first, the rest random, and rows repeat far apart on both sides, so
+    minima tie across row tiles."""
+    prev = rng.integers(0, 256, (n_a, 32), dtype=np.uint8)
+    curr = rng.integers(0, 256, (n_b, 32), dtype=np.uint8)
+    copies = rng.permutation(n_a)[:n_b * 3 // 4]
+    curr[:copies.size] = prev[copies]
+    flips = (1 << rng.integers(0, 8, copies.size)).astype(np.uint8)
+    curr[np.arange(copies.size), rng.integers(0, 32, copies.size)] ^= flips
+    prev[-20:] = prev[:20]
+    curr[-10:] = curr[:10]
+    return prev, curr
+
+
+def test_whole_sets_in_row_tiles_match_oracle(monkeypatch):
+    # 300 x 400 rows in tiles of 7 rows (the last one 6 rows) equal the
+    # oracle and the whole block as one tile
+    prev, curr = _tiled_sets(np.random.default_rng(300), 300, 400)
+    whole = mutual_nn_match(prev, curr)
+    monkeypatch.setattr(_kernels, "_CHUNK_CELLS", 7 * 400)
+    ia, ib, dist = mutual_nn_match(prev, curr)
+    ours = list(zip(ia.tolist(), ib.tolist(), dist.tolist()))
+    assert len(ours) > 200
+    assert ours == mutual_nn_reference(prev, curr)
+    for got, want in zip((ia, ib, dist), whole):
+        np.testing.assert_array_equal(got, want, strict=True)
+
+
+def test_whole_sets_match_in_bounded_memory(monkeypatch):
+    # two random 3,000-row sets: 9M cells, ~190 MB as one block, in tiles
+    # of one chunk each (43 rows), with the same output
+    rng = np.random.default_rng(3000)
+    prev = rng.integers(0, 256, (3000, 32), dtype=np.uint8)
+    curr = rng.integers(0, 256, (3000, 32), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        tiled = mutual_nn_match(prev, curr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+    monkeypatch.setattr(_kernels, "_CHUNK_CELLS", 3000 * 3000)
+    for got, want in zip(tiled, mutual_nn_match(prev, curr)):
+        np.testing.assert_array_equal(got, want, strict=True)
+    assert tiled[0].size > 0
 
 
 def test_empty_inputs_rejected():
