@@ -15,6 +15,14 @@ output value is computed from the same inputs by the same operations as
 in one part, so the result is the same, bit for bit, whatever the split.
 The threads are started and joined inside the call; none outlives it.
 
+The segment test first runs a compass over each band: ring pixels 0, 4, 8
+and 12. Any circular run of 9 of the 16 ring pixels holds pixel 0 or 8
+and pixel 4 or 12, so a pixel scores 0 unless such a pair is brighter
+than its center by more than the threshold, or such a pair darker. A band
+whose survivors are at most ``_SURVIVOR_SHARE`` of its pixels runs the
+full test at the survivors alone; a denser band runs the slice test over
+the whole band. Either way the output is the same, bit for bit.
+
 The mutual-NN kernel's shards each work in one workspace of a chunk's
 cells (``_CHUNK_CELLS``), which the calling thread allocates before the
 workers start, so a worker allocates only small row and column results,
@@ -124,6 +132,14 @@ def fast_response_map(img: np.ndarray, threshold: int) -> np.ndarray:
     ``img`` is a 2-D uint8 array and ``threshold`` an integer in
     1..MAX_FAST_THRESHOLD; anything else raises ValueError. Nonzero
     responses lie at least 3 pixels inside every border.
+
+    Each row band (one per worker on large images) runs the compass first:
+    a run of 9 holds ring pixel 0 or 8 and ring pixel 4 or 12, so only
+    pixels with such a pair on one side can score. A band whose survivors
+    are at most ``_SURVIVOR_SHARE`` of its pixels gathers their 16 ring
+    pixels and runs the full test on them alone (about 5% of the pixels of
+    the image640 benchmark frames survive); a denser band, such as noise,
+    runs the slice test over whole shifted views of the band.
     """
     if isinstance(threshold, bool) or not isinstance(threshold, numbers.Integral):
         raise ValueError(f"fast_threshold must be an integer, got {threshold!r}")
@@ -147,46 +163,126 @@ def fast_response_map(img: np.ndarray, threshold: int) -> np.ndarray:
     return resp
 
 
+# A band runs the full segment test at its compass survivors only when they
+# are at most this share of its pixels; a denser band runs the slice test
+# over the whole band. The two strategies cost the same near half of a
+# 640x480 image's pixels (2 CPUs, numpy 2.4.6; BENCH_36.json "crossing").
+_SURVIVOR_SHARE = 0.5
+
+
 def _segment_test(img: np.ndarray, threshold: int, out: np.ndarray) -> None:
     """Write the responses of ``img``'s rows 3..h-4 into ``out`` (h - 6 rows
-    of the same width, zero on entry); ``img`` has at least 7 rows."""
+    of the same width, zero on entry); ``img`` has at least 7 rows.
+
+    The compass leaves the pixels that may hold an arc. At most
+    ``_SURVIVOR_SHARE`` of the band, they go to the ring test as they are;
+    above it, the slice test first narrows them to the band's corners.
+    """
     h, w = img.shape
-    # Row-major flat pixels: ring pixel k of pixel p is flat[p + ring[k]].
-    # Every p in [start, start + n) has its whole ring inside the array;
-    # those within 3 columns of a side read neighbouring rows and are
-    # dropped below.
+    # Row-major flat pixels from pixel start = (3, 3) on: ring pixel k of
+    # pixel start + i is shifted[k][i], for every i in [0, n).
     flat = img.astype(np.int16).ravel()
-    ring = _CIRCLE_DY * w + _CIRCLE_DX
     start = 3 * w + 3
     n = (h - 6) * w - 6
+    shifted = [flat[start + off:start + off + n]
+               for off in (_CIRCLE_DY * w + _CIRCLE_DX).tolist()]
     center = flat[start:start + n]
-    hi = center + threshold
-    lo = center - threshold
+    live = _compass(shifted, center, threshold)
+    # pixels within 3 columns of a side would read neighbouring rows
+    live[:(h - 7) * w].reshape(h - 7, w)[:, w - 6:] = False
+    q = np.flatnonzero(live)
+    if q.size > _SURVIVOR_SHARE * n:
+        q = _slice_corners(shifted, center, live, threshold)
+    # the ring test keeps the corners among q and scores them
+    q, resp = _ring_test(shifted, center, q, threshold)
+    # pixel start + i is row 3 + (i + 3) // w, column (i + 3) % w
+    out.reshape(-1)[q + 3] = resp
+
+
+def _compass(shifted: list, center: np.ndarray, threshold: int) -> np.ndarray:
+    """The pixels of the band that may hold an arc, by ring pixels 0, 4, 8
+    and 12 alone.
+
+    A circular run of 9 of the 16 ring pixels holds pixel 0 or 8 and pixel
+    4 or 12. So a bright arc needs the smaller of max(p0, p8) and
+    max(p4, p12) above c + threshold, and a dark arc the larger of
+    min(p0, p8) and min(p4, p12) below c - threshold; a pixel with neither
+    scores 0.
+    """
+    p0, p4, p8, p12 = shifted[0::4]
+    tmp = np.maximum(p0, p8)
+    bright = np.maximum(p4, p12)
+    np.minimum(bright, tmp, out=bright)
+    np.minimum(p0, p8, out=tmp)
+    dark = np.minimum(p4, p12)
+    np.maximum(dark, tmp, out=dark)
+    bright -= center
+    dark -= center
+    live = bright > threshold
+    live |= dark < -threshold
+    return live
+
+
+def _arcs(rings, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Nonzero where a pixel holds an arc. ``rings`` yields the values of
+    ring pixels 0..15 in order, each array aligned with the bounds ``hi``
+    and ``lo``."""
     # bit k of a code: ring pixel k is brighter (darker) than the center
-    bright = np.zeros(n, np.uint16)
-    dark = np.zeros(n, np.uint16)
-    flag = np.empty(n, bool)
-    bit = np.empty(n, np.uint16)
-    for k, off in enumerate(ring.tolist()):
-        shifted = flat[start + off:start + off + n]
-        np.greater(shifted, hi, out=flag)
+    bright = np.zeros(hi.size, np.uint16)
+    dark = np.zeros(hi.size, np.uint16)
+    flag = np.empty(hi.size, bool)
+    bit = np.empty(hi.size, np.uint16)
+    for k, ring_k in enumerate(rings):
+        np.greater(ring_k, hi, out=flag)
         np.left_shift(flag, k, out=bit, dtype=np.uint16)
         bright |= bit
-        np.less(shifted, lo, out=flag)
+        np.less(ring_k, lo, out=flag)
         np.left_shift(flag, k, out=bit, dtype=np.uint16)
         dark |= bit
     arc = _has_arc(bright)
     arc |= _has_arc(dark)
-    p = np.flatnonzero(arc) + start
-    col = p % w
-    p = p[(col >= 3) & (col < w - 3)]
-    # the clamped sums at the corners only, ring-major so each sum adds
-    # 16 rows; a sum is at most 16 * 254, exact in int16
-    vals = flat[ring[:, None] + p]
-    center = flat[p]
-    bsum = np.maximum(vals - (center + threshold), 0).sum(axis=0, dtype=np.int16)
-    dsum = np.maximum((center - threshold) - vals, 0).sum(axis=0, dtype=np.int16)
-    out.reshape(-1)[p - 3 * w] = np.maximum(bsum, dsum)
+    return arc
+
+
+def _slice_corners(shifted: list, center: np.ndarray, live: np.ndarray,
+                   threshold: int) -> np.ndarray:
+    """The corners of the band by the slice test: both ring codes of every
+    pixel, from 16 comparisons of whole shifted views each."""
+    arc = _arcs(shifted, center + threshold, center - threshold)
+    return np.flatnonzero(np.logical_and(arc, live))
+
+
+def _ring_test(shifted: list, center: np.ndarray, q: np.ndarray,
+               threshold: int) -> tuple[np.ndarray, np.ndarray]:
+    """The segment test at the pixels q alone: the corners among them and
+    their responses.
+
+    Each ring pixel is read through the one index q, and every array is
+    of len(q), so no whole-band array is made. A response is the larger
+    of sum(max(v - hi, 0)) and sum(max(lo - v, 0)) over the ring values v,
+    summed as sum(max(v, hi)) - 16 hi and 16 lo - sum(min(v, lo)): numpy
+    vectorizes maximum against an array, not against a scalar. Every
+    partial sum lies within 16 * 509, exact in int16.
+    """
+    c = center[q]
+    hi = c + threshold
+    lo = c - threshold
+    bsum = np.zeros(q.size, np.int16)
+    dsum = np.zeros(q.size, np.int16)
+    v = np.empty(q.size, np.int16)
+    clamped = np.empty(q.size, np.int16)
+
+    def rings():
+        for ring_k in shifted:
+            np.take(ring_k, q, out=v)
+            np.add(bsum, np.maximum(v, hi, out=clamped), out=bsum)
+            np.add(dsum, np.minimum(v, lo, out=clamped), out=dsum)
+            yield v
+
+    corner = np.flatnonzero(_arcs(rings(), hi, lo))
+    bsum -= hi * 16
+    np.subtract(lo * 16, dsum, out=dsum)
+    return q[corner], np.maximum(bsum, dsum)[corner]
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +507,8 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
     spaces = {span: _Workspace(n_words, rows, mb, min(step, span[1] - span[0]), dt)
               for span in spans}
     _run_parts(score_chunks, spans)
+    # the supports are gathered from row_key and ok alone
+    spaces.clear()
     # pair-major, ascending member position within a pair
     p, i = np.nonzero(ok.T)
     scores = np.bincount(p, minlength=n_pairs).astype(np.int64, copy=False)

@@ -173,10 +173,13 @@ def run_sequence(config: PipelineConfig, sources):
                "detect_ms": (t1 - t0) * 1000.0, "group_ms": (t2 - t1) * 1000.0,
                "match_ms": (t3 - t2) * 1000.0, "filter_ms": (t4 - t3) * 1000.0,
                "total_ms": (time.perf_counter() - t0) * 1000.0}
+        # the kernel's support arrays are in the pair and the state now: let
+        # them go before the consumer writes
+        candidates = accepted = None
         yield row, pair, state
-        # the consumer holds what it keeps of the pair; let the previous frame
-        # and the kernel's support arrays go before the next frame runs
-        pair = accepted = None
+        # the consumer holds what it keeps of the pair; let the previous
+        # frame go before the next frame runs
+        pair = None
 
 
 # ---------------------------------------------------------------------------

@@ -1313,6 +1313,31 @@ def test_empty_frame_warning_says_whether_a_state_exists(capsys, empty_at, messa
     assert capsys.readouterr().err == message + "\n"
 
 
+def test_accepted_pairs_are_gone_while_the_consumer_holds_the_row(monkeypatch):
+    # the consumer writes a transition's pair while the frame loop waits at
+    # its yield; the candidates and the accepted pairs, with the kernel's
+    # support arrays, are released before it
+    from dynafeat import matching, tracking
+    made = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            made.append(weakref.ref(out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(matching, "score_candidate_pairs",
+                        recording(matching.score_candidate_pairs))
+    monkeypatch.setattr(tracking, "intersect_candidates",
+                        recording(tracking.intersect_candidates))
+    frames = generate_sequence(make_cluster_scene(seed=9, frames=4), seed=9).frames
+    for row, pair, _ in run_sequence(PipelineConfig(), frames):
+        assert [ref() for ref in made] == [None] * len(made), row
+        assert pair is None or len(pair) > 0
+    assert len(made) == 6
+
+
 def test_run_sequence_pulls_sources_as_their_frames_come_up():
     frames = generate_sequence(make_cluster_scene(seed=9, frames=6), seed=9).frames
     pulled = []

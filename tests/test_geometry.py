@@ -7,11 +7,13 @@ import pytest
 
 from dynafeat.errors import (InsufficientDataError, SceneValidationError,
                              UndefinedMetricError)
+from dynafeat import geometry
 from dynafeat.geometry import (CameraIntrinsics, PoseEstimate, direction_angle_deg,
                                estimate_essential_ransac, pose_error,
                                pose_success_ratio, reprojection_repeatability,
                                rotation_angle_deg, _decompose_essential,
-                               _sampson_distance_px, _triangulate_depths)
+                               _sampson_distance_px, _solve_eight_point,
+                               _triangulate_depths)
 from dynafeat.synthetic import (SyntheticScene, default_intrinsics,
                                 generate_sequence, make_cluster_scene,
                                 make_two_view_points)
@@ -75,6 +77,62 @@ def test_adaptive_stop_on_pure_noise_runs_every_iteration():
     est = estimate_essential_ransac(a, b, K, adaptive=True)
     full = estimate_essential_ransac(a, b, K)
     assert np.array_equal(est.inlier_mask, full.inlier_mask)
+
+
+def test_eight_point_solve_returns_none_when_svd_fails():
+    # a NaN coordinate makes the normalized design matrix NaN, which the
+    # SVD does not converge on
+    pa, pb, _, _, _ = make_two_view_points(0, 8)
+    pa = np.array(pa, float)
+    pa[3, 0] = np.nan
+    assert _solve_eight_point(pa, np.array(pb, float)) is None
+
+
+def test_eight_point_solve_returns_none_for_non_finite_e(monkeypatch):
+    # Hartley normalization bounds every finite design matrix, so only an
+    # SVD that hands back NaN instead of raising reaches this return
+    pa, pb, _, _, _ = make_two_view_points(0, 8)
+    svd = np.linalg.svd
+
+    def nan_svd(a, *args, **kwargs):
+        u, s, vt = svd(a, *args, **kwargs)
+        return u, s, np.full_like(vt, np.nan)
+
+    monkeypatch.setattr(np.linalg, "svd", nan_svd)
+    assert _solve_eight_point(np.array(pa, float), np.array(pb, float)) is None
+
+
+def _failing_first_solves(monkeypatch, failures):
+    """Make the eight-point solve fail on its first ``failures`` calls."""
+    solve = geometry._solve_eight_point
+    calls = []
+
+    def failing(xa, xb):
+        calls.append(len(xa))
+        return None if len(calls) <= failures else solve(xa, xb)
+
+    monkeypatch.setattr(geometry, "_solve_eight_point", failing)
+    return calls
+
+
+def test_ransac_skips_a_sample_whose_solve_fails(monkeypatch):
+    pa, pb, R, _, K = make_two_view_points(3, 30)
+    want = estimate_essential_ransac(pa, pb, K, max_iterations=20, rng_seed=3)
+    calls = _failing_first_solves(monkeypatch, 1)
+    got = estimate_essential_ransac(pa, pb, K, max_iterations=20, rng_seed=3)
+    # the first minimal sample is counted degenerate and the loop goes on
+    assert calls[0] == 8
+    assert got.degenerate_samples == want.degenerate_samples + 1
+    assert rotation_angle_deg(got.rotation @ R.T) < 1e-6
+
+
+def test_ransac_raises_when_every_sample_and_the_global_fit_degenerate(monkeypatch):
+    pa, pb, _, _, K = make_two_view_points(3, 30)
+    calls = _failing_first_solves(monkeypatch, 10**9)
+    with pytest.raises(InsufficientDataError, match="all samples degenerate"):
+        estimate_essential_ransac(pa, pb, K, max_iterations=5, rng_seed=3)
+    # five minimal samples, then one fit on all 30 correspondences
+    assert calls == [8] * 5 + [30]
 
 
 def test_too_few_matches_rejected():
@@ -179,6 +237,13 @@ def test_pose_error_ignores_direction_for_zero_baseline():
 
 def test_success_ratio_counting():
     assert pose_success_ratio([1.0, 2.0, 3.0], [2.0]) == [(2.0, pytest.approx(2 / 3))]
+
+
+def test_success_ratio_of_no_errors_is_undefined():
+    with pytest.raises(UndefinedMetricError, match="at least one error"):
+        pose_success_ratio([], [1.0, 5.0])
+    with pytest.raises(UndefinedMetricError, match="at least one error"):
+        pose_success_ratio(iter(()), [1.0])
 
 
 def test_success_ratio_all_zero_errors():

@@ -79,26 +79,125 @@ def test_split_kernels_under_fast_thread_switching(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def _record_slice_bands(monkeypatch):
+    """Make the segment test log each band that runs the slice test; the
+    other bands run the survivor test alone. Returns the log."""
+    log = []
+    slice_corners = _kernels._slice_corners
+    monkeypatch.setattr(_kernels, "_slice_corners",
+                        lambda *args: log.append("slice") or slice_corners(*args))
+    return log
+
+
+# _SURVIVOR_SHARE values that send every band to one strategy
+_STRATEGY_SHARES = {"slice": -1.0, "survivors": 1.0}
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("h", [7, 8, 23, 24, 25, 31])
 def test_segment_test_bands_match_oracle(monkeypatch, workers, h):
     # a floor of 24 rows of width 29: 23 rows run in one part, 24 and more
-    # in row bands, down to bands of one row at height 8
+    # in row bands, down to bands of one row at height 8; every band runs
+    # each strategy in turn
     w = 29
     monkeypatch.setattr(_kernels, "_WORKERS", workers)
     monkeypatch.setattr(_kernels, "_BAND_MIN_PIXELS", (24 if h > 8 else 8) * w)
     log = _record_parts(monkeypatch)
+    slice_bands = _record_slice_bands(monkeypatch)
     pixels = np.random.default_rng(h).integers(0, 256, (h, w), dtype=np.uint8)
-    got = _kernels.fast_response_map(pixels, 5)
-    assert np.array_equal(got, fast_response_reference(pixels, 5))
-    # bands of the rows 3..h-4 that can score, counted from row 3
-    bands = log[0]
-    assert len(bands) == (1 if h in (7, 23) else min(workers, h - 6))
-    assert [b[0] for b in bands] + [h - 6] == [0] + [b[1] for b in bands]
-    # corners on each row within 3 of a seam, where a band reads its halo
-    for seam in [b[1] + 3 for b in bands[:-1]]:
-        rows = range(max(3, seam - 3), min(h - 3, seam + 4))
-        assert all(got[r].any() for r in rows), seam
+    want = fast_response_reference(pixels, 5)
+    for strategy, share in _STRATEGY_SHARES.items():
+        monkeypatch.setattr(_kernels, "_SURVIVOR_SHARE", share)
+        slice_bands.clear()
+        got = _kernels.fast_response_map(pixels, 5)
+        assert np.array_equal(got, want), strategy
+        # bands of the rows 3..h-4 that can score, counted from row 3
+        bands = log[-1]
+        assert len(slice_bands) == (len(bands) if strategy == "slice" else 0)
+        assert len(bands) == (1 if h in (7, 23) else min(workers, h - 6))
+        assert [b[0] for b in bands] + [h - 6] == [0] + [b[1] for b in bands]
+        # corners on each row within 3 of a seam, where a band reads its halo
+        for seam in [b[1] + 3 for b in bands[:-1]]:
+            rows = range(max(3, seam - 3), min(h - 3, seam + 4))
+            assert all(got[r].any() for r in rows), seam
+
+
+def _blob_frame(rng, h, w, blobs):
+    """A flat background with textured 5x5 blobs, like the image640 frames."""
+    pixels = np.full((h, w), 128, np.uint8)
+    for y, x in zip(rng.integers(0, h - 4, blobs).tolist(), rng.integers(0, w - 4, blobs).tolist()):
+        pixels[y:y + 5, x:x + 5] = rng.integers(0, 256, (5, 5))
+    return pixels
+
+
+def _segment_inputs():
+    rng = np.random.default_rng(36)
+    yy, xx = np.mgrid[0:30, 0:41]
+    textured = 128 + 100 * np.sin(xx / 3.0) * np.cos(yy / 5.0) + rng.normal(0, 4, xx.shape)
+    return {"blobs": _blob_frame(rng, 30, 41, 9),
+            "noise": rng.integers(0, 256, (30, 41), dtype=np.uint8),
+            "textured": np.clip(np.rint(textured), 0, 255).astype(np.uint8),
+            # 0/255 pixels make corners at every threshold up to 254
+            "binary": rng.integers(0, 2, (30, 41)).astype(np.uint8) * 255}
+
+
+@pytest.mark.parametrize("threshold", [1, 5, 40, 254])
+@pytest.mark.parametrize("name", ["blobs", "noise", "textured", "binary"])
+def test_segment_test_strategies_match_oracle(monkeypatch, name, threshold):
+    pixels = _segment_inputs()[name]
+    want = fast_response_reference(pixels, threshold)
+    slice_bands = _record_slice_bands(monkeypatch)
+    for strategy, share in _STRATEGY_SHARES.items():
+        monkeypatch.setattr(_kernels, "_SURVIVOR_SHARE", share)
+        slice_bands.clear()
+        got = _kernels.fast_response_map(pixels, threshold)
+        assert slice_bands == ([strategy] if strategy == "slice" else [])
+        assert got.dtype == np.int32 and np.array_equal(got, want), strategy
+    if threshold < 254 or name == "binary":
+        assert want.any()
+
+
+@pytest.mark.parametrize("threshold", [1, 5, 40])
+def test_segment_test_bands_take_their_own_strategy(monkeypatch, threshold):
+    # blobs over noise, in two bands: the sparse band runs the survivor
+    # test and the dense one the slice test, at the default share
+    rng = np.random.default_rng(threshold)
+    pixels = np.concatenate([_blob_frame(rng, 24, 44, 5),
+                             rng.integers(0, 256, (24, 44), dtype=np.uint8)])
+    monkeypatch.setattr(_kernels, "_WORKERS", 2)
+    monkeypatch.setattr(_kernels, "_BAND_MIN_PIXELS", 1)
+    log = _record_parts(monkeypatch)
+    slice_bands = _record_slice_bands(monkeypatch)
+    got = _kernels.fast_response_map(pixels, threshold)
+    assert np.array_equal(got, fast_response_reference(pixels, threshold))
+    assert len(log[0]) == 2 and slice_bands == ["slice"]
+    assert got[3:24].any() and got[24:45].any()
+
+
+def _compass_holds(pixels, threshold, y, x):
+    """Ring pixels 0 or 8 and 4 or 12 all on one side of (y, x)."""
+    c = int(pixels[y, x])
+    v = [int(pixels[y + dy, x + dx]) for dx, dy in ((0, -3), (3, 0), (0, 3), (-3, 0))]
+    bright = [p > c + threshold for p in v]
+    dark = [p < c - threshold for p in v]
+    return ((bright[0] or bright[2]) and (bright[1] or bright[3])
+            or (dark[0] or dark[2]) and (dark[1] or dark[3]))
+
+
+def test_every_oracle_corner_passes_the_compass():
+    # a circular run of 9 of the 16 ring pixels holds ring pixel 0 or 8 and
+    # ring pixel 4 or 12, so no corner can fail the compass
+    rng = np.random.default_rng(16)
+    corners = 0
+    for _ in range(12):
+        levels = int(rng.integers(2, 257))
+        pixels = (rng.integers(0, levels, (20, 24)) * (255 // max(1, levels - 1))).astype(np.uint8)
+        threshold = int(rng.integers(1, 80))
+        resp = fast_response_reference(pixels, threshold)
+        for y, x in zip(*np.nonzero(resp)):
+            assert _compass_holds(pixels, threshold, int(y), int(x)), (levels, threshold, y, x)
+            corners += 1
+    assert corners > 100
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -396,18 +495,24 @@ def test_row_tiles_of_many_pairs_match_oracle_on_any_worker_count(monkeypatch, r
         assert _supports(*outs[0], p) == _oracle_supports(desc_a, desc_b, rows_a, rows_b), p
 
 
-def test_workers_allocate_no_chunk_sized_array(monkeypatch):
-    # 1,600 pairs of 35-member groups on 2 workers: the calling thread
-    # allocates one workspace per shard before the parts start, and while
-    # they run the traced memory grows by the row and column results and
-    # numpy's own iteration buffers only, a fixed few hundred kB that is
-    # less than one chunk's XOR block (8 B per cell) for both workers
+def _square_scene():
+    """1,600 pairs of 35-member groups over 1,400 random descriptors."""
     rng = np.random.default_rng(37)
     desc = rng.integers(0, 256, (1400, 32), dtype=np.uint8)
     cnt = np.full(40, 35, np.int64)
     off = np.arange(0, 1400, 35, dtype=np.int64)
     mem = rng.permutation(1400).astype(np.int64)
     pair_a, pair_b = (g.ravel().astype(np.int64) for g in np.indices((40, 40)))
+    return desc, mem, off, cnt, pair_a, pair_b
+
+
+def test_workers_allocate_no_chunk_sized_array(monkeypatch):
+    # 1,600 pairs of 35-member groups on 2 workers: the calling thread
+    # allocates one workspace per shard before the parts start, and while
+    # they run the traced memory grows by the row and column results and
+    # numpy's own iteration buffers only, a fixed few hundred kB that is
+    # less than one chunk's XOR block (8 B per cell) for both workers
+    desc, mem, off, cnt, pair_a, pair_b = _square_scene()
     monkeypatch.setattr(_kernels, "_WORKERS", 2)
     log = _record_workspaces(monkeypatch)
     grown = []
@@ -434,6 +539,26 @@ def test_workers_allocate_no_chunk_sized_array(monkeypatch):
     assert [entry[:3] for entry in log] == [(35, 35, step)] * 4
     assert all(entry[3] is threading.main_thread() for entry in log)
     assert len(grown) == 2 and grown[1] < 8 * _kernels._CHUNK_CELLS, grown
+
+
+def test_workspaces_are_released_before_the_supports_are_gathered(monkeypatch):
+    # the same 1,600 pairs on 2 workers: the two shard workspaces (about
+    # 1.5 MB each) go before the supports are gathered, so the gather does
+    # not add to them. The call peaked at 3.99 MB traced, and at 4.82 MB
+    # while the workspaces were kept through the gather.
+    desc, mem, off, cnt, pair_a, pair_b = _square_scene()
+    monkeypatch.setattr(_kernels, "_WORKERS", 2)
+    want = _kernels.batch_mutual_nn(desc, desc, mem, off, cnt, mem, off, cnt, pair_a, pair_b)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = _kernels.batch_mutual_nn(desc, desc, mem, off, cnt, mem, off, cnt, pair_a, pair_b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b, strict=True)
+    assert peak < 4_400_000, peak
 
 
 def test_claim_first_numpy_matches_greedy():
