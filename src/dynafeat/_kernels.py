@@ -18,10 +18,8 @@ The threads are started and joined inside the call; none outlives it.
 The segment test first runs a compass over each band: ring pixels 0, 4, 8
 and 12. Any circular run of 9 of the 16 ring pixels holds pixel 0 or 8
 and pixel 4 or 12, so a pixel scores 0 unless such a pair is brighter
-than its center by more than the threshold, or such a pair darker. A band
-whose survivors are at most ``_SURVIVOR_SHARE`` of its pixels runs the
-full test at the survivors alone; a denser band runs the slice test over
-the whole band. Either way the output is the same, bit for bit.
+than its center by more than the threshold, or such a pair darker. The
+full test then runs at the survivors alone, on the uint8 pixels.
 
 The mutual-NN kernel's shards each work in one workspace of a chunk's
 cells (``_CHUNK_CELLS``), which the calling thread allocates before the
@@ -93,8 +91,9 @@ _CIRCLE_DX = np.array([0, 1, 2, 3, 3, 3, 2, 1, 0, -1, -2, -3, -3, -3, -2, -1], n
 _CIRCLE_DY = np.array([-3, -3, -2, -1, 0, 1, 2, 3, 3, 3, 2, 1, 0, -1, -2, -3], np.int64)
 
 # On 8-bit pixels no ring pixel is brighter than c + 255 or darker than
-# c - 255, so a larger threshold detects nothing; up to 254, c + threshold
-# is at most 509 and every comparison and clamped sum is exact in int16.
+# c - 255, so a larger threshold detects nothing; up to 254, the bounds
+# c + threshold and c - threshold clamped into 0..255 (``_bounds``) decide
+# every comparison and clamped sum exactly.
 MAX_FAST_THRESHOLD = 254
 
 # Images below this many pixels run the segment test in one part: thread
@@ -135,11 +134,10 @@ def fast_response_map(img: np.ndarray, threshold: int) -> np.ndarray:
 
     Each row band (one per worker on large images) runs the compass first:
     a run of 9 holds ring pixel 0 or 8 and ring pixel 4 or 12, so only
-    pixels with such a pair on one side can score. A band whose survivors
-    are at most ``_SURVIVOR_SHARE`` of its pixels gathers their 16 ring
-    pixels and runs the full test on them alone (about 5% of the pixels of
-    the image640 benchmark frames survive); a denser band, such as noise,
-    runs the slice test over whole shifted views of the band.
+    pixels with such a pair on one side can score. The band then gathers
+    the 16 ring pixels of the survivors alone and runs the full test on
+    them: about 5% of the pixels of the image640 benchmark frames survive,
+    and about 90% of uniform noise's.
     """
     if isinstance(threshold, bool) or not isinstance(threshold, numbers.Integral):
         raise ValueError(f"fast_threshold must be an integer, got {threshold!r}")
@@ -163,126 +161,110 @@ def fast_response_map(img: np.ndarray, threshold: int) -> np.ndarray:
     return resp
 
 
-# A band runs the full segment test at its compass survivors only when they
-# are at most this share of its pixels; a denser band runs the slice test
-# over the whole band. The two strategies cost the same near half of a
-# 640x480 image's pixels (2 CPUs, numpy 2.4.6; BENCH_36.json "crossing").
-_SURVIVOR_SHARE = 0.5
-
-
 def _segment_test(img: np.ndarray, threshold: int, out: np.ndarray) -> None:
     """Write the responses of ``img``'s rows 3..h-4 into ``out`` (h - 6 rows
     of the same width, zero on entry); ``img`` has at least 7 rows.
 
-    The compass leaves the pixels that may hold an arc. At most
-    ``_SURVIVOR_SHARE`` of the band, they go to the ring test as they are;
-    above it, the slice test first narrows them to the band's corners.
+    The compass leaves the pixels that may hold an arc; the ring test keeps
+    the corners among them and scores them.
     """
     h, w = img.shape
     # Row-major flat pixels from pixel start = (3, 3) on: ring pixel k of
     # pixel start + i is shifted[k][i], for every i in [0, n).
-    flat = img.astype(np.int16).ravel()
+    flat = img.reshape(-1)
     start = 3 * w + 3
     n = (h - 6) * w - 6
     shifted = [flat[start + off:start + off + n]
                for off in (_CIRCLE_DY * w + _CIRCLE_DX).tolist()]
-    center = flat[start:start + n]
-    live = _compass(shifted, center, threshold)
+    hi, lo = _bounds(flat[start:start + n], threshold)
+    live = _compass(shifted, hi, lo)
     # pixels within 3 columns of a side would read neighbouring rows
     live[:(h - 7) * w].reshape(h - 7, w)[:, w - 6:] = False
-    q = np.flatnonzero(live)
-    if q.size > _SURVIVOR_SHARE * n:
-        q = _slice_corners(shifted, center, live, threshold)
-    # the ring test keeps the corners among q and scores them
-    q, resp = _ring_test(shifted, center, q, threshold)
+    q, resp = _ring_test(shifted, hi, lo, np.flatnonzero(live))
     # pixel start + i is row 3 + (i + 3) // w, column (i + 3) % w
     out.reshape(-1)[q + 3] = resp
 
 
-def _compass(shifted: list, center: np.ndarray, threshold: int) -> np.ndarray:
+def _bounds(center: np.ndarray, threshold: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uint8 bounds min(c + threshold, 255) and max(c - threshold, 0).
+
+    No ring pixel is above 255 or below 0, so where a bound is clamped no
+    pixel passes it, as none passes the exact one; and each clamped
+    difference, max(v - hi, 0) or max(lo - v, 0), is 0 under both. So
+    every comparison and response is the exact one's.
+    """
+    # numpy vectorizes minimum against an array, not against a scalar
+    bound = np.full(center.size, 255 - threshold, np.uint8)
+    hi = np.minimum(center, bound)
+    hi += threshold
+    bound.fill(threshold)
+    lo = np.maximum(center, bound)
+    lo -= threshold
+    return hi, lo
+
+
+def _compass(shifted: list, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """The pixels of the band that may hold an arc, by ring pixels 0, 4, 8
     and 12 alone.
 
     A circular run of 9 of the 16 ring pixels holds pixel 0 or 8 and pixel
     4 or 12. So a bright arc needs the smaller of max(p0, p8) and
-    max(p4, p12) above c + threshold, and a dark arc the larger of
-    min(p0, p8) and min(p4, p12) below c - threshold; a pixel with neither
-    scores 0.
+    max(p4, p12) above hi, and a dark arc the larger of min(p0, p8) and
+    min(p4, p12) below lo; a pixel with neither scores 0.
     """
     p0, p4, p8, p12 = shifted[0::4]
-    tmp = np.maximum(p0, p8)
-    bright = np.maximum(p4, p12)
-    np.minimum(bright, tmp, out=bright)
-    np.minimum(p0, p8, out=tmp)
-    dark = np.minimum(p4, p12)
-    np.maximum(dark, tmp, out=dark)
-    bright -= center
-    dark -= center
-    live = bright > threshold
-    live |= dark < -threshold
+    pair = np.maximum(p0, p8)
+    key = np.maximum(p4, p12)
+    np.minimum(key, pair, out=key)
+    live = key > hi
+    np.minimum(p0, p8, out=pair)
+    np.minimum(p4, p12, out=key)
+    np.maximum(key, pair, out=key)
+    live |= key < lo
     return live
 
 
-def _arcs(rings, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Nonzero where a pixel holds an arc. ``rings`` yields the values of
-    ring pixels 0..15 in order, each array aligned with the bounds ``hi``
-    and ``lo``."""
+def _ring_test(shifted: list, hi: np.ndarray, lo: np.ndarray,
+               q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The segment test at the pixels q alone: the corners among them and
+    their responses.
+
+    Each ring pixel is read through the one index q into one row of the
+    (16, len(q)) ring values (``take``'s wrap mode skips the bounds check,
+    which with ``out=`` copies through a buffer; q is in range), so no
+    further whole-band array is made. A response is the larger of sum(max(v - hi, 0)) and
+    sum(max(lo - v, 0)) over the ring values v, summed at the corners as
+    sum(max(v, hi)) - 16 hi and 16 lo - sum(min(v, lo)), each within
+    16 * 255, exact in int16.
+    """
+    chi = np.take(hi, q, mode="wrap")
+    clo = np.take(lo, q, mode="wrap")
+    vals = np.empty((16, q.size), np.uint8)
     # bit k of a code: ring pixel k is brighter (darker) than the center
-    bright = np.zeros(hi.size, np.uint16)
-    dark = np.zeros(hi.size, np.uint16)
-    flag = np.empty(hi.size, bool)
-    bit = np.empty(hi.size, np.uint16)
-    for k, ring_k in enumerate(rings):
-        np.greater(ring_k, hi, out=flag)
+    bright = np.zeros(q.size, np.uint16)
+    dark = np.zeros(q.size, np.uint16)
+    flag = np.empty(q.size, bool)
+    bit = np.empty(q.size, np.uint16)
+    for k, ring_k in enumerate(shifted):
+        v = vals[k]
+        np.take(ring_k, q, out=v, mode="wrap")
+        np.greater(v, chi, out=flag)
         np.left_shift(flag, k, out=bit, dtype=np.uint16)
         bright |= bit
-        np.less(ring_k, lo, out=flag)
+        np.less(v, clo, out=flag)
         np.left_shift(flag, k, out=bit, dtype=np.uint16)
         dark |= bit
     arc = _has_arc(bright)
     arc |= _has_arc(dark)
-    return arc
-
-
-def _slice_corners(shifted: list, center: np.ndarray, live: np.ndarray,
-                   threshold: int) -> np.ndarray:
-    """The corners of the band by the slice test: both ring codes of every
-    pixel, from 16 comparisons of whole shifted views each."""
-    arc = _arcs(shifted, center + threshold, center - threshold)
-    return np.flatnonzero(np.logical_and(arc, live))
-
-
-def _ring_test(shifted: list, center: np.ndarray, q: np.ndarray,
-               threshold: int) -> tuple[np.ndarray, np.ndarray]:
-    """The segment test at the pixels q alone: the corners among them and
-    their responses.
-
-    Each ring pixel is read through the one index q, and every array is
-    of len(q), so no whole-band array is made. A response is the larger
-    of sum(max(v - hi, 0)) and sum(max(lo - v, 0)) over the ring values v,
-    summed as sum(max(v, hi)) - 16 hi and 16 lo - sum(min(v, lo)): numpy
-    vectorizes maximum against an array, not against a scalar. Every
-    partial sum lies within 16 * 509, exact in int16.
-    """
-    c = center[q]
-    hi = c + threshold
-    lo = c - threshold
-    bsum = np.zeros(q.size, np.int16)
-    dsum = np.zeros(q.size, np.int16)
-    v = np.empty(q.size, np.int16)
-    clamped = np.empty(q.size, np.int16)
-
-    def rings():
-        for ring_k in shifted:
-            np.take(ring_k, q, out=v)
-            np.add(bsum, np.maximum(v, hi, out=clamped), out=bsum)
-            np.add(dsum, np.minimum(v, lo, out=clamped), out=dsum)
-            yield v
-
-    corner = np.flatnonzero(_arcs(rings(), hi, lo))
-    bsum -= hi * 16
-    np.subtract(lo * 16, dsum, out=dsum)
-    return q[corner], np.maximum(bsum, dsum)[corner]
+    corner = np.flatnonzero(arc)
+    vals = np.take(vals, corner, axis=1)
+    chi = chi[corner]
+    clo = clo[corner]
+    bsum = np.maximum(vals, chi).sum(axis=0, dtype=np.int16)
+    bsum -= chi.astype(np.int16) * 16
+    dsum = clo.astype(np.int16) * 16
+    dsum -= np.minimum(vals, clo).sum(axis=0, dtype=np.int16)
+    return q[corner], np.maximum(bsum, dsum)
 
 
 # ---------------------------------------------------------------------------

@@ -240,17 +240,22 @@ def detect_corners(image: GrayImage, fast_threshold: int = DEFAULT_FAST_THRESHOL
     # none wrapping to another row.
     w = resp.shape[1]
     flat = resp.reshape(-1)
-    p = np.flatnonzero(flat)
+    # numpy finds the nonzeros of a bool mask several times faster than
+    # those of an int32 array
+    p = np.flatnonzero(flat != 0)
     r = flat[p]
     keep = np.ones(p.size, bool)
     for dy, dx in _NMS_OFFSETS:
         keep &= r >= flat[p + (dy * w + dx)]
-    ys, xs = np.divmod(p[keep], w)
-    if xs.size == 0:
+    p = p[keep]
+    if p.size == 0:
         return np.zeros((0, 2), np.int64), np.zeros(0, np.int32)
     scores = r[keep]
-    order = np.lexsort((xs, ys, -scores))[:max_features]
-    positions = np.stack([xs[order], ys[order]], axis=1).astype(np.int64)
+    # response descending, then row-major position: one int64 key, distinct
+    # for every pixel, since a position is below flat.size
+    order = np.argsort(p - scores.astype(np.int64) * flat.size)[:max_features]
+    ys, xs = np.divmod(p[order], w)
+    positions = np.stack([xs, ys], axis=1).astype(np.int64)
     return positions, scores[order].astype(np.int32)
 
 

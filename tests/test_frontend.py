@@ -109,7 +109,7 @@ def test_response_map_rejects_threshold_that_detects_nothing():
     for threshold in (0, 255, 10_000_000_000):
         with pytest.raises(ValueError, match="1..254"):
             _kernels.fast_response_map(pixels, threshold)
-    # the int16 arithmetic is exact for 8-bit pixels only
+    # the uint8 bounds are exact for 8-bit pixels only
     with pytest.raises(ValueError, match="uint8"):
         _kernels.fast_response_map(pixels.astype(np.int32), 5)
 

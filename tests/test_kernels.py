@@ -79,47 +79,26 @@ def test_split_kernels_under_fast_thread_switching(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def _record_slice_bands(monkeypatch):
-    """Make the segment test log each band that runs the slice test; the
-    other bands run the survivor test alone. Returns the log."""
-    log = []
-    slice_corners = _kernels._slice_corners
-    monkeypatch.setattr(_kernels, "_slice_corners",
-                        lambda *args: log.append("slice") or slice_corners(*args))
-    return log
-
-
-# _SURVIVOR_SHARE values that send every band to one strategy
-_STRATEGY_SHARES = {"slice": -1.0, "survivors": 1.0}
-
-
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("h", [7, 8, 23, 24, 25, 31])
 def test_segment_test_bands_match_oracle(monkeypatch, workers, h):
     # a floor of 24 rows of width 29: 23 rows run in one part, 24 and more
-    # in row bands, down to bands of one row at height 8; every band runs
-    # each strategy in turn
+    # in row bands, down to bands of one row at height 8
     w = 29
     monkeypatch.setattr(_kernels, "_WORKERS", workers)
     monkeypatch.setattr(_kernels, "_BAND_MIN_PIXELS", (24 if h > 8 else 8) * w)
     log = _record_parts(monkeypatch)
-    slice_bands = _record_slice_bands(monkeypatch)
     pixels = np.random.default_rng(h).integers(0, 256, (h, w), dtype=np.uint8)
-    want = fast_response_reference(pixels, 5)
-    for strategy, share in _STRATEGY_SHARES.items():
-        monkeypatch.setattr(_kernels, "_SURVIVOR_SHARE", share)
-        slice_bands.clear()
-        got = _kernels.fast_response_map(pixels, 5)
-        assert np.array_equal(got, want), strategy
-        # bands of the rows 3..h-4 that can score, counted from row 3
-        bands = log[-1]
-        assert len(slice_bands) == (len(bands) if strategy == "slice" else 0)
-        assert len(bands) == (1 if h in (7, 23) else min(workers, h - 6))
-        assert [b[0] for b in bands] + [h - 6] == [0] + [b[1] for b in bands]
-        # corners on each row within 3 of a seam, where a band reads its halo
-        for seam in [b[1] + 3 for b in bands[:-1]]:
-            rows = range(max(3, seam - 3), min(h - 3, seam + 4))
-            assert all(got[r].any() for r in rows), seam
+    got = _kernels.fast_response_map(pixels, 5)
+    assert np.array_equal(got, fast_response_reference(pixels, 5))
+    # bands of the rows 3..h-4 that can score, counted from row 3
+    bands = log[0]
+    assert len(bands) == (1 if h in (7, 23) else min(workers, h - 6))
+    assert [b[0] for b in bands] + [h - 6] == [0] + [b[1] for b in bands]
+    # corners on each row within 3 of a seam, where a band reads its halo
+    for seam in [b[1] + 3 for b in bands[:-1]]:
+        rows = range(max(3, seam - 3), min(h - 3, seam + 4))
+        assert all(got[r].any() for r in rows), seam
 
 
 def _blob_frame(rng, h, w, blobs):
@@ -137,56 +116,58 @@ def _segment_inputs():
     return {"blobs": _blob_frame(rng, 30, 41, 9),
             "noise": rng.integers(0, 256, (30, 41), dtype=np.uint8),
             "textured": np.clip(np.rint(textured), 0, 255).astype(np.uint8),
-            # 0/255 pixels make corners at every threshold up to 254
+            # 0/255 pixels make corners at every threshold up to 254, and
+            # their bounds c + threshold and c - threshold leave 0..255
             "binary": rng.integers(0, 2, (30, 41)).astype(np.uint8) * 255}
+
+
+def _compass_mask(pixels, threshold):
+    """The kernel's compass over a whole image: True at the pixels it keeps."""
+    h, w = pixels.shape
+    flat = pixels.reshape(-1)
+    start, n = 3 * w + 3, (h - 6) * w - 6
+    shifted = [flat[start + off:start + off + n]
+               for off in (_kernels._CIRCLE_DY * w + _kernels._CIRCLE_DX).tolist()]
+    mask = np.zeros(h * w, bool)
+    mask[start:start + n] = _kernels._compass(
+        shifted, *_kernels._bounds(flat[start:start + n], threshold))
+    return mask.reshape(h, w)
 
 
 @pytest.mark.parametrize("threshold", [1, 5, 40, 254])
 @pytest.mark.parametrize("name", ["blobs", "noise", "textured", "binary"])
-def test_segment_test_strategies_match_oracle(monkeypatch, name, threshold):
+def test_segment_test_matches_oracle_at_any_survivor_share(name, threshold):
+    # the compass keeps few pixels of the blobs and most of the noise:
+    # the ring test runs on sparse and dense survivors alike
     pixels = _segment_inputs()[name]
     want = fast_response_reference(pixels, threshold)
-    slice_bands = _record_slice_bands(monkeypatch)
-    for strategy, share in _STRATEGY_SHARES.items():
-        monkeypatch.setattr(_kernels, "_SURVIVOR_SHARE", share)
-        slice_bands.clear()
-        got = _kernels.fast_response_map(pixels, threshold)
-        assert slice_bands == ([strategy] if strategy == "slice" else [])
-        assert got.dtype == np.int32 and np.array_equal(got, want), strategy
+    got = _kernels.fast_response_map(pixels, threshold)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
     if threshold < 254 or name == "binary":
         assert want.any()
+    if threshold == 5 and name != "binary":
+        share = _compass_mask(pixels, threshold).mean()
+        assert share < 0.3 if name == "blobs" else share > 0.5
 
 
 @pytest.mark.parametrize("threshold", [1, 5, 40])
-def test_segment_test_bands_take_their_own_strategy(monkeypatch, threshold):
-    # blobs over noise, in two bands: the sparse band runs the survivor
-    # test and the dense one the slice test, at the default share
+def test_segment_test_of_sparse_and_dense_bands_matches_oracle(monkeypatch, threshold):
+    # blobs over noise, in two bands of very different survivor shares
     rng = np.random.default_rng(threshold)
     pixels = np.concatenate([_blob_frame(rng, 24, 44, 5),
                              rng.integers(0, 256, (24, 44), dtype=np.uint8)])
     monkeypatch.setattr(_kernels, "_WORKERS", 2)
     monkeypatch.setattr(_kernels, "_BAND_MIN_PIXELS", 1)
     log = _record_parts(monkeypatch)
-    slice_bands = _record_slice_bands(monkeypatch)
     got = _kernels.fast_response_map(pixels, threshold)
     assert np.array_equal(got, fast_response_reference(pixels, threshold))
-    assert len(log[0]) == 2 and slice_bands == ["slice"]
+    assert len(log[0]) == 2
     assert got[3:24].any() and got[24:45].any()
-
-
-def _compass_holds(pixels, threshold, y, x):
-    """Ring pixels 0 or 8 and 4 or 12 all on one side of (y, x)."""
-    c = int(pixels[y, x])
-    v = [int(pixels[y + dy, x + dx]) for dx, dy in ((0, -3), (3, 0), (0, 3), (-3, 0))]
-    bright = [p > c + threshold for p in v]
-    dark = [p < c - threshold for p in v]
-    return ((bright[0] or bright[2]) and (bright[1] or bright[3])
-            or (dark[0] or dark[2]) and (dark[1] or dark[3]))
 
 
 def test_every_oracle_corner_passes_the_compass():
     # a circular run of 9 of the 16 ring pixels holds ring pixel 0 or 8 and
-    # ring pixel 4 or 12, so no corner can fail the compass
+    # ring pixel 4 or 12, so the compass drops no corner
     rng = np.random.default_rng(16)
     corners = 0
     for _ in range(12):
@@ -194,9 +175,9 @@ def test_every_oracle_corner_passes_the_compass():
         pixels = (rng.integers(0, levels, (20, 24)) * (255 // max(1, levels - 1))).astype(np.uint8)
         threshold = int(rng.integers(1, 80))
         resp = fast_response_reference(pixels, threshold)
-        for y, x in zip(*np.nonzero(resp)):
-            assert _compass_holds(pixels, threshold, int(y), int(x)), (levels, threshold, y, x)
-            corners += 1
+        mask = _compass_mask(pixels, threshold)
+        assert mask[resp != 0].all(), (levels, threshold)
+        corners += np.count_nonzero(resp)
     assert corners > 100
 
 
