@@ -5,35 +5,29 @@ descriptor extraction, batched mutual-NN Hamming matching and the greedy
 match claim. All kernels are integer-exact, so their outputs are fully
 determined by their inputs.
 
-The segment test, descriptor extraction and the mutual-NN kernel split
-large calls into parts that run at once, one per CPU the process may use
-(``_WORKERS``, read once from the CPU affinity mask): row bands of an
-image, runs of corners, shards of whole pair chunks. numpy releases the
-interpreter lock inside these loops, so the parts overlap. Each part
-writes its own disjoint slice of one preallocated output, and every
-output value is computed from the same inputs by the same operations as
-in one part, so the result is the same, bit for bit, whatever the split.
-The threads are started and joined inside the call; none outlives it.
+Every kernel runs in the calling thread, and works in buffers of a fixed
+size wherever its input can grow: descriptor extraction in blocks of
+corners (``_BRIEF_BLOCK``), the mutual-NN kernel in chunks of cells
+(``_CHUNK_CELLS``). Each block or chunk writes its own slice of one
+preallocated output, from the same inputs by the same operations as one
+whole-call pass, so the blocking does not change a bit of the result.
 
-The segment test first runs a compass over each band: ring pixels 0, 4, 8
+The segment test first runs a compass over the image: ring pixels 0, 4, 8
 and 12. Any circular run of 9 of the 16 ring pixels holds pixel 0 or 8
 and pixel 4 or 12, so a pixel scores 0 unless such a pair is brighter
 than its center by more than the threshold, or such a pair darker. The
 full test then runs at the survivors alone, on the uint8 pixels.
 
-The mutual-NN kernel's shards each work in one workspace of a chunk's
-cells (``_CHUNK_CELLS``), which the calling thread allocates before the
-workers start, so a worker allocates only small row and column results,
-and a block larger than a chunk is scored in tiles of rows: no input
-shape grows the kernel's memory beyond one chunk per shard.
+The mutual-NN kernel works in one workspace of a chunk's cells, which it
+allocates once per call, so a chunk allocates only small row and column
+results, and a block larger than a chunk is scored in tiles of rows: no
+input shape grows the kernel's memory beyond one chunk.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
-import threading
 
 import numpy as np
 
@@ -41,49 +35,6 @@ import numpy as np
 def active_backend() -> str:
     """Name of the kernel implementation, recorded with benchmark results."""
     return "numpy"
-
-
-# Parts a kernel call may run at once: the CPUs the process may use.
-try:
-    _WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity mask on this platform
-    _WORKERS = os.cpu_count() or 1
-
-
-def _run_parts(fn, parts: list) -> list:
-    """``[fn(part) for part in parts]``, the parts run at once.
-
-    The first part runs in the calling thread, each other in a thread
-    started and joined here, so no thread outlives the call (a persistent
-    pool would hang in a forked child). After all parts end, the first
-    exception in part order is raised.
-    """
-    results = [None] * len(parts)
-    errors = [None] * len(parts)
-
-    def run(k):
-        try:
-            results[k] = fn(parts[k])
-        except BaseException as exc:  # re-raised in the calling thread below
-            errors[k] = exc
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(parts))]
-    for t in threads:
-        t.start()
-    try:
-        results[0] = fn(parts[0])
-    finally:
-        for t in threads:
-            t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
-def _spans(n: int, parts: int) -> list[tuple[int, int]]:
-    """[0, n) cut into ``parts`` contiguous spans, of lengths differing by at most 1."""
-    return [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
 # Bresenham circle of radius 3: the 16 ring offsets, clockwise from (0, -3).
@@ -95,12 +46,6 @@ _CIRCLE_DY = np.array([-3, -3, -2, -1, 0, 1, 2, 3, 3, 3, 2, 1, 0, -1, -2, -3], n
 # c + threshold and c - threshold clamped into 0..255 (``_bounds``) decide
 # every comparison and clamped sum exactly.
 MAX_FAST_THRESHOLD = 254
-
-# Images below this many pixels run the segment test in one part: thread
-# start-up and contention for the interpreter lock would cost more than
-# the split saves.
-_BAND_MIN_PIXELS = 1 << 17
-
 
 # ---------------------------------------------------------------------------
 # Segment-test corner response
@@ -132,12 +77,11 @@ def fast_response_map(img: np.ndarray, threshold: int) -> np.ndarray:
     1..MAX_FAST_THRESHOLD; anything else raises ValueError. Nonzero
     responses lie at least 3 pixels inside every border.
 
-    Each row band (one per worker on large images) runs the compass first:
-    a run of 9 holds ring pixel 0 or 8 and ring pixel 4 or 12, so only
-    pixels with such a pair on one side can score. The band then gathers
-    the 16 ring pixels of the survivors alone and runs the full test on
-    them: about 5% of the pixels of the image640 benchmark frames survive,
-    and about 90% of uniform noise's.
+    The compass runs first: a run of 9 holds ring pixel 0 or 8 and ring
+    pixel 4 or 12, so only pixels with such a pair on one side can score.
+    The test then gathers the 16 ring pixels of the survivors alone and
+    runs the full test on them: about 5% of the pixels of the image640
+    benchmark frames survive, and about 90% of uniform noise's.
     """
     if isinstance(threshold, bool) or not isinstance(threshold, numbers.Integral):
         raise ValueError(f"fast_threshold must be an integer, got {threshold!r}")
@@ -152,18 +96,13 @@ def fast_response_map(img: np.ndarray, threshold: int) -> np.ndarray:
     resp = np.zeros((h, w), np.int32)
     if h < 7 or w < 7:
         return resp
-    # A response reads only its pixel's 7x7 neighbourhood, so the band of
-    # rows [3 + a, 3 + b) is exact from image rows [a, b + 6).
-    parts = min(_WORKERS, h - 6) if h * w >= _BAND_MIN_PIXELS else 1
-    _run_parts(lambda band: _segment_test(img[band[0]:band[1] + 6], threshold,
-                                          resp[band[0] + 3:band[1] + 3]),
-               _spans(h - 6, parts))
+    _segment_test(img, threshold, resp)
     return resp
 
 
 def _segment_test(img: np.ndarray, threshold: int, out: np.ndarray) -> None:
-    """Write the responses of ``img``'s rows 3..h-4 into ``out`` (h - 6 rows
-    of the same width, zero on entry); ``img`` has at least 7 rows.
+    """Write the responses of ``img`` into ``out`` (of its shape, zero on
+    entry); ``img`` has at least 7 rows and 7 columns.
 
     The compass leaves the pixels that may hold an arc; the ring test keeps
     the corners among them and scores them.
@@ -181,8 +120,7 @@ def _segment_test(img: np.ndarray, threshold: int, out: np.ndarray) -> None:
     # pixels within 3 columns of a side would read neighbouring rows
     live[:(h - 7) * w].reshape(h - 7, w)[:, w - 6:] = False
     q, resp = _ring_test(shifted, hi, lo, np.flatnonzero(live))
-    # pixel start + i is row 3 + (i + 3) // w, column (i + 3) % w
-    out.reshape(-1)[q + 3] = resp
+    out.reshape(-1)[start + q] = resp
 
 
 def _bounds(center: np.ndarray, threshold: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +142,7 @@ def _bounds(center: np.ndarray, threshold: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _compass(shifted: list, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """The pixels of the band that may hold an arc, by ring pixels 0, 4, 8
+    """The pixels of the image that may hold an arc, by ring pixels 0, 4, 8
     and 12 alone.
 
     A circular run of 9 of the 16 ring pixels holds pixel 0 or 8 and pixel
@@ -232,7 +170,7 @@ def _ring_test(shifted: list, hi: np.ndarray, lo: np.ndarray,
     Each ring pixel is read through the one index q into one row of the
     (16, len(q)) ring values (``take``'s wrap mode skips the bounds check,
     which with ``out=`` copies through a buffer; q is in range), so no
-    further whole-band array is made. A response is the larger of sum(max(v - hi, 0)) and
+    further whole-image array is made. A response is the larger of sum(max(v - hi, 0)) and
     sum(max(lo - v, 0)) over the ring values v, summed at the corners as
     sum(max(v, hi)) - 16 hi and 16 lo - sum(min(v, lo)), each within
     16 * 255, exact in int16.
@@ -271,8 +209,12 @@ def _ring_test(shifted: list, hi: np.ndarray, lo: np.ndarray,
 # Binary descriptor extraction (intensity-pair comparisons, packed MSB first)
 # ---------------------------------------------------------------------------
 
-# Calls with fewer corners describe them in one part.
-_BRIEF_MIN_CORNERS = 1024
+# Corners described per block. The block's index, gather and compare
+# buffers (about 0.4 MB at 256 bits on an int16 plane) are reused from
+# block to block, so the memory does not grow with the corners: one pass
+# over all of them would build two (n, nbits) int64 index arrays, 4 MB
+# each at 2,000 corners.
+_BRIEF_BLOCK = 128
 
 
 def brief_descriptors(sums: np.ndarray, xs: np.ndarray, ys: np.ndarray,
@@ -303,14 +245,24 @@ def brief_descriptors(sums: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     flat = sums.reshape(-1)
     off_a = p[:, 1] * w + p[:, 0]
     off_b = p[:, 3] * w + p[:, 2]
+    base = ys * w + xs
     out = np.empty((xs.size, pattern.shape[0] // 8), np.uint8)
-
-    def describe_rows(rows):
-        base = (ys[rows[0]:rows[1]] * w + xs[rows[0]:rows[1]])[:, None]
-        out[rows[0]:rows[1]] = np.packbits(flat[base + off_a] < flat[base + off_b], axis=1)
-
-    parts = min(_WORKERS, xs.size) if xs.size >= _BRIEF_MIN_CORNERS else 1
-    _run_parts(describe_rows, _spans(xs.size, parts))
+    m = min(xs.size, _BRIEF_BLOCK)
+    index = np.empty((m, p.shape[0]), np.int64)
+    first = np.empty((m, p.shape[0]), flat.dtype)
+    second = np.empty((m, p.shape[0]), flat.dtype)
+    darker = np.empty((m, p.shape[0]), bool)
+    for s in range(0, xs.size, m):
+        e = min(s + m, xs.size)
+        k = e - s
+        # mode="wrap" skips the bounds check, which with out= copies
+        # through a buffer; every index is on the plane
+        np.add(base[s:e, None], off_a, out=index[:k])
+        np.take(flat, index[:k], out=first[:k], mode="wrap")
+        np.add(base[s:e, None], off_b, out=index[:k])
+        np.take(flat, index[:k], out=second[:k], mode="wrap")
+        np.less(first[:k], second[:k], out=darker[:k])
+        out[s:e] = np.packbits(darker[:k], axis=1)
     return out
 
 
@@ -319,7 +271,7 @@ def brief_descriptors(sums: np.ndarray, xs: np.ndarray, ys: np.ndarray,
 # (the per-frame matching hot loop, and the only copy of the mutual-NN rule)
 # ---------------------------------------------------------------------------
 
-# Cells (padded member pairs) per chunk, and so per shard workspace.
+# Cells (padded member pairs) per chunk, and so per workspace.
 _CHUNK_CELLS = 1 << 17
 
 
@@ -339,7 +291,7 @@ def _group_planes(desc, mem, off, cnt, width):
 
 
 class _Workspace:
-    """One shard's chunk buffers for tiles of ``rows`` x ``mb`` cells over
+    """A call's chunk buffers for tiles of ``rows`` x ``mb`` cells over
     ``pairs`` pairs, flat: a chunk works in contiguous views of their
     leading elements (``_view``). The row keys reuse the XOR buffer and the
     tie mask the popcount buffer, once the distances are summed."""
@@ -377,13 +329,12 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
     ``scores[p]`` rows of the flat arrays right after pair p - 1's, in
     ascending member position on the first side.
 
-    The pairs are scored in chunks of whole pairs, in shards of whole
-    chunks (one per worker). Each shard works in one workspace of at most
-    ``_CHUNK_CELLS`` cells (or one second-side row, if longer), which the
-    calling thread allocates before the workers start; a worker allocates
-    only row and column results. A pair whose padded block exceeds the
-    chunk is scored in tiles of first-side rows, so no input shape grows
-    the kernel's memory beyond one chunk per shard.
+    The pairs are scored in chunks of whole pairs, one after another, in
+    one workspace of at most ``_CHUNK_CELLS`` cells (or one second-side
+    row, if longer) allocated once per call; a chunk allocates only row and
+    column results. A pair whose padded block exceeds the chunk is scored
+    in tiles of first-side rows, so no input shape grows the kernel's
+    memory beyond one chunk.
     """
     if desc_a.ndim != 2 or desc_b.ndim != 2 or desc_a.shape[1] != desc_b.shape[1]:
         raise ValueError("descriptor arrays must be 2-D with matching widths")
@@ -422,12 +373,11 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
     rows = min(ma, max(1, _CHUNK_CELLS // mb))
     step = max(1, _CHUNK_CELLS // (rows * mb))
 
-    def score_chunks(span):
-        """Fill the row_key and ok columns of pairs [span[0], span[1]),
-        chunk by chunk, in the span's workspace."""
-        ws = spaces[span]
-        for s in range(span[0], span[1], step):
-            e = min(s + step, span[1])
+    def score_chunks(ws):
+        """Fill row_key and ok chunk by chunk, in the workspace ``ws``:
+        each chunk writes only its own columns."""
+        for s in range(0, n_pairs, step):
+            e = min(s + step, n_pairs)
             k = e - s
             ga = pair_a[s:e]
             gb = pair_b[s:e]
@@ -479,18 +429,9 @@ def batch_mutual_nn(desc_a: np.ndarray, desc_b: np.ndarray,
             cols = np.arange(k)
             ok[:, s:e] &= (col_ties[r_arg, cols] == 1) & (col_min[r_arg, cols] == rk >> shift)
 
-    # Shards of whole chunks, at least 2 per shard: a shard writes only its
-    # own columns of row_key and ok, and every pair is scored as in one
-    # shard, since each chunk's pairs are. The workspaces are allocated
-    # here, in the calling thread, one per shard.
-    n_chunks = -(-n_pairs // step)
-    shards = max(1, min(_WORKERS, n_chunks // 2))
-    spans = [(a * step, min(b * step, n_pairs)) for a, b in _spans(n_chunks, shards)]
-    spaces = {span: _Workspace(n_words, rows, mb, min(step, span[1] - span[0]), dt)
-              for span in spans}
-    _run_parts(score_chunks, spans)
-    # the supports are gathered from row_key and ok alone
-    spaces.clear()
+    # The one workspace is freed before the supports are gathered, from
+    # row_key and ok alone.
+    score_chunks(_Workspace(n_words, rows, mb, min(step, n_pairs), dt))
     # pair-major, ascending member position within a pair
     p, i = np.nonzero(ok.T)
     scores = np.bincount(p, minlength=n_pairs).astype(np.int64, copy=False)

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import hashlib
 import importlib
 import json
 import os
@@ -513,31 +514,41 @@ def test_match_on_shifted_pgm_frames(tmp_path):
         assert (rows[:, 4:6] - rows[:, 2:4] == [3.0, 2.0]).all()
 
 
-def test_split_kernels_leave_no_thread_and_the_same_bytes(tmp_path, monkeypatch):
-    # floors lowered so every segment test and descriptor call splits, in
-    # three parts whatever the number of CPUs
-    monkeypatch.setattr(_kernels, "_BAND_MIN_PIXELS", 1)
-    monkeypatch.setattr(_kernels, "_BRIEF_MIN_CORNERS", 1)
-    parts = []
-    run_parts = _kernels._run_parts
-    monkeypatch.setattr(_kernels, "_run_parts",
-                        lambda fn, p: parts.append(len(p)) or run_parts(fn, p))
+# sha256 of the two match files of the shifted-blob images run below, as
+# the kernels wrote them when they split every call over 1 or 3 threads
+SHIFTED_BLOB_DIGESTS = {
+    "matches_000000_000001.txt": "9909f9432bb55f91a6bfdddc9dd7fef7df83fa7271e51e01e55ead26ecc23650",
+    "matches_000001_000002.txt": "02d589c185817a9a4860cb68f29479b862e06856ceee98128c739d9478e9509a"}
+
+
+def test_kernels_start_no_thread_and_write_the_same_bytes(tmp_path, monkeypatch):
+    # every kernel runs in the calling thread: an images-mode match run
+    # (segment test, descriptors, mutual NN) and a mutual-NN call of 4
+    # chunks start no thread, and the run writes the same bytes as before
+    def no_thread(thread):
+        raise AssertionError(f"a kernel started {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     frames = []
     for i, pixels in enumerate(_shifted_blob_frames((3, 2), 3)):
         frames.append(str(tmp_path / f"frame_{i}.pgm"))
         save_pgm(GrayImage.from_array(pixels), frames[-1])
-    outputs = {}
-    for workers in (3, 1):
-        monkeypatch.setattr(_kernels, "_WORKERS", workers)
-        out = tmp_path / f"out{workers}"
-        cfg_path = _write_config(tmp_path, output_dir=str(out), input_mode="images")
-        threads = threading.active_count()
-        assert main(["match", str(cfg_path)] + frames) == 0
-        assert threading.active_count() == threads
-        outputs[workers] = {p.name: p.read_bytes() for p in out.glob("matches_*.txt")}
-        if workers == 3:
-            assert max(parts) == 3
-    assert len(outputs[1]) == 2 and outputs[3] == outputs[1]
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, output_dir=str(out), input_mode="images")
+    assert main(["match", str(cfg_path)] + frames) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.glob("matches_*.txt")} == SHIFTED_BLOB_DIGESTS
+    # 16 pairs of 16-member groups, 4 pairs to a chunk
+    rng = np.random.default_rng(37)
+    desc = rng.integers(0, 256, (64, 32), dtype=np.uint8)
+    mem = rng.permutation(64).astype(np.int64)
+    off = np.arange(0, 64, 16, dtype=np.int64)
+    cnt = np.full(4, 16, np.int64)
+    pairs = [g.ravel().astype(np.int64) for g in np.indices((4, 4))]
+    monkeypatch.setattr(_kernels, "_CHUNK_CELLS", 4 * 16 * 16)
+    scores, ia, ib, dist = _kernels.batch_mutual_nn(desc, desc, mem, off, cnt,
+                                                    mem, off, cnt, *pairs)
+    assert scores.shape == (16,) and scores.sum() == ia.size > 0
 
 
 @pytest.mark.parametrize("threshold,code", [("254", 0), ("255", 3), ("10000000000", 3)])

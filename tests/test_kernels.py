@@ -1,7 +1,6 @@
 """Kernel checks: every kernel must match its brute-force oracle bit for
 bit."""
 
-import sys
 import threading
 import tracemalloc
 
@@ -11,94 +10,6 @@ import pytest
 from dynafeat import _kernels
 from oracles import (brief_reference, claim_first_reference, fast_response_reference,
                      mutual_nn_reference)
-
-
-def _record_parts(monkeypatch):
-    """Make the kernels log the parts of every split call; returns the log."""
-    log = []
-    run_parts = _kernels._run_parts
-    monkeypatch.setattr(_kernels, "_run_parts",
-                        lambda fn, parts: log.append(parts) or run_parts(fn, parts))
-    return log
-
-
-def test_run_parts_keeps_part_order_and_raises_the_first_error():
-    threads = threading.active_count()
-    ran = {}
-
-    def square(k):
-        ran[k] = threading.current_thread()
-        return k * k
-
-    assert _kernels._run_parts(square, [0, 1, 2, 3]) == [0, 1, 4, 9]
-    # the first part runs in the calling thread, the others in their own
-    assert ran[0] is threading.current_thread()
-    assert len({id(t) for t in ran.values()}) == 4
-
-    def fail_after_first(k):
-        if k:
-            raise ValueError(f"part {k}")
-        return k
-
-    # an error in a later part reaches the caller, the first in part order
-    with pytest.raises(ValueError, match="part 1"):
-        _kernels._run_parts(fail_after_first, [0, 1, 2])
-    assert threading.active_count() == threads
-
-
-def test_split_kernels_under_fast_thread_switching(monkeypatch):
-    # more parts than CPUs, and the interpreter switching threads every
-    # 10 us: each kernel must still give its one-part output
-    monkeypatch.setattr(_kernels, "_BAND_MIN_PIXELS", 1)
-    monkeypatch.setattr(_kernels, "_BRIEF_MIN_CORNERS", 1)
-    monkeypatch.setattr(_kernels, "_CHUNK_CELLS", 1)
-    rng = np.random.default_rng(31)
-    pixels = rng.integers(0, 256, (60, 50), dtype=np.uint8)
-    sums = rng.integers(0, 6375, (60, 50)).astype(np.int16)
-    pattern = rng.integers(-15, 16, (256, 4)).astype(np.int64)
-    xs, ys = rng.integers(16, 34, 40), rng.integers(16, 44, 40)
-    desc = rng.integers(0, 4, (200, 32), dtype=np.uint8)
-    mem, off, cnt = _ragged_groups(rng, 6, 200)
-    pairs = [g.ravel().astype(np.int64) for g in np.indices((6, 6))]
-
-    def run_all():
-        return (_kernels.fast_response_map(pixels, 5),
-                _kernels.brief_descriptors(sums, xs, ys, pattern),
-                *_kernels.batch_mutual_nn(desc, desc, mem, off, cnt, mem, off, cnt, *pairs))
-
-    monkeypatch.setattr(_kernels, "_WORKERS", 1)
-    want = run_all()
-    monkeypatch.setattr(_kernels, "_WORKERS", 9)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for _ in range(10):
-            for got, expected in zip(run_all(), want):
-                np.testing.assert_array_equal(got, expected, strict=True)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("h", [7, 8, 23, 24, 25, 31])
-def test_segment_test_bands_match_oracle(monkeypatch, workers, h):
-    # a floor of 24 rows of width 29: 23 rows run in one part, 24 and more
-    # in row bands, down to bands of one row at height 8
-    w = 29
-    monkeypatch.setattr(_kernels, "_WORKERS", workers)
-    monkeypatch.setattr(_kernels, "_BAND_MIN_PIXELS", (24 if h > 8 else 8) * w)
-    log = _record_parts(monkeypatch)
-    pixels = np.random.default_rng(h).integers(0, 256, (h, w), dtype=np.uint8)
-    got = _kernels.fast_response_map(pixels, 5)
-    assert np.array_equal(got, fast_response_reference(pixels, 5))
-    # bands of the rows 3..h-4 that can score, counted from row 3
-    bands = log[0]
-    assert len(bands) == (1 if h in (7, 23) else min(workers, h - 6))
-    assert [b[0] for b in bands] + [h - 6] == [0] + [b[1] for b in bands]
-    # corners on each row within 3 of a seam, where a band reads its halo
-    for seam in [b[1] + 3 for b in bands[:-1]]:
-        rows = range(max(3, seam - 3), min(h - 3, seam + 4))
-        assert all(got[r].any() for r in rows), seam
 
 
 def _blob_frame(rng, h, w, blobs):
@@ -151,17 +62,13 @@ def test_segment_test_matches_oracle_at_any_survivor_share(name, threshold):
 
 
 @pytest.mark.parametrize("threshold", [1, 5, 40])
-def test_segment_test_of_sparse_and_dense_bands_matches_oracle(monkeypatch, threshold):
+def test_segment_test_of_sparse_and_dense_bands_matches_oracle(threshold):
     # blobs over noise, in two bands of very different survivor shares
     rng = np.random.default_rng(threshold)
     pixels = np.concatenate([_blob_frame(rng, 24, 44, 5),
                              rng.integers(0, 256, (24, 44), dtype=np.uint8)])
-    monkeypatch.setattr(_kernels, "_WORKERS", 2)
-    monkeypatch.setattr(_kernels, "_BAND_MIN_PIXELS", 1)
-    log = _record_parts(monkeypatch)
     got = _kernels.fast_response_map(pixels, threshold)
     assert np.array_equal(got, fast_response_reference(pixels, threshold))
-    assert len(log[0]) == 2
     assert got[3:24].any() and got[24:45].any()
 
 
@@ -181,12 +88,13 @@ def test_every_oracle_corner_passes_the_compass():
     assert corners > 100
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("n", [0, 1, 7])
-def test_brief_split_matches_oracle(monkeypatch, workers, n):
-    monkeypatch.setattr(_kernels, "_WORKERS", workers)
-    monkeypatch.setattr(_kernels, "_BRIEF_MIN_CORNERS", 1)
-    log = _record_parts(monkeypatch)
+_BLOCK = _kernels._BRIEF_BLOCK
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+def test_brief_blocks_match_oracle(n):
+    # no corner, a short first block, one whole block, a block and one
+    # corner, and two blocks and a short third
     rng = np.random.default_rng(n)
     sums = rng.integers(0, 6375, (60, 70)).astype(np.int16)
     pattern = rng.integers(-15, 16, (256, 4)).astype(np.int64)
@@ -195,7 +103,29 @@ def test_brief_split_matches_oracle(monkeypatch, workers, n):
     got = _kernels.brief_descriptors(sums, xs, ys, pattern)
     assert got.dtype == np.uint8 and got.shape == (n, 32)
     assert np.array_equal(got, brief_reference(sums, xs, ys, pattern))
-    assert [len(parts) for parts in log] == ([min(workers, n)] if n else [])
+
+
+def test_brief_of_many_corners_works_in_block_buffers():
+    # 2,000 corners and 256 bits on an int16 plane, as on an image640
+    # frame: the call peaks at about 0.64 MB traced, where one whole-call
+    # pass built two (2000, 256) int64 index arrays of 4.1 MB each
+    from dynafeat.frontend import descriptor_pattern
+    rng = np.random.default_rng(2000)
+    sums = rng.integers(0, 6375, (480, 640)).astype(np.int16)
+    pattern = descriptor_pattern(42)
+    xs = rng.integers(20, 620, 2000)
+    ys = rng.integers(20, 460, 2000)
+    want = _kernels.brief_descriptors(sums, xs, ys, pattern)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = _kernels.brief_descriptors(sums, xs, ys, pattern)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[:50], brief_reference(sums, xs[:50], ys[:50], pattern))
+    assert peak < 1_000_000, peak
 
 
 def test_brief_matches_oracle():
@@ -279,16 +209,8 @@ def test_batch_mutual_nn_numpy_matches_oracle(monkeypatch, chunk_cells):
         n_pairs = int(rng.integers(1, 40))
         pair_a = rng.integers(0, n_ga, n_pairs).astype(np.int64)
         pair_b = rng.integers(0, n_gb, n_pairs).astype(np.int64)
-        # the same output whatever the number of shards the chunks split into
-        outs = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(_kernels, "_WORKERS", workers)
-            outs.append(_kernels.batch_mutual_nn(
-                desc_a, desc_b, mem_a, off_a, cnt_a, mem_b, off_b, cnt_b, pair_a, pair_b))
-        for out in outs[1:]:
-            for got, want in zip(out, outs[0]):
-                np.testing.assert_array_equal(got, want, strict=True)
-        scores, ia, ib, dist = outs[0]
+        scores, ia, ib, dist = _kernels.batch_mutual_nn(
+            desc_a, desc_b, mem_a, off_a, cnt_a, mem_b, off_b, cnt_b, pair_a, pair_b)
         # packed with no gap: the supports of pair p follow those of pair
         # p - 1, so each pair's slice ends at the cumulative sum of scores
         assert ia.shape == ib.shape == dist.shape == (int(scores.sum()),)
@@ -302,11 +224,10 @@ def test_batch_mutual_nn_numpy_matches_oracle(monkeypatch, chunk_cells):
     assert empty_pairs > 0 and full_pairs > 0
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("chunk_pairs", [1, 2])
-def test_batch_mutual_nn_odd_chunk_count_matches_oracle(monkeypatch, workers, chunk_pairs):
+def test_batch_mutual_nn_odd_chunk_count_matches_oracle(monkeypatch, chunk_pairs):
     # 9 pairs in chunks of 1 or 2 pairs: 9 or 5 chunks, the last one short
-    # when 2, split into shards of unequal chunk counts
+    # when 2
     rng = np.random.default_rng(29)
     desc_a = rng.integers(0, 4, (150, 32), dtype=np.uint8)
     desc_b = rng.integers(0, 4, (150, 32), dtype=np.uint8)
@@ -316,16 +237,8 @@ def test_batch_mutual_nn_odd_chunk_count_matches_oracle(monkeypatch, workers, ch
     pair_b = rng.integers(0, 4, 9).astype(np.int64)
     block = int(cnt_a[pair_a].max()) * int(cnt_b[pair_b].max())
     monkeypatch.setattr(_kernels, "_CHUNK_CELLS", chunk_pairs * block)
-    monkeypatch.setattr(_kernels, "_WORKERS", workers)
-    parts = _record_parts(monkeypatch)
     out = _kernels.batch_mutual_nn(desc_a, desc_b, mem_a, off_a, cnt_a,
                                    mem_b, off_b, cnt_b, pair_a, pair_b)
-    # one shard per worker while each gets 2 chunks or more; the shards
-    # hold whole chunks and cover the pairs once, in order
-    spans = parts[0]
-    assert len(spans) == min(workers, -(-9 // chunk_pairs) // 2)
-    assert [s for s, _ in spans] + [9] == [0] + [e for _, e in spans]
-    assert all(s % chunk_pairs == 0 and e - s > chunk_pairs for s, e in spans)
     for p in range(9):
         rows_a = mem_a[off_a[pair_a[p]]:][:cnt_a[pair_a[p]]]
         rows_b = mem_b[off_b[pair_b[p]]:][:cnt_b[pair_b[p]]]
@@ -445,7 +358,7 @@ def test_row_tiles_count_every_tie(monkeypatch, rows):
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
-def test_row_tiles_of_many_pairs_match_oracle_on_any_worker_count(monkeypatch, rows):
+def test_row_tiles_of_many_pairs_match_oracle(monkeypatch, rows):
     # 9 pairs of groups of up to 35 members, each pair a chunk of its own
     # in tiles of `rows` rows, the last one short for 2 and 3; padding rows
     # fill the groups below 35
@@ -460,20 +373,14 @@ def test_row_tiles_of_many_pairs_match_oracle_on_any_worker_count(monkeypatch, r
     assert (ma, mb) == (35, 32)
     monkeypatch.setattr(_kernels, "_CHUNK_CELLS", rows * mb)
     log = _record_workspaces(monkeypatch)
-    outs = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(_kernels, "_WORKERS", workers)
-        outs.append(_kernels.batch_mutual_nn(desc_a, desc_b, mem_a, off_a, cnt_a,
-                                             mem_b, off_b, cnt_b, pair_a, pair_b))
-    # one workspace of one tile per shard, 1, 2 and 3 shards of 9 chunks
-    assert [entry[:3] for entry in log] == [(rows, mb, 1)] * 6
-    for out in outs[1:]:
-        for got, want in zip(out, outs[0]):
-            np.testing.assert_array_equal(got, want, strict=True)
+    out = _kernels.batch_mutual_nn(desc_a, desc_b, mem_a, off_a, cnt_a,
+                                   mem_b, off_b, cnt_b, pair_a, pair_b)
+    # one workspace of one tile for the 9 chunks
+    assert [entry[:3] for entry in log] == [(rows, mb, 1)]
     for p in range(9):
         rows_a = mem_a[off_a[pair_a[p]]:][:cnt_a[pair_a[p]]]
         rows_b = mem_b[off_b[pair_b[p]]:][:cnt_b[pair_b[p]]]
-        assert _supports(*outs[0], p) == _oracle_supports(desc_a, desc_b, rows_a, rows_b), p
+        assert _supports(*out, p) == _oracle_supports(desc_a, desc_b, rows_a, rows_b), p
 
 
 def _square_scene():
@@ -487,48 +394,48 @@ def _square_scene():
     return desc, mem, off, cnt, pair_a, pair_b
 
 
-def test_workers_allocate_no_chunk_sized_array(monkeypatch):
-    # 1,600 pairs of 35-member groups on 2 workers: the calling thread
-    # allocates one workspace per shard before the parts start, and while
-    # they run the traced memory grows by the row and column results and
-    # numpy's own iteration buffers only, a fixed few hundred kB that is
-    # less than one chunk's XOR block (8 B per cell) for both workers
+def test_a_call_allocates_one_workspace_in_the_calling_thread(monkeypatch):
+    # 1,600 pairs of 35-member groups, 16 chunks: the call allocates one
+    # workspace, in the calling thread, and leaves no thread; after that
+    # the traced memory grows by the row and column results and numpy's
+    # own iteration buffers only, a fixed few hundred kB that is less than
+    # one chunk's XOR block (8 B per cell)
     desc, mem, off, cnt, pair_a, pair_b = _square_scene()
-    monkeypatch.setattr(_kernels, "_WORKERS", 2)
-    log = _record_workspaces(monkeypatch)
-    grown = []
-    run_parts = _kernels._run_parts
-
-    def traced_parts(fn, parts):
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        try:
-            return run_parts(fn, parts)
-        finally:
-            grown.append(tracemalloc.get_traced_memory()[1] - start)
-
-    monkeypatch.setattr(_kernels, "_run_parts", traced_parts)
     want = _kernels.batch_mutual_nn(desc, desc, mem, off, cnt, mem, off, cnt, pair_a, pair_b)
+    log = _record_workspaces(monkeypatch)
+    workspace = _kernels._Workspace
+    start = []
+
+    def traced_workspace(*args):
+        ws = workspace(*args)
+        start.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return ws
+
+    monkeypatch.setattr(_kernels, "_Workspace", traced_workspace)
+    threads = threading.active_count()
     tracemalloc.start()
     try:
         got = _kernels.batch_mutual_nn(desc, desc, mem, off, cnt, mem, off, cnt, pair_a, pair_b)
+        grown = tracemalloc.get_traced_memory()[1] - start[0]
     finally:
         tracemalloc.stop()
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b, strict=True)
     step = _kernels._CHUNK_CELLS // (35 * 35)
-    assert [entry[:3] for entry in log] == [(35, 35, step)] * 4
-    assert all(entry[3] is threading.main_thread() for entry in log)
-    assert len(grown) == 2 and grown[1] < 8 * _kernels._CHUNK_CELLS, grown
+    assert -(-1600 // step) >= 4
+    assert [entry[:3] for entry in log] == [(35, 35, step)]
+    assert log[0][3] is threading.current_thread()
+    assert threading.active_count() == threads
+    assert grown < 8 * _kernels._CHUNK_CELLS, grown
 
 
-def test_workspaces_are_released_before_the_supports_are_gathered(monkeypatch):
-    # the same 1,600 pairs on 2 workers: the two shard workspaces (about
-    # 1.5 MB each) go before the supports are gathered, so the gather does
-    # not add to them. The call peaked at 3.99 MB traced, and at 4.82 MB
-    # while the workspaces were kept through the gather.
+def test_workspaces_are_released_before_the_supports_are_gathered():
+    # the same 1,600 pairs: the workspace (about 1.5 MB) goes before the
+    # supports are gathered, so the gather does not add to it. The call
+    # peaks at 2.14 MB traced; with two workspaces it peaked at 3.99 MB,
+    # and at 4.82 MB while they were kept through the gather.
     desc, mem, off, cnt, pair_a, pair_b = _square_scene()
-    monkeypatch.setattr(_kernels, "_WORKERS", 2)
     want = _kernels.batch_mutual_nn(desc, desc, mem, off, cnt, mem, off, cnt, pair_a, pair_b)
     tracemalloc.start()
     try:

@@ -173,27 +173,9 @@ def test_transformed_run_gives_the_same_matches(inputs, plain_runs, name, transf
                                           strict=True)
 
 
-@pytest.mark.parametrize("name", INPUTS)
-def test_one_worker_gives_the_same_matches(inputs, plain_runs, monkeypatch, name):
-    # the kernels split their work over _WORKERS threads; a run on one
-    # thread must give the default run's output, array for array
-    if name not in plain_runs:
-        plain_runs[name] = _run(PipelineConfig(), inputs[name])
-    plain_rows, plain_pairs = plain_runs[name]
-    monkeypatch.setattr(_kernels, "_WORKERS", 1)
-    rows, pairs = _run(PipelineConfig(), inputs[name])
-    assert rows == plain_rows
-    assert len(pairs) == len(plain_pairs)
-    for pair, plain in zip(pairs, plain_pairs):
-        assert (pair.frame_prev, pair.frame_curr) == (plain.frame_prev, plain.frame_curr)
-        for field in ARRAYS:
-            np.testing.assert_array_equal(getattr(pair, field), getattr(plain, field),
-                                          err_msg=field, strict=True)
-
-
 def test_max_group_scene_splits_full_blocks(inputs, monkeypatch):
     # every kernel call of the scene pads its blocks to max_group on both
-    # sides, has enough chunks for 2 shards of 2 chunks or more, and pairs
+    # sides, runs in 4 chunks or more, and pairs
     # two full groups in over a third of its pairs; the chunk is pinned
     # here, so that tuning the default does not empty the test
     chunk = 1 << 16

@@ -1,10 +1,9 @@
 """Whole-run differential fuzz: seeded random configs and scenes.
 
 Each case draws a valid PipelineConfig from the space ``validate`` accepts,
-a small cluster scene, the kernels' worker count and a small chunk, and
-checks every yielded InlierColumns and TrackState against
-``oracles.run_reference``, field for field. A failing case names its draw,
-so it can be run again alone.
+a small cluster scene and a small kernel chunk, and checks every yielded
+InlierColumns and TrackState against ``oracles.run_reference``, field for
+field. A failing case names its draw, so it can be run again alone.
 """
 
 import dataclasses
@@ -99,16 +98,14 @@ def test_runs_equal_the_reference_over_random_configs(monkeypatch):
     for case in range(CASES):
         config = _draw_config(rng)
         scene, empty = _draw_scene(rng)
-        workers = int(rng.integers(1, 3))
         chunk = int(rng.integers(1, 4000))
-        # shards and row tiles of random shapes
-        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        # chunks and row tiles of random shapes
         monkeypatch.setattr(_kernels, "_CHUNK_CELLS", chunk)
         try:
             matches += _assert_run_equals_reference(config, _frames(scene, empty))
         except AssertionError as exc:
             raise AssertionError(
                 f"case {case}: {config!r}, scene {scene}, empty frame {empty}, "
-                f"_WORKERS {workers}, _CHUNK_CELLS {chunk}") from exc
+                f"_CHUNK_CELLS {chunk}") from exc
     # the draws reach matches, not only empty runs
     assert matches > 1000
