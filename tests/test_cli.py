@@ -521,7 +521,7 @@ SHIFTED_BLOB_DIGESTS = {
     "matches_000001_000002.txt": "02d589c185817a9a4860cb68f29479b862e06856ceee98128c739d9478e9509a"}
 
 
-def test_kernels_start_no_thread_and_write_the_same_bytes(tmp_path, monkeypatch):
+def test_split_kernels_leave_no_thread_and_the_same_bytes(tmp_path, monkeypatch):
     # every kernel runs in the calling thread: an images-mode match run
     # (segment test, descriptors, mutual NN) and a mutual-NN call of 4
     # chunks start no thread, and the run writes the same bytes as before

@@ -105,6 +105,22 @@ def test_brief_blocks_match_oracle(n):
     assert np.array_equal(got, brief_reference(sums, xs, ys, pattern))
 
 
+@pytest.mark.parametrize("block", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_brief_split_matches_oracle(monkeypatch, block, n):
+    # blocks of 2 or 3 corners: 7 corners split into 4 or 3 blocks, the
+    # last one short, and the buffers reused from block to block
+    monkeypatch.setattr(_kernels, "_BRIEF_BLOCK", block)
+    rng = np.random.default_rng(n)
+    sums = rng.integers(0, 6375, (60, 70)).astype(np.int16)
+    pattern = rng.integers(-15, 16, (256, 4)).astype(np.int64)
+    xs = rng.integers(16, 54, n)
+    ys = rng.integers(16, 44, n)
+    got = _kernels.brief_descriptors(sums, xs, ys, pattern)
+    assert got.dtype == np.uint8 and got.shape == (n, 32)
+    assert np.array_equal(got, brief_reference(sums, xs, ys, pattern))
+
+
 def test_brief_of_many_corners_works_in_block_buffers():
     # 2,000 corners and 256 bits on an int16 plane, as on an image640
     # frame: the call peaks at about 0.64 MB traced, where one whole-call
@@ -224,11 +240,12 @@ def test_batch_mutual_nn_numpy_matches_oracle(monkeypatch, chunk_cells):
     assert empty_pairs > 0 and full_pairs > 0
 
 
+@pytest.mark.parametrize("scene", [1, 2, 3])
 @pytest.mark.parametrize("chunk_pairs", [1, 2])
-def test_batch_mutual_nn_odd_chunk_count_matches_oracle(monkeypatch, chunk_pairs):
+def test_batch_mutual_nn_odd_chunk_count_matches_oracle(monkeypatch, chunk_pairs, scene):
     # 9 pairs in chunks of 1 or 2 pairs: 9 or 5 chunks, the last one short
-    # when 2
-    rng = np.random.default_rng(29)
+    # when 2, on three random scenes of ragged groups
+    rng = np.random.default_rng(28 + scene)
     desc_a = rng.integers(0, 4, (150, 32), dtype=np.uint8)
     desc_b = rng.integers(0, 4, (150, 32), dtype=np.uint8)
     mem_a, off_a, cnt_a = _ragged_groups(rng, 4, 150)
@@ -358,10 +375,11 @@ def test_row_tiles_count_every_tie(monkeypatch, rows):
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
-def test_row_tiles_of_many_pairs_match_oracle(monkeypatch, rows):
+def test_row_tiles_of_many_pairs_match_oracle_on_any_worker_count(monkeypatch, rows):
     # 9 pairs of groups of up to 35 members, each pair a chunk of its own
     # in tiles of `rows` rows, the last one short for 2 and 3; padding rows
-    # fill the groups below 35
+    # fill the groups below 35. The kernel has one worker, the calling
+    # thread, whatever the number of CPUs.
     rng = np.random.default_rng(46)
     desc_a = rng.integers(0, 4, (150, 32), dtype=np.uint8)
     desc_b = rng.integers(0, 4, (150, 32), dtype=np.uint8)
@@ -394,7 +412,7 @@ def _square_scene():
     return desc, mem, off, cnt, pair_a, pair_b
 
 
-def test_a_call_allocates_one_workspace_in_the_calling_thread(monkeypatch):
+def test_workers_allocate_no_chunk_sized_array(monkeypatch):
     # 1,600 pairs of 35-member groups, 16 chunks: the call allocates one
     # workspace, in the calling thread, and leaves no thread; after that
     # the traced memory grows by the row and column results and numpy's

@@ -17,6 +17,7 @@ run composed of the stage oracles.
 
 import dataclasses
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -171,6 +172,29 @@ def test_transformed_run_gives_the_same_matches(inputs, plain_runs, name, transf
                 expected = expected * scale
             np.testing.assert_array_equal(getattr(pair, field), expected, err_msg=field,
                                           strict=True)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_one_worker_gives_the_same_matches(inputs, plain_runs, monkeypatch, name):
+    # the kernels run in the calling thread, their one worker: a run that
+    # may start no thread gives the plain run's output, array for array,
+    # and nothing one run leaves behind changes the next
+    if name not in plain_runs:
+        plain_runs[name] = _run(PipelineConfig(), inputs[name])
+    plain_rows, plain_pairs = plain_runs[name]
+
+    def no_thread(thread):
+        raise AssertionError(f"a run on {name} started {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    rows, pairs = _run(PipelineConfig(), inputs[name])
+    assert rows == plain_rows
+    assert len(pairs) == len(plain_pairs)
+    for pair, plain in zip(pairs, plain_pairs):
+        assert (pair.frame_prev, pair.frame_curr) == (plain.frame_prev, plain.frame_curr)
+        for field in ARRAYS:
+            np.testing.assert_array_equal(getattr(pair, field), getattr(plain, field),
+                                          err_msg=field, strict=True)
 
 
 def test_max_group_scene_splits_full_blocks(inputs, monkeypatch):
